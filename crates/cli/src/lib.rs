@@ -97,9 +97,11 @@ commands:
           [--max-epochs N]
           consume the event stream with the classifier checkpointed in
           run directory DIR, maintaining ranked per-target threat lists
-          on the toxicity x topic-overlap plane. --state checkpoints
-          ranker state every epoch and resumes from it; rankings are
-          byte-identical at any --threads and across kill/resume.
+          on the toxicity x topic-overlap plane. --state DIR checkpoints
+          every epoch into DIR (a STREAM.ckpt snapshot plus a STREAM.log
+          of per-epoch deltas, compacted into the snapshot as it grows)
+          and resumes from it; rankings are byte-identical at any
+          --threads and across kill/resume.
   score   --model MODEL.json [--input FILE] [--threshold T]
           score one text per input line; prints `score<TAB>text`
   pii     [--input FILE]
@@ -616,10 +618,12 @@ pub fn run(command: &str, args: &[String], out: &mut dyn Write) -> Result<(), Cl
                 writeln!(out, "resumed from checkpointed state at event {at}")
                     .map_err(|e| err(e.to_string()))?;
             }
+            let written = outcome.checkpoint;
             writeln!(
                 out,
-                "watch complete: {} event(s) in {} epoch(s), model {model_hash}",
-                outcome.events, outcome.epochs
+                "watch complete: {} event(s) in {} epoch(s), model {model_hash}; \
+                 checkpoint: {} snapshot(s), {} delta record(s), {} byte(s) written",
+                outcome.events, outcome.epochs, written.snapshots, written.deltas, written.bytes
             )
             .map_err(|e| err(e.to_string()))?;
             out.write_all(outcome.rankings.as_bytes())
@@ -940,6 +944,9 @@ mod tests {
         run("watch", &watch_flags(&[("state", &state)])?, &mut out)?;
         let text = String::from_utf8(out)?;
         assert!(text.contains("resumed from checkpointed state"), "{text}");
+        assert!(text.contains("checkpoint: "), "{text}");
+        assert!(!text.contains(" 0 snapshot(s)"), "{text}");
+        assert_eq!(std::fs::metadata(state_dir.join("STREAM.log"))?.len(), 0);
         assert_eq!(rankings_of(&text)?, reference);
         std::fs::remove_dir_all(&dir).ok();
         Ok(())

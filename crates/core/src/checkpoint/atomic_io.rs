@@ -52,6 +52,15 @@ pub fn fnv64_hex(bytes: &[u8]) -> String {
 /// for binary payloads that could contain the byte sequence by chance.
 const FOOTER_PREFIX: &[u8] = b"\n#fnv64:";
 
+/// Footer bytes after the marker: 16 hex digits and a closing newline.
+const FOOTER_HASH_LEN: usize = 17;
+
+/// Bytes a [`write_hashed`] file or one [`AppendLog`] record takes on
+/// disk for a payload of `payload_len` bytes.
+pub fn framed_len(payload_len: usize) -> u64 {
+    (payload_len + FOOTER_PREFIX.len() + FOOTER_HASH_LEN) as u64
+}
+
 fn io_err(path: &Path, source: std::io::Error) -> CheckpointError {
     CheckpointError::Io {
         path: path.to_path_buf(),
@@ -99,7 +108,7 @@ pub fn write_hashed(path: &Path, payload: &[u8]) -> Result<String, CheckpointErr
 /// model sections should not pay the FNV pass twice).
 pub fn write_framed(path: &Path, payload: &[u8], hash: &str) -> Result<(), CheckpointError> {
     debug_assert_eq!(hash, fnv64_hex(payload));
-    let mut framed = Vec::with_capacity(payload.len() + FOOTER_PREFIX.len() + 17);
+    let mut framed = Vec::with_capacity(framed_len(payload.len()) as usize);
     framed.extend_from_slice(payload);
     framed.extend_from_slice(FOOTER_PREFIX);
     framed.extend_from_slice(hash.as_bytes());
@@ -149,7 +158,7 @@ pub fn read_hashed(path: &Path) -> Result<Vec<u8>, CheckpointError> {
 }
 
 /// An append-only log of individually hash-framed records — the serve
-/// request journal's on-disk form.
+/// request journal's and the stream checkpoint delta log's on-disk form.
 ///
 /// Unlike the write-rename checkpoint files above, a journal must survive
 /// the *writer* dying mid-append: each record is one newline-free payload
@@ -194,7 +203,7 @@ impl AppendLog {
                 detail: "journal record contains a newline".to_string(),
             });
         }
-        let mut framed = Vec::with_capacity(payload.len() + FOOTER_PREFIX.len() + 17);
+        let mut framed = Vec::with_capacity(framed_len(payload.len()) as usize);
         framed.extend_from_slice(payload);
         framed.extend_from_slice(FOOTER_PREFIX);
         framed.extend_from_slice(fnv64_hex(payload).as_bytes());
@@ -203,6 +212,13 @@ impl AppendLog {
             .write_all(&framed)
             .map_err(|e| io_err(&self.path, e))?;
         self.file.flush().map_err(|e| io_err(&self.path, e))
+    }
+
+    /// Empties the log with one `ftruncate(2)`, so a kill leaves either
+    /// every record or none. Later appends start at offset 0 (the file is
+    /// in append mode).
+    pub fn truncate(&mut self) -> Result<(), CheckpointError> {
+        self.file.set_len(0).map_err(|e| io_err(&self.path, e))
     }
 }
 
@@ -214,6 +230,32 @@ impl AppendLog {
 #[allow(clippy::type_complexity)]
 pub fn read_log(path: &Path) -> Result<(Vec<Vec<u8>>, Option<u64>), CheckpointError> {
     let bytes = fs::read(path).map_err(|e| io_err(path, e))?;
+    let (records, damage) = parse_log(&bytes);
+    Ok((records, damage.map(|at| at as u64)))
+}
+
+/// [`read_log`] for a log whose complete records must never be dropped
+/// silently. The one damage tolerated is a torn tail — a strict prefix of
+/// a single record after the last verified one, which is all a writer
+/// killed mid-append can leave — reported by its offset as `read_log`
+/// does. Damage to a complete record (a flipped byte, a mangled footer)
+/// is a typed [`CheckpointError::Corrupt`] naming the record's offset.
+#[allow(clippy::type_complexity)]
+pub fn read_log_strict(path: &Path) -> Result<(Vec<Vec<u8>>, Option<u64>), CheckpointError> {
+    let bytes = fs::read(path).map_err(|e| io_err(path, e))?;
+    let (records, damage) = parse_log(&bytes);
+    match damage {
+        Some(at) if !is_torn_tail(&bytes[at..]) => Err(CheckpointError::Corrupt {
+            path: path.to_path_buf(),
+            detail: format!("log record at byte {at} is damaged"),
+        }),
+        _ => Ok((records, damage.map(|at| at as u64))),
+    }
+}
+
+/// Splits log bytes into verified records and the offset of the first
+/// byte that is not part of one.
+fn parse_log(bytes: &[u8]) -> (Vec<Vec<u8>>, Option<usize>) {
     let mut records = Vec::new();
     let mut cursor = 0usize;
     while cursor < bytes.len() {
@@ -223,25 +265,43 @@ pub fn read_log(path: &Path) -> Result<(Vec<Vec<u8>>, Option<u64>), CheckpointEr
             .windows(FOOTER_PREFIX.len())
             .position(|w| w == FOOTER_PREFIX)
         else {
-            return Ok((records, Some(cursor as u64)));
+            return (records, Some(cursor));
         };
         let payload = &bytes[cursor..cursor + rel];
         let footer_start = cursor + rel + FOOTER_PREFIX.len();
-        let footer_end = footer_start + 17;
+        let footer_end = footer_start + FOOTER_HASH_LEN;
         if footer_end > bytes.len() {
-            return Ok((records, Some(cursor as u64)));
+            return (records, Some(cursor));
         }
         let footer = &bytes[footer_start..footer_end];
         let clean = footer[16] == b'\n'
             && footer[..16].iter().all(u8::is_ascii_hexdigit)
             && footer[..16] == *fnv64_hex(payload).as_bytes();
         if !clean {
-            return Ok((records, Some(cursor as u64)));
+            return (records, Some(cursor));
         }
         records.push(payload.to_vec());
         cursor = footer_end;
     }
-    Ok((records, None))
+    (records, None)
+}
+
+/// Whether `tail`, the bytes after a log's last verified record, is a
+/// strict prefix of one framed record: payload bytes, then at most a
+/// partial footer. A record whose footer line was written in full never
+/// is, so damage to a complete record is told apart from a torn append —
+/// provided payloads never contain the marker text `#fnv64:`, which JSON
+/// of numbers and hex strings cannot.
+fn is_torn_tail(tail: &[u8]) -> bool {
+    let marker = &FOOTER_PREFIX[1..];
+    let head_len = tail.iter().position(|&b| b == b'\n').unwrap_or(tail.len());
+    let (head, footer) = tail.split_at(head_len);
+    footer.len() < FOOTER_PREFIX.len() + FOOTER_HASH_LEN
+        && footer.iter().zip(FOOTER_PREFIX).all(|(a, b)| a == b)
+        && footer[footer.len().min(FOOTER_PREFIX.len())..]
+            .iter()
+            .all(u8::is_ascii_hexdigit)
+        && !head.windows(marker.len()).any(|w| w == marker)
 }
 
 #[cfg(test)]
@@ -372,6 +432,77 @@ mod tests {
         let (records, damage) = read_log(&path).expect("read log");
         assert!(records.is_empty());
         assert_eq!(damage, Some(0));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn write_records(path: &Path, records: &[&[u8]]) -> Vec<u8> {
+        std::fs::remove_file(path).ok();
+        let mut log = AppendLog::open(path).expect("open");
+        for record in records {
+            log.append(record).expect("append");
+        }
+        std::fs::read(path).expect("read")
+    }
+
+    #[test]
+    fn strict_reader_resumes_past_a_torn_tail_at_every_offset() {
+        let dir = temp_dir("log-strict-torn");
+        let path = dir.join("state.log");
+        let records: [&[u8]; 2] = [br#"{"start":0,"rows":[1,2]}"#, br#"{"start":2,"rows":[3]}"#];
+        let clean = write_records(&path, &records);
+        let last_start = (framed_len(records[0].len())) as usize;
+        for cut in last_start + 1..clean.len() {
+            std::fs::write(&path, &clean[..cut]).expect("truncate");
+            let (read, torn) = read_log_strict(&path).expect("a torn tail is tolerated");
+            assert_eq!(read, vec![records[0].to_vec()], "cut at {cut}");
+            assert_eq!(torn, Some(last_start as u64), "cut at {cut}");
+        }
+        std::fs::write(&path, &clean).expect("restore");
+        assert_eq!(read_log_strict(&path).expect("clean").1, None);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn strict_reader_refuses_every_flip_in_a_complete_record() {
+        let dir = temp_dir("log-strict-flip");
+        let path = dir.join("state.log");
+        let records: [&[u8]; 3] = [b"{\"a\":1}", b"{\"b\":[2,3]}", b"{\"c\":4}"];
+        let clean = write_records(&path, &records);
+        let (first, second) = (
+            framed_len(records[0].len()) as usize,
+            framed_len(records[1].len()) as usize,
+        );
+        // The middle record and the last one: a flip must never read as a
+        // torn tail and silently roll the log back.
+        for (lo, hi) in [(first, first + second), (first + second, clean.len())] {
+            for i in lo..hi {
+                for mask in [0x01u8, 0xff] {
+                    let mut corrupt = clean.clone();
+                    corrupt[i] ^= mask;
+                    std::fs::write(&path, &corrupt).expect("flip");
+                    assert!(
+                        matches!(read_log_strict(&path), Err(CheckpointError::Corrupt { .. })),
+                        "flip {mask:#x} at byte {i} was not refused"
+                    );
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn truncate_empties_the_log_and_appends_restart_at_zero() {
+        let dir = temp_dir("log-truncate");
+        let path = dir.join("state.log");
+        let mut log = AppendLog::open(&path).expect("open");
+        log.append(b"one").expect("append");
+        log.truncate().expect("truncate");
+        assert_eq!(std::fs::metadata(&path).expect("meta").len(), 0);
+        log.append(b"two").expect("append");
+        let (records, damage) = read_log_strict(&path).expect("read");
+        assert_eq!(records, vec![b"two".to_vec()]);
+        assert_eq!(damage, None);
+        assert_eq!(std::fs::metadata(&path).expect("meta").len(), framed_len(3));
         std::fs::remove_dir_all(&dir).ok();
     }
 

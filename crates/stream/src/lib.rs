@@ -16,7 +16,8 @@
 //!   overlap via [`incite_ml::TopicFingerprint`], ranked per-target
 //!   threat lists on the toxicity × overlap plane with evidence.
 //! * [`state`] — checkpoint/resume of ranker state through the
-//!   `atomic_io` funnel.
+//!   `atomic_io` funnel: a snapshot plus an append-only per-epoch delta
+//!   log.
 //! * [`watch`] — the epoch loop tying it together, with failpoint sites
 //!   at both sides of the checkpoint boundary for the kill/resume sweep.
 //!
@@ -34,6 +35,7 @@ pub mod watch;
 pub use event::{ActorId, EventId, EventKind, EventStream, StreamEvent};
 pub use ranker::{RankerConfig, ThreatEntry, ThreatRanker};
 pub use simulate::{simulate, SimConfig};
+pub use state::CheckpointStats;
 pub use watch::{run_watch, WatchConfig, WatchOutcome};
 
 use incite_core::checkpoint::CheckpointError;

@@ -1,27 +1,71 @@
-//! Checkpoint/resume of ranker state through the `atomic_io` funnel.
+//! Checkpoint/resume of ranker state through the `atomic_io` funnel: a
+//! snapshot plus an append-only log of per-epoch deltas.
 //!
-//! One `STREAM.ckpt` file per state directory, written with
-//! [`atomic_io::write_hashed`] (tmp + rename + integrity footer) so a
-//! kill at any instant leaves either the previous state or the new one,
-//! never a torn file. The payload is JSON over flat rows — the vendored
-//! serde derives structs and fieldless enums only — and every float is
-//! stored as its raw `u32` bits, so a save/load cycle is byte-exact and
-//! resumed runs produce byte-identical rankings.
+//! **Layout.** A state directory holds two files:
 //!
-//! A state file is bound to the stream digest and the ranker-config
-//! fingerprint it was written under; loading it against anything else is
-//! a typed [`StreamError::StateMismatch`].
+//! * `STREAM.ckpt`, the full ranker state, written with
+//!   [`atomic_io::write_hashed`] (tmp + rename + integrity footer) so a
+//!   kill at any instant leaves either the previous snapshot or the new
+//!   one, never a torn file. The payload is JSON over flat rows (the
+//!   vendored serde derives structs and fieldless enums only) and every
+//!   float is stored as its raw `u32` bits, so a save/load cycle is
+//!   byte-exact and resumed runs produce byte-identical rankings.
+//! * `STREAM.log`, an [`atomic_io::AppendLog`] holding one hash-framed
+//!   record per epoch since the snapshot. A record holds the stream
+//!   positions before and after its epoch and the post-epoch values of
+//!   only the rows the epoch's events can touch: the posters' actor rows,
+//!   the new follow edges, the new docs, the exposed sets of the amplified
+//!   docs and the rows of the targets those docs name. The rows are
+//!   derived from the epoch's event slice, so the ranker keeps no dirty
+//!   set. Snapshot and record share one set of row encode/apply helpers.
+//!
+//! **Saving.** After each epoch the watch loop appends the epoch's record.
+//! It rewrites the snapshot instead (compacts) when appending would make
+//! the log larger than the snapshot, when the directory has no snapshot
+//! yet or its log holds bytes replay skipped, and for the last epoch an
+//! invocation runs, so a clean exit leaves one snapshot and an empty log.
+//! A compaction renames the new snapshot into place, then truncates the
+//! log. A pass therefore writes O(state) checkpoint bytes instead of
+//! O(epochs × state), replay mid-run is bounded by one snapshot's worth of
+//! log, and an invocation that processes no epoch writes nothing.
+//!
+//! **Replay.** [`load_state`] reads the snapshot, then the log in order.
+//! A record applies only when it starts where the state so far ends.
+//! Records that end at or before the snapshot's position are stale (a
+//! kill between the snapshot rename and the log truncation leaves them)
+//! and are skipped. Any other gap is a [`StreamError::StateMismatch`].
+//!
+//! **Damage.** A torn final record is what a kill mid-append leaves:
+//! replay stops at the last complete record, and the next save compacts
+//! before anything is appended after the torn bytes. A hash mismatch in
+//! any complete record, or in the snapshot, refuses resume with a typed
+//! [`StreamError::Checkpoint`]: no panic, and no silent rollback.
+//!
+//! **Durability** is `atomic_io`'s: no fsync is issued; both files are
+//! atomic against process crashes (rename for the snapshot, one `write(2)`
+//! per record, one `ftruncate(2)` per log reset); tearing from a power
+//! loss is detected by the hash framing, never resumed from.
+//!
+//! Both files are bound to the stream digest and the ranker-config
+//! fingerprint they were written under; loading them against anything
+//! else is a typed [`StreamError::StateMismatch`].
 
+use crate::event::{EventKind, StreamEvent};
 use crate::ranker::{ActorState, DocState, RankerConfig, TargetState, ThreatEntry, ThreatRanker};
 use crate::StreamError;
-use incite_core::checkpoint::atomic_io;
+use incite_core::checkpoint::atomic_io::{self, AppendLog};
+use incite_core::checkpoint::CheckpointError;
+use incite_core::failpoint::FailpointRegistry;
 use incite_ml::TopicFingerprint;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
-/// Checkpoint file name inside the state directory.
+/// Snapshot file name inside the state directory.
 pub const STATE_FILE: &str = "STREAM.ckpt";
+
+/// Delta log file name inside the state directory.
+pub const LOG_FILE: &str = "STREAM.log";
 
 const STATE_VERSION: u32 = 1;
 
@@ -38,12 +82,37 @@ struct StateFile {
     targets: Vec<TargetRow>,
 }
 
+/// One epoch's record in `STREAM.log`.
+#[derive(Serialize, Deserialize)]
+struct DeltaRecord {
+    stream_digest: String,
+    config_fingerprint: String,
+    /// Stream position before the epoch.
+    start: u64,
+    /// Stream position after the epoch.
+    next_event: u64,
+    epochs_done: u64,
+    actors: Vec<ActorDelta>,
+    follows: Vec<FollowRow>,
+    docs: Vec<DocRow>,
+    exposed: Vec<ExposedRow>,
+    targets: Vec<TargetRow>,
+}
+
 #[derive(Serialize, Deserialize)]
 struct ActorRow {
     /// Fingerprint slots as raw f32 bits (byte-exact roundtrip).
     fingerprint: Vec<u32>,
     history: Vec<u64>,
     posts: u64,
+}
+
+/// An actor row in a record, which names its slot (a snapshot's rows are
+/// positional).
+#[derive(Serialize, Deserialize)]
+struct ActorDelta {
+    actor: u32,
+    row: ActorRow,
 }
 
 #[derive(Serialize, Deserialize)]
@@ -59,6 +128,13 @@ struct DocRow {
     target: Option<u32>,
     toxicity_bits: u32,
     fingerprint: Vec<u32>,
+    exposed: Vec<u32>,
+}
+
+/// The exposed set of a doc posted before the record's epoch.
+#[derive(Serialize, Deserialize)]
+struct ExposedRow {
+    doc: u64,
     exposed: Vec<u32>,
 }
 
@@ -91,132 +167,100 @@ fn unpack_fingerprint(bits: &[u32]) -> Result<TopicFingerprint, StreamError> {
     TopicFingerprint::from_slots(&slots).ok_or(StreamError::StateMismatch)
 }
 
-/// Saves the ranker to `state_dir/STREAM.ckpt`, bound to `stream_digest`.
-/// Returns the payload's content hash.
-pub fn save_state(
-    state_dir: &Path,
-    ranker: &ThreatRanker,
-    stream_digest: &str,
-) -> Result<String, StreamError> {
-    let file = StateFile {
-        version: STATE_VERSION,
-        stream_digest: stream_digest.to_string(),
-        config_fingerprint: ranker.config.fingerprint(),
-        next_event: ranker.next_event as u64,
-        epochs_done: ranker.epochs_done,
-        actors: ranker
-            .actors
-            .iter()
-            .map(|a| ActorRow {
-                fingerprint: pack_fingerprint(&a.fingerprint),
-                history: a.history.clone(),
-                posts: a.posts,
-            })
-            .collect(),
-        follows: ranker
-            .follows
-            .iter()
-            .map(|(followee, followers)| FollowRow {
-                followee: *followee,
-                followers: followers.iter().copied().collect(),
-            })
-            .collect(),
-        docs: ranker
-            .docs
-            .iter()
-            .map(|(doc, state)| DocRow {
-                doc: *doc,
-                author: state.author,
-                target: state.target,
-                toxicity_bits: state.toxicity_bits,
-                fingerprint: pack_fingerprint(&state.fingerprint),
-                exposed: state.exposed.iter().copied().collect(),
-            })
-            .collect(),
-        targets: ranker
-            .targets
-            .iter()
-            .map(|(target, state)| TargetRow {
-                target: *target,
-                ladder_idx: state.ladder_idx as u64,
-                seen: state.seen,
-                admitted: state.admitted,
-                entries: state
-                    .entries
-                    .iter()
-                    .map(|e| EntryRow {
-                        event: e.event,
-                        doc: e.doc,
-                        audience: e.audience,
-                        toxicity_bits: e.toxicity_bits,
-                        overlap_bits: e.overlap_bits,
-                        threat_bits: e.threat_bits,
-                        contributors: e.contributors.clone(),
-                    })
-                    .collect(),
-            })
-            .collect(),
-    };
-    let payload = serde_json::to_string(&file).map_err(|_| StreamError::Encode)?;
-    let hash = atomic_io::write_hashed(&state_dir.join(STATE_FILE), payload.as_bytes())?;
-    Ok(hash)
+impl ActorRow {
+    fn encode(state: &ActorState) -> Self {
+        ActorRow {
+            fingerprint: pack_fingerprint(&state.fingerprint),
+            history: state.history.clone(),
+            posts: state.posts,
+        }
+    }
+
+    fn decode(&self) -> Result<ActorState, StreamError> {
+        Ok(ActorState {
+            fingerprint: unpack_fingerprint(&self.fingerprint)?,
+            history: self.history.clone(),
+            posts: self.posts,
+        })
+    }
 }
 
-/// Loads a ranker from `state_dir/STREAM.ckpt`. The checkpoint must have
-/// been written for the same stream digest and an equivalent config.
-pub fn load_state(
-    state_dir: &Path,
-    config: RankerConfig,
-    n_actors: usize,
-    stream_digest: &str,
-) -> Result<ThreatRanker, StreamError> {
-    let payload = atomic_io::read_hashed(&state_dir.join(STATE_FILE))?;
-    let text = std::str::from_utf8(&payload).map_err(|_| StreamError::StateMismatch)?;
-    let file: StateFile = serde_json::from_str(text).map_err(|_| StreamError::StateMismatch)?;
-    if file.version != STATE_VERSION
-        || file.stream_digest != stream_digest
-        || file.config_fingerprint != config.fingerprint()
-        || file.actors.len() != n_actors
-    {
-        return Err(StreamError::StateMismatch);
+impl FollowRow {
+    fn encode(followee: u32, followers: &BTreeSet<u32>) -> Self {
+        FollowRow {
+            followee,
+            followers: followers.iter().copied().collect(),
+        }
     }
 
-    let mut ranker = ThreatRanker::new(config, n_actors);
-    ranker.next_event = file.next_event as usize;
-    ranker.epochs_done = file.epochs_done;
-    for (slot, row) in ranker.actors.iter_mut().zip(file.actors.iter()) {
-        *slot = ActorState {
-            fingerprint: unpack_fingerprint(&row.fingerprint)?,
-            history: row.history.clone(),
-            posts: row.posts,
-        };
+    /// Unions the row into the graph: edges are never removed, so a
+    /// record's new edges and a snapshot's full sets apply alike.
+    fn apply(&self, follows: &mut BTreeMap<u32, BTreeSet<u32>>) {
+        follows
+            .entry(self.followee)
+            .or_default()
+            .extend(self.followers.iter().copied());
     }
-    for row in &file.follows {
-        let followers: BTreeSet<u32> = row.followers.iter().copied().collect();
-        ranker.follows.insert(row.followee, followers);
+}
+
+impl DocRow {
+    fn encode(doc: u64, state: &DocState) -> Self {
+        DocRow {
+            doc,
+            author: state.author,
+            target: state.target,
+            toxicity_bits: state.toxicity_bits,
+            fingerprint: pack_fingerprint(&state.fingerprint),
+            exposed: state.exposed.iter().copied().collect(),
+        }
     }
-    let mut docs: BTreeMap<u64, DocState> = BTreeMap::new();
-    for row in &file.docs {
+
+    fn apply(&self, docs: &mut BTreeMap<u64, DocState>) -> Result<(), StreamError> {
         docs.insert(
-            row.doc,
+            self.doc,
             DocState {
-                author: row.author,
-                target: row.target,
-                toxicity_bits: row.toxicity_bits,
-                fingerprint: unpack_fingerprint(&row.fingerprint)?,
-                exposed: row.exposed.iter().copied().collect(),
+                author: self.author,
+                target: self.target,
+                toxicity_bits: self.toxicity_bits,
+                fingerprint: unpack_fingerprint(&self.fingerprint)?,
+                exposed: self.exposed.iter().copied().collect(),
             },
         );
+        Ok(())
     }
-    ranker.docs = docs;
-    for row in &file.targets {
-        ranker.targets.insert(
-            row.target,
+}
+
+impl TargetRow {
+    fn encode(target: u32, state: &TargetState) -> Self {
+        TargetRow {
+            target,
+            ladder_idx: state.ladder_idx as u64,
+            seen: state.seen,
+            admitted: state.admitted,
+            entries: state
+                .entries
+                .iter()
+                .map(|e| EntryRow {
+                    event: e.event,
+                    doc: e.doc,
+                    audience: e.audience,
+                    toxicity_bits: e.toxicity_bits,
+                    overlap_bits: e.overlap_bits,
+                    threat_bits: e.threat_bits,
+                    contributors: e.contributors.clone(),
+                })
+                .collect(),
+        }
+    }
+
+    fn apply(&self, targets: &mut BTreeMap<u32, TargetState>) {
+        targets.insert(
+            self.target,
             TargetState {
-                ladder_idx: row.ladder_idx as usize,
-                seen: row.seen,
-                admitted: row.admitted,
-                entries: row
+                ladder_idx: self.ladder_idx as usize,
+                seen: self.seen,
+                admitted: self.admitted,
+                entries: self
                     .entries
                     .iter()
                     .map(|e| ThreatEntry {
@@ -232,12 +276,353 @@ pub fn load_state(
             },
         );
     }
-    Ok(ranker)
+}
+
+impl DeltaRecord {
+    /// The post-epoch values of every row `epoch`, the events that moved
+    /// `ranker` on from position `start`, can have touched.
+    fn encode(
+        ranker: &ThreatRanker,
+        epoch: &[StreamEvent],
+        start: usize,
+        stream_digest: &str,
+        config_fingerprint: &str,
+    ) -> Self {
+        let mut posters = BTreeSet::new();
+        let mut posted = BTreeSet::new();
+        let mut amplified = BTreeSet::new();
+        let mut follows: BTreeMap<u32, BTreeSet<u32>> = BTreeMap::new();
+        for event in epoch {
+            match event.kind {
+                EventKind::Post { doc, author, .. } => {
+                    posters.insert(author.0);
+                    posted.insert(doc.0);
+                }
+                EventKind::Amplify { doc, .. } => {
+                    amplified.insert(doc.0);
+                }
+                EventKind::Follow { follower, followee } => {
+                    follows.entry(followee.0).or_default().insert(follower.0);
+                }
+            }
+        }
+        let targets: BTreeSet<u32> = amplified
+            .iter()
+            .filter_map(|doc| ranker.docs.get(doc)?.target)
+            .collect();
+        DeltaRecord {
+            stream_digest: stream_digest.to_string(),
+            config_fingerprint: config_fingerprint.to_string(),
+            start: start as u64,
+            next_event: ranker.next_event as u64,
+            epochs_done: ranker.epochs_done,
+            actors: posters
+                .into_iter()
+                .filter_map(|actor| {
+                    let state = ranker.actors.get(actor as usize)?;
+                    Some(ActorDelta {
+                        actor,
+                        row: ActorRow::encode(state),
+                    })
+                })
+                .collect(),
+            follows: follows
+                .iter()
+                .map(|(followee, followers)| FollowRow::encode(*followee, followers))
+                .collect(),
+            docs: posted
+                .iter()
+                .filter_map(|doc| Some(DocRow::encode(*doc, ranker.docs.get(doc)?)))
+                .collect(),
+            exposed: amplified
+                .difference(&posted)
+                .filter_map(|doc| {
+                    let exposed = ranker.docs.get(doc)?.exposed.iter().copied().collect();
+                    Some(ExposedRow { doc: *doc, exposed })
+                })
+                .collect(),
+            targets: targets
+                .into_iter()
+                .filter_map(|target| Some(TargetRow::encode(target, ranker.targets.get(&target)?)))
+                .collect(),
+        }
+    }
+
+    fn apply(&self, ranker: &mut ThreatRanker) -> Result<(), StreamError> {
+        for delta in &self.actors {
+            let slot = ranker
+                .actors
+                .get_mut(delta.actor as usize)
+                .ok_or(StreamError::StateMismatch)?;
+            *slot = delta.row.decode()?;
+        }
+        for row in &self.follows {
+            row.apply(&mut ranker.follows);
+        }
+        for row in &self.docs {
+            row.apply(&mut ranker.docs)?;
+        }
+        for row in &self.exposed {
+            let doc = ranker
+                .docs
+                .get_mut(&row.doc)
+                .ok_or(StreamError::StateMismatch)?;
+            doc.exposed = row.exposed.iter().copied().collect();
+        }
+        for row in &self.targets {
+            row.apply(&mut ranker.targets);
+        }
+        ranker.next_event = self.next_event as usize;
+        ranker.epochs_done = self.epochs_done;
+        Ok(())
+    }
+}
+
+fn decode_json<T: Deserialize>(payload: &[u8]) -> Result<T, StreamError> {
+    let text = std::str::from_utf8(payload).map_err(|_| StreamError::StateMismatch)?;
+    serde_json::from_str(text).map_err(|_| StreamError::StateMismatch)
+}
+
+/// Writes the snapshot; returns its payload hash and its bytes on disk.
+fn write_snapshot(
+    state_dir: &Path,
+    ranker: &ThreatRanker,
+    stream_digest: &str,
+) -> Result<(String, u64), StreamError> {
+    let file = StateFile {
+        version: STATE_VERSION,
+        stream_digest: stream_digest.to_string(),
+        config_fingerprint: ranker.config.fingerprint(),
+        next_event: ranker.next_event as u64,
+        epochs_done: ranker.epochs_done,
+        actors: ranker.actors.iter().map(ActorRow::encode).collect(),
+        follows: ranker
+            .follows
+            .iter()
+            .map(|(followee, followers)| FollowRow::encode(*followee, followers))
+            .collect(),
+        docs: ranker
+            .docs
+            .iter()
+            .map(|(doc, state)| DocRow::encode(*doc, state))
+            .collect(),
+        targets: ranker
+            .targets
+            .iter()
+            .map(|(target, state)| TargetRow::encode(*target, state))
+            .collect(),
+    };
+    let payload = serde_json::to_string(&file).map_err(|_| StreamError::Encode)?;
+    let hash = atomic_io::write_hashed(&state_dir.join(STATE_FILE), payload.as_bytes())?;
+    Ok((hash, atomic_io::framed_len(payload.len())))
+}
+
+/// Saves the ranker as a full snapshot to `state_dir/STREAM.ckpt`, bound
+/// to `stream_digest`, and returns the payload's content hash. The watch
+/// loop calls this only to compact its delta log.
+pub fn save_state(
+    state_dir: &Path,
+    ranker: &ThreatRanker,
+    stream_digest: &str,
+) -> Result<String, StreamError> {
+    write_snapshot(state_dir, ranker, stream_digest).map(|(hash, _)| hash)
+}
+
+/// Loads a ranker from `state_dir`: the `STREAM.ckpt` snapshot, then the
+/// `STREAM.log` records after it (see the module docs for the replay and
+/// damage rules). The files must have been written for the same stream
+/// digest and an equivalent config.
+pub fn load_state(
+    state_dir: &Path,
+    config: RankerConfig,
+    n_actors: usize,
+    stream_digest: &str,
+) -> Result<ThreatRanker, StreamError> {
+    StateStore::new(state_dir, &config, stream_digest).load(config, n_actors)
 }
 
 /// Whether a state checkpoint exists in `state_dir`.
 pub fn has_state(state_dir: &Path) -> bool {
     state_dir.join(STATE_FILE).is_file()
+}
+
+/// What one watch invocation wrote to its state directory. Counts, not
+/// timings: the same run writes the same numbers.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CheckpointStats {
+    /// Snapshots written (`STREAM.ckpt` rewrites).
+    pub snapshots: u64,
+    /// Delta records appended to `STREAM.log`.
+    pub deltas: u64,
+    /// Bytes of both, as framed on disk.
+    pub bytes: u64,
+}
+
+/// The watch loop's handle on a state directory: decides per epoch
+/// between appending a record and compacting.
+pub(crate) struct StateStore {
+    dir: PathBuf,
+    stream_digest: String,
+    config_fingerprint: String,
+    /// Opened on first use, so an invocation that saves nothing writes
+    /// nothing.
+    log: Option<AppendLog>,
+    snapshot_bytes: u64,
+    log_bytes: u64,
+    /// The log holds bytes replay skipped: stale records or a torn tail.
+    untidy: bool,
+    pub(crate) stats: CheckpointStats,
+}
+
+impl StateStore {
+    fn new(dir: &Path, config: &RankerConfig, stream_digest: &str) -> Self {
+        StateStore {
+            dir: dir.to_path_buf(),
+            stream_digest: stream_digest.to_string(),
+            config_fingerprint: config.fingerprint(),
+            log: None,
+            snapshot_bytes: 0,
+            log_bytes: 0,
+            untidy: false,
+            stats: CheckpointStats::default(),
+        }
+    }
+
+    /// Opens `dir`, loading its checkpointed ranker if it has one. Reads
+    /// only.
+    pub(crate) fn open(
+        dir: &Path,
+        config: &RankerConfig,
+        n_actors: usize,
+        stream_digest: &str,
+    ) -> Result<(Self, Option<ThreatRanker>), StreamError> {
+        let mut store = StateStore::new(dir, config, stream_digest);
+        let ranker = if has_state(dir) {
+            Some(store.load(config.clone(), n_actors)?)
+        } else {
+            None
+        };
+        Ok((store, ranker))
+    }
+
+    /// Reads the snapshot and replays the log after it, noting the sizes
+    /// of both and whether the log holds bytes replay skipped.
+    fn load(&mut self, config: RankerConfig, n_actors: usize) -> Result<ThreatRanker, StreamError> {
+        let payload = atomic_io::read_hashed(&self.dir.join(STATE_FILE))?;
+        self.snapshot_bytes = atomic_io::framed_len(payload.len());
+        let file: StateFile = decode_json(&payload)?;
+        if file.version != STATE_VERSION
+            || file.stream_digest != self.stream_digest
+            || file.config_fingerprint != self.config_fingerprint
+            || file.actors.len() != n_actors
+        {
+            return Err(StreamError::StateMismatch);
+        }
+
+        let mut ranker = ThreatRanker::new(config, n_actors);
+        ranker.next_event = file.next_event as usize;
+        ranker.epochs_done = file.epochs_done;
+        for (slot, row) in ranker.actors.iter_mut().zip(file.actors.iter()) {
+            *slot = row.decode()?;
+        }
+        for row in &file.follows {
+            row.apply(&mut ranker.follows);
+        }
+        for row in &file.docs {
+            row.apply(&mut ranker.docs)?;
+        }
+        for row in &file.targets {
+            row.apply(&mut ranker.targets);
+        }
+
+        let (records, torn) = match atomic_io::read_log_strict(&self.dir.join(LOG_FILE)) {
+            Err(CheckpointError::Io { source, .. })
+                if source.kind() == std::io::ErrorKind::NotFound =>
+            {
+                (Vec::new(), None)
+            }
+            read => read?,
+        };
+        self.untidy = torn.is_some();
+        for payload in &records {
+            self.log_bytes += atomic_io::framed_len(payload.len());
+            let record: DeltaRecord = decode_json(payload)?;
+            if record.stream_digest != self.stream_digest
+                || record.config_fingerprint != self.config_fingerprint
+            {
+                return Err(StreamError::StateMismatch);
+            }
+            if record.next_event <= file.next_event {
+                self.untidy = true;
+                continue;
+            }
+            if record.start != ranker.next_event as u64 || record.next_event <= record.start {
+                return Err(StreamError::StateMismatch);
+            }
+            record.apply(&mut ranker)?;
+        }
+        Ok(ranker)
+    }
+
+    /// Persists the epoch that moved `ranker` on from position `start`
+    /// over `epoch`: appends its record, or compacts when the module docs
+    /// say so. `last` marks the invocation's final epoch, which compacts.
+    pub(crate) fn save_epoch(
+        &mut self,
+        ranker: &ThreatRanker,
+        epoch: &[StreamEvent],
+        start: usize,
+        last: bool,
+        failpoints: &FailpointRegistry,
+    ) -> Result<(), StreamError> {
+        if !last && !self.untidy {
+            let record = DeltaRecord::encode(
+                ranker,
+                epoch,
+                start,
+                &self.stream_digest,
+                &self.config_fingerprint,
+            );
+            let payload = serde_json::to_string(&record).map_err(|_| StreamError::Encode)?;
+            let bytes = atomic_io::framed_len(payload.len());
+            if self.log_bytes + bytes <= self.snapshot_bytes {
+                self.log()?.append(payload.as_bytes())?;
+                self.log_bytes += bytes;
+                self.stats.deltas += 1;
+                self.stats.bytes += bytes;
+                return Ok(());
+            }
+        }
+        self.compact(ranker, failpoints)
+    }
+
+    /// Rewrites the snapshot from `ranker`, then empties the log. A kill
+    /// between the two leaves records that replay skips as stale.
+    fn compact(
+        &mut self,
+        ranker: &ThreatRanker,
+        failpoints: &FailpointRegistry,
+    ) -> Result<(), StreamError> {
+        let epoch = ranker.epochs_done();
+        let (_, bytes) = write_snapshot(&self.dir, ranker, &self.stream_digest)?;
+        self.snapshot_bytes = bytes;
+        self.stats.snapshots += 1;
+        self.stats.bytes += bytes;
+        failpoints.check(&format!("stream-compact-renamed-{epoch}"))?;
+        self.log()?.truncate()?;
+        self.log_bytes = 0;
+        self.untidy = false;
+        failpoints.check(&format!("stream-compact-reset-{epoch}"))?;
+        Ok(())
+    }
+
+    fn log(&mut self) -> Result<&mut AppendLog, StreamError> {
+        let log = match self.log.take() {
+            Some(log) => log,
+            None => AppendLog::open(&self.dir.join(LOG_FILE))?,
+        };
+        Ok(self.log.insert(log))
+    }
 }
 
 #[cfg(test)]

@@ -1,8 +1,10 @@
 //! The `incite watch` epoch loop: consume events, checkpoint, repeat.
 //!
-//! Each iteration processes one epoch through the ranker, then saves
-//! state through the `atomic_io` funnel. Failpoint sites bracket the
-//! checkpoint boundary exactly the way the pipeline's sweep does:
+//! Each iteration processes one epoch through the ranker, then persists
+//! it through the `atomic_io` funnel: a record appended to `STREAM.log`,
+//! or a compaction into a fresh `STREAM.ckpt` (see [`crate::state`]).
+//! Failpoint sites bracket the checkpoint boundary exactly the way the
+//! pipeline's sweep does:
 //!
 //! * `stream-mid-epoch-<n>` fires after epoch `n` is computed but
 //!   *before* its checkpoint — a resume replays the whole epoch from the
@@ -10,13 +12,18 @@
 //! * `stream-after-epoch-<n>` fires after the checkpoint — a resume
 //!   skips the completed epoch.
 //!
-//! The kill/resume sweep in `tests/determinism.rs` iterates both site
-//! families and asserts byte-identical rankings against an uninterrupted
+//! A compaction adds two sites inside the boundary:
+//! `stream-compact-renamed-<n>` after the new snapshot is renamed into
+//! place but before the log is truncated (resume skips the stale
+//! records), and `stream-compact-reset-<n>` after the truncation.
+//!
+//! The kill/resume sweeps in `tests/determinism.rs` iterate these site
+//! families and assert byte-identical rankings against an uninterrupted
 //! run.
 
 use crate::event::EventStream;
 use crate::ranker::{RankerConfig, ThreatRanker};
-use crate::state::{has_state, load_state, save_state};
+use crate::state::{CheckpointStats, StateStore};
 use crate::StreamError;
 use incite_core::failpoint::FailpointRegistry;
 use incite_ml::TextClassifier;
@@ -48,6 +55,8 @@ pub struct WatchOutcome {
     pub resumed_at: Option<u64>,
     /// Rendered per-target threat rankings.
     pub rankings: String,
+    /// What this invocation wrote to the state directory.
+    pub checkpoint: CheckpointStats,
 }
 
 /// Runs the watch loop over `stream`, resuming from `config.state_dir`
@@ -60,21 +69,23 @@ pub fn run_watch(
     config: &WatchConfig,
 ) -> Result<WatchOutcome, StreamError> {
     let digest = stream.digest();
-    let mut resumed_at = None;
-    let mut ranker = match &config.state_dir {
-        Some(dir) if has_state(dir) => {
-            let ranker = load_state(dir, config.ranker.clone(), stream.actors.len(), &digest)?;
-            resumed_at = Some(ranker.next_event() as u64);
-            ranker
+    let n_actors = stream.actors.len();
+    let (mut store, loaded) = match &config.state_dir {
+        Some(dir) => {
+            let (store, loaded) = StateStore::open(dir, &config.ranker, n_actors, &digest)?;
+            (Some(store), loaded)
         }
-        _ => ThreatRanker::new(config.ranker.clone(), stream.actors.len()),
+        None => (None, None),
     };
+    let resumed_at = loaded.as_ref().map(|ranker| ranker.next_event() as u64);
+    let mut ranker = loaded.unwrap_or_else(|| ThreatRanker::new(config.ranker.clone(), n_actors));
 
     let mut epochs_this_run = 0u64;
     loop {
         if config.max_epochs.is_some_and(|cap| epochs_this_run >= cap) {
             break;
         }
+        let start = ranker.next_event();
         let consumed = ranker.process_epoch(stream, doc_texts, classifier)?;
         if consumed == 0 {
             break;
@@ -85,8 +96,19 @@ pub fn run_watch(
         config
             .failpoints
             .check(&format!("stream-mid-epoch-{epoch}"))?;
-        if let Some(dir) = &config.state_dir {
-            save_state(dir, &ranker, &digest)?;
+        if let Some(store) = &mut store {
+            let end = ranker.next_event();
+            // The invocation's last epoch compacts, so a clean exit leaves
+            // one snapshot and an empty log.
+            let last = end >= stream.events.len()
+                || config.max_epochs.is_some_and(|cap| epochs_this_run >= cap);
+            store.save_epoch(
+                &ranker,
+                &stream.events[start..end],
+                start,
+                last,
+                &config.failpoints,
+            )?;
         }
         // Boundary site: the epoch is durably checkpointed.
         config
@@ -99,5 +121,6 @@ pub fn run_watch(
         epochs: ranker.epochs_done(),
         resumed_at,
         rankings: ranker.render_rankings(&stream.actors),
+        checkpoint: store.map(|store| store.stats).unwrap_or_default(),
     })
 }
