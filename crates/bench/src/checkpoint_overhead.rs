@@ -13,7 +13,7 @@
 //! under 10 % of wall-clock on quick corpora.
 
 use crate::context::ReproContext;
-use incite_core::checkpoint::{Manifest, MANIFEST_FILE};
+use incite_core::checkpoint::read_manifest;
 use incite_core::{clear_run_dir, run_pipeline, run_pipeline_resumable, Task};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -46,16 +46,6 @@ const MIN_MEASUREMENT_DOCS: usize = 20_000;
 /// by up to ±15 % — the minimum of five keeps the ratio honest.
 const REPS: usize = 5;
 
-/// Number of steps the finished run recorded, read from the manifest
-/// (core snapshots are embedded there; there is no per-step state file).
-fn manifest_steps(run_dir: &std::path::Path) -> Option<usize> {
-    let payload =
-        incite_core::checkpoint::atomic_io::read_hashed(&run_dir.join(MANIFEST_FILE)).ok()?;
-    let text = String::from_utf8(payload).ok()?;
-    let manifest: Manifest = serde_json::from_str(&text).ok()?;
-    Some(manifest.steps.len())
-}
-
 pub fn run(ctx: &mut ReproContext) -> String {
     let mut s = String::from(
         "\n================ checkpoint_overhead — resumable pipeline tax ================\n",
@@ -65,9 +55,10 @@ pub fn run(ctx: &mut ReproContext) -> String {
     // `quick` pipeline configuration on a corpus large enough that the
     // measurement reflects checkpoint design rather than fixed per-file
     // filesystem latency. A tiny corpus finishes in tens of
-    // milliseconds, where the ~10 atomic renames of a run dominate any
-    // conceivable checkpoint implementation; floor the corpus at small
-    // scale so the ratio is meaningful.
+    // milliseconds, where the fixed cost of creating a run's dozen or so
+    // checkpoint files dominates any conceivable checkpoint
+    // implementation; floor the corpus at small scale so the ratio is
+    // meaningful.
     let config = incite_core::PipelineConfig::quick(1);
     let generated;
     let corpus = if ctx.corpus.len() >= MIN_MEASUREMENT_DOCS {
@@ -92,7 +83,6 @@ pub fn run(ctx: &mut ReproContext) -> String {
     // pays the full cost of writing (never reading) each checkpoint.
     let mut resumable_secs = f64::INFINITY;
     let mut resumable_outcome = None;
-    let mut steps = 0;
     for _ in 0..REPS {
         if clear_run_dir(&run_dir).is_err() {
             s.push_str("checkpoint_overhead: cannot clear bench run dir; skipping\n");
@@ -102,14 +92,28 @@ pub fn run(ctx: &mut ReproContext) -> String {
         let outcome = run_pipeline_resumable(corpus, task, &config, &run_dir);
         resumable_secs = resumable_secs.min(start.elapsed().as_secs_f64());
         resumable_outcome = outcome.ok();
-        steps = manifest_steps(&run_dir).unwrap_or(0);
     }
+    let steps = read_manifest(&run_dir).map(|(manifest, _)| manifest.steps.len());
     clear_run_dir(&run_dir).ok();
     std::fs::remove_dir(&run_dir).ok();
 
     let (Some(plain), Some(resumable)) = (plain_outcome, resumable_outcome) else {
         s.push_str("checkpoint_overhead: a pipeline run failed; no BENCH line\n");
         return s;
+    };
+    let steps = match steps {
+        Ok(steps) if steps > 0 => steps,
+        Ok(_) => {
+            s.push_str("checkpoint_overhead: the run checkpointed no steps; no BENCH line\n");
+            return s;
+        }
+        Err(err) => {
+            let _ = writeln!(
+                s,
+                "checkpoint_overhead: cannot read the run's manifest ({err}); no BENCH line"
+            );
+            return s;
+        }
     };
 
     // The determinism contract (DESIGN.md §12): checkpointing must not

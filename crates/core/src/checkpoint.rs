@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! run_dir/
-//!   MANIFEST.ckpt                      # step records: core snapshots + file hashes
+//!   MANIFEST.ckpt                      # log: header, then one record per step
 //!   step-00-bootstrap.ledger.ckpt      # annotation ledger section
 //!   step-01-featurize.model.ckpt       # incite-ml persist artifact, framed
 //!   step-02-round-0.ledger.ckpt
@@ -26,18 +26,32 @@
 //! in the manifest's step record, plus content-addressed section files
 //! for the bulky parts — the annotation ledger, the full-corpus scores,
 //! and the model weights. A step whose section is unchanged records the
-//! *previous* step's file in its manifest entry instead of rewriting the
+//! *previous* step's file in its step record instead of rewriting the
 //! payload; since the ledger is append-only and the scores are
-//! write-once (see [`PipelineSnapshot`]), most boundaries cost exactly
-//! one atomic write — the manifest, which is also the commit point. On
-//! the measured filesystems the per-step tax is dominated by file
-//! *count*, not bytes, and this is what keeps it inside the
-//! `checkpoint_overhead` BENCH budget.
+//! write-once (see [`PipelineSnapshot`]), most boundaries write no
+//! section file and cost one append to the manifest.
 //!
-//! Every file is written by [`atomic_io`]: atomic write-rename with an
-//! FNV-1a content-hash footer. The manifest records each step's files and
-//! their hashes; opening a run directory re-verifies **every** recorded
-//! file, so a single flipped byte anywhere refuses resume with a typed
+//! The manifest is an [`atomic_io::AppendLog`]. Record 0 is the
+//! [`Manifest`] header — schema version, task, config fingerprint, and
+//! the steps it was written with: none for a fresh run, every step for a
+//! manifest written before the log format, which is byte-for-byte such a
+//! one-record log. Each later record is one [`StepRecord`], and a
+//! complete appended record is that step's commit point. Appending keeps
+//! the per-step tax flat: renaming a rewritten manifest over the old one
+//! blocks for tens of milliseconds on ext4 whatever its size (DESIGN.md
+//! §12), while an append, or a rename onto a name that does not exist
+//! yet, costs a fraction of a millisecond. Section files therefore keep
+//! [`atomic_io`]'s write-rename with an FNV-1a content-hash footer: their
+//! names are fresh per step, so no rename replaces an existing file.
+//!
+//! Damage rules, shared with the stream delta log (DESIGN.md §18): a torn
+//! final record — what a kill mid-append leaves — is a step that never
+//! committed, so the run resumes from the step before and the next commit
+//! cuts the torn bytes off before appending. A flipped byte in any
+//! complete record, or a manifest without a complete header, is a typed
+//! refusal. The step records list each step's files and their hashes;
+//! opening a run directory re-verifies **every** recorded file, so a
+//! single flipped byte anywhere refuses resume with a typed
 //! [`CheckpointError::HashMismatch`] — no panic, no silent reuse. A
 //! mismatched task or config fingerprint refuses with
 //! [`CheckpointError::Incompatible`] rather than resuming into a different
@@ -56,6 +70,7 @@ use crate::accounting::StageCounts;
 use crate::active_learning::RoundStats;
 use crate::engine::EngineStats;
 use crate::threshold::PlatformThreshold;
+use atomic_io::AppendLog;
 use incite_corpus::DocId;
 use incite_ml::model::EvalReport;
 use incite_ml::{load_model_bin, save_model_bin, TextClassifier};
@@ -134,20 +149,22 @@ pub struct FileRecord {
     pub bytes: u64,
 }
 
-/// One completed pipeline step.
+/// One completed pipeline step: one appended manifest record.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct StepRecord {
     /// Step name, e.g. `bootstrap`, `round-0`, `threshold-pastes`.
     pub name: String,
     /// The core snapshot at this boundary, embedded in the manifest so
-    /// that recording a step with no changed sections is a single write.
+    /// that recording a step with no changed sections is a single append.
     pub core: SnapshotCore,
     /// Section files the step references (ledger / scores / model),
     /// possibly written by an earlier step.
     pub files: Vec<FileRecord>,
 }
 
-/// The ordered record of completed steps.
+/// The ordered record of completed steps. On disk it is the manifest
+/// log's header record plus one [`StepRecord`] per later record;
+/// [`read_manifest`] folds them back into one value.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Manifest {
     pub version: u32,
@@ -194,8 +211,7 @@ pub struct PipelineSnapshot {
 /// deduplicated ledger/scores/model sections, which live in their own
 /// content-addressed files. Small enough (RNG words, counters, rounds,
 /// thresholds, eval) that it is embedded directly in the manifest's
-/// [`StepRecord`] — committing a clean step is then exactly one atomic
-/// file write.
+/// [`StepRecord`] — committing a clean step is then exactly one append.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct SnapshotCore {
     pub rng: Vec<u64>,
@@ -257,6 +273,12 @@ struct SectionCache {
 pub struct Checkpointer {
     root: PathBuf,
     manifest: Manifest,
+    /// The manifest log, opened by this process's first commit so that
+    /// [`Checkpointer::open`] only reads.
+    log: Option<AppendLog>,
+    /// Start of a torn final record `open` found; the first commit cuts
+    /// the log back to it before appending.
+    torn: Option<u64>,
     ledger: Option<SectionCache>,
     scores: Option<SectionCache>,
     model: Option<SectionCache>,
@@ -265,17 +287,18 @@ pub struct Checkpointer {
 impl Checkpointer {
     /// Opens `root` for a resumable run of `task`/`config_fingerprint`.
     ///
-    /// If a manifest exists it is verified — footer hash, schema version,
-    /// task and fingerprint match, and the recorded hash of **every** step
-    /// file — before any state is trusted. A missing manifest starts a
-    /// fresh run (the directory is created on first write).
+    /// If a manifest exists it is verified — every complete record's
+    /// footer hash, schema version, task and fingerprint match, and the
+    /// recorded hash of **every** step file — before any state is trusted;
+    /// a torn final record is a step that never committed. A missing
+    /// manifest starts a fresh run (the directory is created on first
+    /// write). Nothing is written here.
     pub fn open(
         root: &Path,
         task: &str,
         config_fingerprint: &str,
     ) -> Result<(Self, Resume), CheckpointError> {
-        let manifest_path = root.join(MANIFEST_FILE);
-        if !manifest_path.exists() {
+        if !root.join(MANIFEST_FILE).exists() {
             let manifest = Manifest {
                 version: MANIFEST_VERSION,
                 task: task.to_string(),
@@ -286,6 +309,8 @@ impl Checkpointer {
                 Checkpointer {
                     root: root.to_path_buf(),
                     manifest,
+                    log: None,
+                    torn: None,
                     ledger: None,
                     scores: None,
                     model: None,
@@ -294,16 +319,7 @@ impl Checkpointer {
             ));
         }
 
-        let payload = atomic_io::read_hashed(&manifest_path)?;
-        let manifest: Manifest = parse_json(&manifest_path, &payload, "manifest")?;
-        if manifest.version != MANIFEST_VERSION {
-            return Err(CheckpointError::Incompatible {
-                detail: format!(
-                    "manifest version {} (supported: {MANIFEST_VERSION})",
-                    manifest.version
-                ),
-            });
-        }
+        let (manifest, torn) = read_manifest(root)?;
         if manifest.task != task {
             return Err(CheckpointError::Incompatible {
                 detail: format!(
@@ -368,6 +384,8 @@ impl Checkpointer {
             Checkpointer {
                 root: root.to_path_buf(),
                 manifest,
+                log: None,
+                torn,
                 ledger,
                 scores,
                 model,
@@ -392,12 +410,12 @@ impl Checkpointer {
     }
 
     /// Persists one completed step: any section whose content changed
-    /// (ledger, scores, classifier weights), then the updated manifest
-    /// with the embedded core snapshot — each atomically, in that order,
+    /// (ledger, scores, classifier weights), each atomically, then one
+    /// manifest record with the embedded core snapshot — in that order,
     /// so a crash between writes leaves a consistent prefix (an orphaned
-    /// section file is harmless; the manifest is the commit point).
-    /// Unchanged sections are recorded by reference to the previous
-    /// step's file.
+    /// section file is harmless; the appended record is the commit
+    /// point). Unchanged sections are recorded by reference to the
+    /// previous step's file.
     ///
     /// `model_dirty` is the caller's promise about the weights since the
     /// last recorded step: `false` lets an already-recorded model be
@@ -472,12 +490,38 @@ impl Checkpointer {
             }
         }
 
-        self.manifest.steps.push(StepRecord {
+        let record = StepRecord {
             name: step.to_string(),
             core,
             files,
-        });
-        self.write_manifest()
+        };
+        self.commit(&record)?;
+        self.manifest.steps.push(record);
+        Ok(())
+    }
+
+    /// Appends `step` to the manifest log: the step's commit point. The
+    /// first commit of a process opens the log, writing record 0 — the
+    /// header — when the run has no manifest yet, and cutting off a torn
+    /// final record that `open` found.
+    fn commit(&mut self, step: &StepRecord) -> Result<(), CheckpointError> {
+        let path = self.root.join(MANIFEST_FILE);
+        let log = match self.log.take() {
+            Some(log) => log,
+            None => {
+                if !path.exists() {
+                    atomic_io::write_hashed(&path, &to_json(&path, &self.manifest, "manifest")?)?;
+                }
+                let mut log = AppendLog::open(&path)?;
+                if let Some(at) = self.torn {
+                    log.cut_to(at)?;
+                    self.torn = None;
+                }
+                log
+            }
+        };
+        let payload = to_json(&path, step, "manifest step record")?;
+        self.log.insert(log).append(&payload)
     }
 
     /// Records a section file, skipping the write when the content is
@@ -515,17 +559,6 @@ impl Checkpointer {
             record: record.clone(),
         });
         Ok(record)
-    }
-
-    fn write_manifest(&self) -> Result<(), CheckpointError> {
-        let path = self.root.join(MANIFEST_FILE);
-        let payload =
-            serde_json::to_string(&self.manifest).map_err(|e| CheckpointError::Corrupt {
-                path: path.clone(),
-                detail: format!("manifest serialization failed: {e}"),
-            })?;
-        atomic_io::write_hashed(&path, payload.as_bytes())?;
-        Ok(())
     }
 
     /// Loads the most recent snapshot and, when present, the classifier
@@ -712,6 +745,20 @@ mod section_codec {
     }
 }
 
+/// Serializes a manifest record, naming it on failure.
+fn to_json<T: serde::Serialize>(
+    path: &Path,
+    value: &T,
+    what: &str,
+) -> Result<Vec<u8>, CheckpointError> {
+    serde_json::to_string(value)
+        .map(String::into_bytes)
+        .map_err(|e| CheckpointError::Corrupt {
+            path: path.to_path_buf(),
+            detail: format!("{what} serialization failed: {e}"),
+        })
+}
+
 /// Parses a verified JSON payload, naming the section on failure.
 fn parse_json<T: serde::Deserialize>(
     path: &Path,
@@ -728,11 +775,43 @@ fn parse_json<T: serde::Deserialize>(
     })
 }
 
+/// Reads the manifest log of the run directory `root`: the [`Manifest`]
+/// with every committed step, plus the byte offset where a torn final
+/// record starts (`None` when the whole log verifies). A torn record is a
+/// step a kill interrupted mid-append; it never committed. A flipped byte
+/// in any complete record, a log without a complete header record, or a
+/// record that does not parse is a typed refusal, and so is a header
+/// written under another schema version.
+pub fn read_manifest(root: &Path) -> Result<(Manifest, Option<u64>), CheckpointError> {
+    let path = root.join(MANIFEST_FILE);
+    let (records, torn) = atomic_io::read_log_strict(&path)?;
+    let mut records = records.iter();
+    let header = records.next().ok_or_else(|| CheckpointError::Corrupt {
+        path: path.clone(),
+        detail: "manifest has no complete header record".to_string(),
+    })?;
+    let mut manifest: Manifest = parse_json(&path, header, "manifest")?;
+    if manifest.version != MANIFEST_VERSION {
+        return Err(CheckpointError::Incompatible {
+            detail: format!(
+                "manifest version {} (supported: {MANIFEST_VERSION})",
+                manifest.version
+            ),
+        });
+    }
+    for record in records {
+        manifest
+            .steps
+            .push(parse_json(&path, record, "manifest step record")?);
+    }
+    Ok((manifest, torn))
+}
+
 /// Loads the classifier recorded at the most recent step of a run
 /// directory, without binding to a task or config fingerprint — the
 /// online serving boot path (`incite serve --run-dir DIR`).
 ///
-/// The manifest footer, schema version, and the model section's recorded
+/// The manifest records, schema version, and the model section's recorded
 /// hash and size are all verified before the artifact is decoded, so a
 /// damaged or truncated run directory is a typed refusal — never a
 /// partially-initialized server. Unlike [`Checkpointer::open`] it does
@@ -760,16 +839,7 @@ pub fn load_latest_classifier_with_hash(
             ),
         });
     }
-    let payload = atomic_io::read_hashed(&manifest_path)?;
-    let manifest: Manifest = parse_json(&manifest_path, &payload, "manifest")?;
-    if manifest.version != MANIFEST_VERSION {
-        return Err(CheckpointError::Incompatible {
-            detail: format!(
-                "manifest version {} (supported: {MANIFEST_VERSION})",
-                manifest.version
-            ),
-        });
-    }
+    let (manifest, _) = read_manifest(root)?;
     let record = manifest
         .steps
         .iter()

@@ -157,8 +157,9 @@ pub fn read_hashed(path: &Path) -> Result<Vec<u8>, CheckpointError> {
     Ok(payload.to_vec())
 }
 
-/// An append-only log of individually hash-framed records — the serve
-/// request journal's and the stream checkpoint delta log's on-disk form.
+/// An append-only log of individually hash-framed records — the on-disk
+/// form of the run manifest, the serve request journal and the stream
+/// checkpoint delta log.
 ///
 /// Unlike the write-rename checkpoint files above, a journal must survive
 /// the *writer* dying mid-append: each record is one newline-free payload
@@ -167,6 +168,7 @@ pub fn read_hashed(path: &Path) -> Result<Vec<u8>, CheckpointError> {
 /// bytes after the last verified footer) as damage instead of silently
 /// trusting it. Lives in this module because INC006 forbids `OpenOptions`
 /// everywhere else.
+#[derive(Debug)]
 pub struct AppendLog {
     file: fs::File,
     path: PathBuf,
@@ -218,7 +220,14 @@ impl AppendLog {
     /// every record or none. Later appends start at offset 0 (the file is
     /// in append mode).
     pub fn truncate(&mut self) -> Result<(), CheckpointError> {
-        self.file.set_len(0).map_err(|e| io_err(&self.path, e))
+        self.cut_to(0)
+    }
+
+    /// Cuts the log back to its first `len` bytes with one `ftruncate(2)`
+    /// — how a torn final record, reported by [`read_log_strict`] at its
+    /// start offset, is dropped before the next append lands after it.
+    pub fn cut_to(&mut self, len: u64) -> Result<(), CheckpointError> {
+        self.file.set_len(len).map_err(|e| io_err(&self.path, e))
     }
 }
 
@@ -456,6 +465,11 @@ mod tests {
             let (read, torn) = read_log_strict(&path).expect("a torn tail is tolerated");
             assert_eq!(read, vec![records[0].to_vec()], "cut at {cut}");
             assert_eq!(torn, Some(last_start as u64), "cut at {cut}");
+            // Cut back to the reported offset, the record appends cleanly.
+            let mut log = AppendLog::open(&path).expect("open");
+            log.cut_to(last_start as u64).expect("cut");
+            log.append(records[1]).expect("append");
+            assert_eq!(std::fs::read(&path).expect("read"), clean, "cut at {cut}");
         }
         std::fs::write(&path, &clean).expect("restore");
         assert_eq!(read_log_strict(&path).expect("clean").1, None);

@@ -13,6 +13,7 @@
 //! no-ops and arming does nothing, so the whole suite is gated.
 #![cfg(feature = "failpoints")]
 
+use incite_core::checkpoint::MANIFEST_FILE;
 use incite_core::pipeline::PipelineError;
 use incite_core::{
     clear_run_dir, pipeline_sites, run_pipeline, run_pipeline_resumable, PipelineConfig, Task,
@@ -104,5 +105,32 @@ fn double_crash_still_recovers() {
 
     let recovered = run_pipeline_resumable(&corpus, task, &config, &dir).expect("final resume");
     assert_eq!(recovered, reference);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Steps commit by appending to the manifest: the file the first step
+/// committed to is still the manifest when the run ends, so no rename
+/// ever replaced it.
+#[cfg(unix)]
+#[test]
+fn manifest_is_appended_in_place() {
+    use std::os::unix::fs::MetadataExt;
+    let corpus = corpus();
+    let task = Task::Dox;
+    let config = PipelineConfig::quick(14);
+    let dir = run_dir("append-in-place");
+    clear_run_dir(&dir).expect("clean run dir");
+
+    let mut first = config.clone();
+    first.failpoints.arm("after-bootstrap");
+    assert!(matches!(
+        run_pipeline_resumable(&corpus, task, &first, &dir),
+        Err(PipelineError::Fault(_))
+    ));
+    let manifest = dir.join(MANIFEST_FILE);
+    let inode = std::fs::metadata(&manifest).expect("manifest").ino();
+
+    run_pipeline_resumable(&corpus, task, &config, &dir).expect("finish the run");
+    assert_eq!(std::fs::metadata(&manifest).expect("manifest").ino(), inode);
     std::fs::remove_dir_all(&dir).ok();
 }
