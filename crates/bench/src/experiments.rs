@@ -74,7 +74,7 @@ pub const EXPERIMENTS: &[(&str, &str)] = &[
     ),
     (
         "lint_throughput",
-        "incite-lint engine self-scan: cold vs warm cache (BENCH line)",
+        "incite-lint engine self-scan (BENCH line)",
     ),
     (
         "extension_attack_types",

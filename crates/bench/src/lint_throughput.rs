@@ -1,15 +1,14 @@
 //! The `lint_throughput` experiment: the incite-lint engine over its own
 //! workspace.
 //!
-//! Times a cold full scan and a warm (cache-hit) rescan of the real
-//! repository at 4 threads, and re-checks the engine's two determinism
-//! gates in-process: the report must be byte-identical between 1 and 4
-//! threads, and a warm run over an unchanged tree must re-analyze zero
-//! files. Emits a `BENCH {...}` line for CI's ratchet.
+//! Times one full scan of the real repository at 4 threads and re-checks
+//! the engine's determinism gate in-process: the report must be
+//! byte-identical between 1 and 4 threads. Emits a `BENCH {...}` line for
+//! CI's ratchet.
 
 use crate::context::ReproContext;
 use incite_lint::baseline::Baseline;
-use incite_lint::engine::{self, Options};
+use incite_lint::engine;
 use std::fmt::Write as _;
 use std::path::Path;
 use std::time::Instant;
@@ -20,10 +19,8 @@ struct BenchReport {
     experiment: &'static str,
     files: usize,
     findings: usize,
-    cold_files_per_sec: f64,
-    warm_files_per_sec: f64,
+    files_per_sec: f64,
     byte_identical: bool,
-    warm_skip_ok: bool,
 }
 
 pub fn run(_ctx: &mut ReproContext) -> String {
@@ -38,88 +35,48 @@ pub fn run(_ctx: &mut ReproContext) -> String {
         .expect("workspace root")
         .to_path_buf();
     let baseline = Baseline::default();
-    let cache_dir = std::env::temp_dir().join(format!("incite-lint-bench-{}", std::process::id()));
-    std::fs::remove_dir_all(&cache_dir).ok();
 
-    let cached = |threads: usize| Options {
-        threads,
-        cache_dir: Some(cache_dir.clone()),
-    };
-
-    // Cold: every file lexes and pattern-scans. Warm: all cache hits,
-    // only the global passes run.
     let start = Instant::now();
-    let cold = match engine::run_with(&root, &baseline, &cached(4)) {
+    let report = match engine::run_with(&root, &baseline, 4) {
         Ok(report) => report,
         Err(err) => {
-            let _ = writeln!(s, "cold scan failed: {err}");
+            let _ = writeln!(s, "scan failed: {err}");
             return s;
         }
     };
-    let cold_secs = start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    let warm = match engine::run_with(&root, &baseline, &cached(4)) {
-        Ok(report) => report,
-        Err(err) => {
-            let _ = writeln!(s, "warm scan failed: {err}");
-            return s;
-        }
-    };
-    let warm_secs = start.elapsed().as_secs_f64();
-
-    let cold_files_per_sec = cold.files_scanned as f64 / cold_secs.max(1e-9);
-    let warm_files_per_sec = warm.files_scanned as f64 / warm_secs.max(1e-9);
-    let warm_skip_ok = warm.files_reanalyzed == 0;
+    let secs = start.elapsed().as_secs_f64();
+    let files_per_sec = report.files_scanned as f64 / secs.max(1e-9);
     let _ = writeln!(
         s,
-        "cold: {} file(s) in {:.1} ms ({:>8.1} files/sec), {} finding(s), fuel {}",
-        cold.files_scanned,
-        1e3 * cold_secs,
-        cold_files_per_sec,
-        cold.findings.len(),
-        cold.fuel,
-    );
-    let _ = writeln!(
-        s,
-        "warm: {} re-analyzed in {:.1} ms ({:>8.1} files/sec)",
-        warm.files_reanalyzed,
-        1e3 * warm_secs,
-        warm_files_per_sec,
+        "scan: {} file(s) in {:.1} ms ({:>8.1} files/sec), {} finding(s), fuel {}",
+        report.files_scanned,
+        1e3 * secs,
+        files_per_sec,
+        report.findings.len(),
+        report.fuel,
     );
 
-    // Thread-invariance gate: the sequential uncached report must match
-    // the 4-thread cold report byte for byte.
-    let sequential = match engine::run_with(
-        &root,
-        &baseline,
-        &Options {
-            threads: 1,
-            cache_dir: None,
-        },
-    ) {
+    // Thread-invariance gate: the sequential report must match the
+    // 4-thread report byte for byte.
+    let sequential = match engine::run_with(&root, &baseline, 1) {
         Ok(report) => report,
         Err(err) => {
             let _ = writeln!(s, "sequential scan failed: {err}");
             return s;
         }
     };
-    let byte_identical = engine::report_json(&sequential) == engine::report_json(&cold)
-        && engine::report_json(&warm) == engine::report_json(&cold);
+    let byte_identical = engine::report_json(&sequential) == engine::report_json(&report);
     let _ = writeln!(
         s,
-        "report byte-identical across 1/4 threads and cold/warm cache: {byte_identical}"
+        "report byte-identical across 1/4 threads: {byte_identical}"
     );
-    let _ = writeln!(s, "warm run skipped every unchanged file: {warm_skip_ok}");
-    std::fs::remove_dir_all(&cache_dir).ok();
 
     let bench = BenchReport {
         experiment: "lint_throughput",
-        files: cold.files_scanned,
-        findings: cold.findings.len(),
-        cold_files_per_sec,
-        warm_files_per_sec,
+        files: report.files_scanned,
+        findings: report.findings.len(),
+        files_per_sec,
         byte_identical,
-        warm_skip_ok,
     };
     match serde_json::to_string(&bench) {
         Ok(line) => {

@@ -1,5 +1,11 @@
 //! `incite` — detection, extraction and redaction from the command line.
 
+// INC001 (DESIGN.md §10): the binary reports failures, never panics.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)
+)]
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {

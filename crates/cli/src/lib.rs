@@ -8,6 +8,12 @@
 //! The logic lives here in the library so it is unit-testable; the `incite`
 //! binary is a thin argument parser over [`run`].
 
+// INC001 (DESIGN.md §10): library code returns typed errors, never panics.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)
+)]
+
 use incite_core::checkpoint::atomic_io::write_atomic;
 use incite_core::checkpoint::{Resume, MANIFEST_FILE};
 use incite_core::{
@@ -713,6 +719,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)]
     fn train_then_score_end_to_end() -> TestResult {
         let dir = std::env::temp_dir().join(format!("incite-cli-{}", std::process::id()));
         std::fs::create_dir_all(&dir)?;
@@ -768,6 +775,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)]
     fn pii_and_redact_commands() -> TestResult {
         let dir = std::env::temp_dir().join(format!("incite-cli-pii-{}", std::process::id()));
         std::fs::create_dir_all(&dir)?;
@@ -798,6 +806,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)]
     fn gender_command() -> TestResult {
         let dir = std::env::temp_dir().join(format!("incite-cli-g-{}", std::process::id()));
         std::fs::create_dir_all(&dir)?;
@@ -817,6 +826,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)]
     fn run_command_checkpoints_and_resumes() -> TestResult {
         let dir = std::env::temp_dir().join(format!("incite-cli-run-{}", std::process::id()));
         std::fs::create_dir_all(&dir)?;
@@ -869,6 +879,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)]
     fn events_then_watch_end_to_end() -> TestResult {
         let dir = std::env::temp_dir().join(format!("incite-cli-watch-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
@@ -953,6 +964,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)]
     fn events_and_watch_refuse_bad_inputs() -> TestResult {
         let mut out = Vec::new();
         assert!(run("events", &[], &mut out).is_err());
@@ -983,6 +995,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)]
     fn train_quarantines_dirty_corpus_lines() -> TestResult {
         let dir = std::env::temp_dir().join(format!("incite-cli-dirty-{}", std::process::id()));
         std::fs::create_dir_all(&dir)?;
@@ -1064,6 +1077,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)]
     fn newest_run_dir_selects_lexically_greatest_manifest() -> TestResult {
         let dir = std::env::temp_dir().join(format!("incite-cli-reg-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
@@ -1096,6 +1110,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)]
     fn replay_reproduces_journal_and_fails_on_corrupt_bits() -> TestResult {
         use incite_core::checkpoint::atomic_io::AppendLog;
         use incite_serve::journal::JournalRecord;

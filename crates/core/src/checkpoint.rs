@@ -968,6 +968,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)]
     fn corrupt_step_file_refuses_resume() {
         let root = temp_root("corrupt-step");
         clear_run_dir(&root).expect("clear");
@@ -987,6 +988,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)]
     fn clear_enables_fresh_run_and_spares_other_files() {
         let root = temp_root("clear");
         clear_run_dir(&root).expect("clear empty");

@@ -32,6 +32,12 @@
 //! [`pipeline::PipelineOutcome`] carrying everything the Figure 1 / Tables
 //! 2–4 reproductions and the downstream analyses need.
 
+// INC001 (DESIGN.md §10): library code returns typed errors, never panics.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)
+)]
+
 pub mod accounting;
 pub mod active_learning;
 pub mod attack_classifier;

@@ -10,6 +10,10 @@
 //! same directory. These tests need no cargo feature: they corrupt real
 //! files, not failpoints.
 
+// Fixtures are staged and damaged with plain writes; the INC006 write
+// ban is for library code.
+#![allow(clippy::disallowed_methods)]
+
 use incite_core::checkpoint::atomic_io::{framed_len, read_log_strict, write_hashed};
 use incite_core::checkpoint::{read_manifest, Manifest, MANIFEST_FILE};
 use incite_core::pipeline::PipelineError;

@@ -1,26 +1,22 @@
 //! Workspace walking and orchestration.
 //!
-//! The per-file stage (UTF-8 decode, masking, INC001–INC007 pattern
-//! scan) fans out on [`incite_core::parallel::map_indexed_coarse`] — one
-//! file per work unit — and merges back in slot order, so the findings
-//! are byte-identical at every thread count. Results are memoized in a
-//! content-hash-keyed [`cache::ScanCache`]; a warm run re-analyzes only
-//! files whose bytes changed (see [`Report::files_reanalyzed`]). The
-//! global passes always run over the merged [`MaskedFile`]s: the INC005
-//! spec checks, the two-pass graph rules (INC008–INC010), the taint pass
-//! (INC011–INC013), and the invariant pass (INC014–INC016). Everything
-//! ends sorted by `(file, line, rule)` and ratcheted against a baseline.
+//! The per-file stage (read, UTF-8 decode, masking) fans out on
+//! [`incite_core::parallel::map_indexed_coarse`] — one file per work unit
+//! — and merges back in slot order, so the findings are byte-identical at
+//! every thread count. The workspace passes then run over the merged
+//! [`MaskedFile`]s: the INC005 spec checks, the two-pass graph rules
+//! (INC008–INC010), the taint pass (INC011–INC013), and the invariant pass
+//! (INC014–INC016). Everything ends sorted by `(file, line, rule)` and
+//! ratcheted against a baseline.
 
 use crate::baseline::{Baseline, Comparison};
-use crate::cache::{CachedFile, ScanCache};
 use crate::concurrency;
 use crate::graph;
 use crate::invariants;
 use crate::lexer::MaskedFile;
-use crate::rules::{self, Finding};
+use crate::rules::Finding;
 use crate::spec;
 use crate::taint;
-use incite_core::checkpoint::atomic_io;
 use incite_core::parallel;
 use std::collections::BTreeMap;
 use std::fs;
@@ -31,29 +27,8 @@ use std::path::{Path, PathBuf};
 /// bytes scanned per pass plus graph events processed). The whole
 /// workspace currently burns well under a tenth of this; the budget is
 /// the analyzer's stand-in for a wall-clock ceiling, counted the same
-/// way on every machine (no clocks — INC002 applies to us too). Fuel is
-/// charged identically on cache hits and misses, so a report is
-/// byte-identical whether the run was cold or warm.
+/// way on every machine (no clocks — INC002 applies to us too).
 pub const FUEL_BUDGET: u64 = 50_000_000;
-
-/// Engine tuning: thread count for the per-file stage and an optional
-/// cache directory for warm runs.
-pub struct Options {
-    /// Worker threads for the per-file fan-out. `1` is fully sequential.
-    /// Any value produces byte-identical findings.
-    pub threads: usize,
-    /// Where to read/write the scan cache. `None` disables caching.
-    pub cache_dir: Option<PathBuf>,
-}
-
-impl Default for Options {
-    fn default() -> Options {
-        Options {
-            threads: 1,
-            cache_dir: None,
-        }
-    }
-}
 
 /// A full lint run over one workspace root.
 pub struct Report {
@@ -63,10 +38,6 @@ pub struct Report {
     pub comparison: Comparison,
     /// Number of files scanned (for the summary line).
     pub files_scanned: usize,
-    /// Files whose per-file stage actually ran (scan-cache misses). On a
-    /// warm run with no edits this is 0. Not part of the JSON report —
-    /// the report must be byte-identical across cache states.
-    pub files_reanalyzed: usize,
     /// Deterministic work performed, in fuel units (see [`FUEL_BUDGET`]).
     pub fuel: u64,
 }
@@ -114,108 +85,45 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// One per-file stage result, produced in parallel and merged in slot
-/// order. `Default` is required by the parallel executor; an empty slot
-/// only survives if the closure never ran, which `error` distinguishes.
-#[derive(Default)]
-struct FileSlot {
-    masked: Option<MaskedFile>,
-    findings: Vec<Finding>,
-    content_hash: u64,
-    from_cache: bool,
-    error: Option<String>,
-}
-
 /// Runs the whole catalog against `root` and ratchets against `baseline`,
-/// sequentially and uncached. Equivalent to [`run_with`] at default
-/// [`Options`]; the CLI uses [`run_with`] directly.
+/// sequentially. Equivalent to [`run_with`] at one thread; the CLI uses
+/// [`run_with`] directly.
 pub fn run(root: &Path, baseline: &Baseline) -> io::Result<Report> {
-    run_with(root, baseline, &Options::default())
+    run_with(root, baseline, 1)
 }
 
-/// Runs the whole catalog against `root` with explicit engine options.
-pub fn run_with(root: &Path, baseline: &Baseline, options: &Options) -> io::Result<Report> {
+/// Runs the whole catalog against `root`, fanning the per-file stage out
+/// over `threads` workers. Any thread count produces byte-identical
+/// findings; `1` is fully sequential.
+pub fn run_with(root: &Path, baseline: &Baseline, threads: usize) -> io::Result<Report> {
     let sources = collect_sources(root)?;
-    let cache = match options.cache_dir.as_deref() {
-        Some(dir) => ScanCache::load(dir),
-        None => ScanCache::default(),
-    };
 
-    // Per-file stage: read + hash every file; lex and pattern-scan the
-    // ones the cache does not already cover. One file per work unit —
+    // Per-file stage: read and mask every file. One file per work unit —
     // slot `i` always holds file `i`, so the merge below is independent
-    // of the thread count.
-    let slots = parallel::map_indexed_coarse(sources.len(), options.threads.max(1), 1, |i| {
+    // of the thread count. A `None` slot only survives if the closure
+    // never ran (the executor needs `Default` slots).
+    let slots = parallel::map_indexed_coarse(sources.len(), threads, 1, |i| {
         let rel = &sources[i];
-        let mut slot = FileSlot::default();
-        let raw = match fs::read(root.join(rel)) {
-            Ok(raw) => raw,
-            Err(err) => {
-                slot.error = Some(format!("{rel}: {err}"));
-                return slot;
-            }
-        };
-        slot.content_hash = atomic_io::fnv64(&raw);
-        if let Some(hit) = cache.hit(rel, slot.content_hash) {
-            slot.masked = Some(hit.masked.clone());
-            slot.findings = hit.findings.clone();
-            slot.from_cache = true;
-            return slot;
-        }
-        let text = match String::from_utf8(raw) {
-            Ok(text) => text,
-            Err(err) => {
-                slot.error = Some(format!("{rel}: {err}"));
-                return slot;
-            }
-        };
-        let masked = MaskedFile::new(&text);
-        slot.findings = rules::scan_file(rel, &masked);
-        slot.masked = Some(masked);
-        slot
+        let text = fs::read(root.join(rel))
+            .map_err(|err| format!("{rel}: {err}"))
+            .and_then(|raw| String::from_utf8(raw).map_err(|err| format!("{rel}: {err}")));
+        Some(text.map(|text| MaskedFile::new(&text)))
     })
     .map_err(|err| io::Error::other(format!("per-file stage failed: {err}")))?;
 
     // Deterministic sequential merge, in sorted-path (= slot) order.
     let mut fuel: u64 = 0;
-    let mut findings = Vec::new();
-    let mut files_reanalyzed = 0usize;
-    let mut fresh = ScanCache::default();
     let mut masked: BTreeMap<String, MaskedFile> = BTreeMap::new();
     for (rel, slot) in sources.iter().zip(slots) {
-        if let Some(err) = slot.error {
-            return Err(io::Error::other(err));
-        }
-        let Some(file) = slot.masked else {
-            return Err(io::Error::other(format!(
-                "{rel}: per-file stage produced no result"
-            )));
-        };
-        if !slot.from_cache {
-            files_reanalyzed += 1;
-        }
+        let file = slot
+            .ok_or_else(|| io::Error::other(format!("{rel}: per-file stage produced no result")))?
+            .map_err(io::Error::other)?;
         fuel += file.masked.len() as u64;
-        findings.extend(slot.findings.iter().cloned());
-        if options.cache_dir.is_some() {
-            fresh.entries.insert(
-                rel.clone(),
-                CachedFile {
-                    content_hash: slot.content_hash,
-                    masked: file.clone(),
-                    findings: slot.findings,
-                },
-            );
-        }
         masked.insert(rel.clone(), file);
-    }
-    if let Some(dir) = options.cache_dir.as_deref() {
-        // A failed save means the next run is cold, not that this one
-        // failed: the cache is an accelerator, never a gate.
-        let _ = fresh.store(dir);
     }
 
     let lookup = |path: &str| masked.get(path);
-    findings.extend(spec::check(&spec::SpecSource { files: &lookup }));
+    let mut findings = spec::check(&spec::SpecSource { files: &lookup });
 
     // Two-pass graph rules: build the item graph (pass 1), then walk it
     // (pass 2). `masked` is a BTreeMap, so the build order is the sorted
@@ -244,7 +152,6 @@ pub fn run_with(root: &Path, baseline: &Baseline, options: &Options) -> io::Resu
         findings,
         comparison,
         files_scanned: sources.len(),
-        files_reanalyzed,
         fuel,
     })
 }

@@ -534,26 +534,26 @@ mod tests {
 
     #[test]
     fn suppression_on_code_line() {
-        let src = "let a = x.unwrap(); // incite-lint: allow(INC001)\n";
+        let src = "let a = x.unwrap(); // incite-lint: allow(INC009)\n";
         let m = MaskedFile::new(src);
-        assert!(m.is_suppressed("INC001", 1));
-        assert!(!m.is_suppressed("INC002", 1));
+        assert!(m.is_suppressed("INC009", 1));
+        assert!(!m.is_suppressed("INC011", 1));
     }
 
     #[test]
     fn suppression_on_own_line_covers_next() {
-        let src = "// incite-lint: allow(INC002)\nlet t = now();\n";
+        let src = "// incite-lint: allow(INC011)\nlet t = now();\n";
         let m = MaskedFile::new(src);
-        assert!(m.is_suppressed("INC002", 2));
-        assert!(!m.is_suppressed("INC002", 1));
+        assert!(m.is_suppressed("INC011", 2));
+        assert!(!m.is_suppressed("INC011", 1));
     }
 
     #[test]
     fn suppression_multiple_rules() {
-        let src = "x(); // incite-lint: allow(INC001, INC003)\n";
+        let src = "x(); // incite-lint: allow(INC009, INC014)\n";
         let m = MaskedFile::new(src);
-        assert!(m.is_suppressed("INC001", 1));
-        assert!(m.is_suppressed("INC003", 1));
+        assert!(m.is_suppressed("INC009", 1));
+        assert!(m.is_suppressed("INC014", 1));
     }
 
     #[test]

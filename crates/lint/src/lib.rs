@@ -1,17 +1,24 @@
 //! incite-lint: the workspace's static-analysis engine.
 //!
 //! The paper's numbers are only credible if every pipeline stage is
-//! deterministic and total. This crate mechanically enforces that:
+//! deterministic and total. Each invariant has exactly one enforcement
+//! mechanism (DESIGN.md §10). The token-level ones are clippy lints, scoped
+//! by crate attributes and the workspace `clippy.toml`:
+//!
+//! | rule | invariant | clippy lint |
+//! |------|-----------|-------------|
+//! | INC001 | no `unwrap()`/`expect()`/`panic!`/`todo!` in library code of core, ml, pii, regexlite, stats, cli, serve, stream | `unwrap_used`, `expect_used`, `panic`, `todo` |
+//! | INC002 | no `SystemTime::now`/`Instant::now` outside serve and bench | `disallowed_methods` |
+//! | INC003 | no float `==`/`!=` between computed values in stats/ml | `float_cmp` |
+//! | INC004 | no unchecked slice indexing in the regexlite VM hot loop | `indexing_slicing` |
+//! | INC006 | all persistent writes funnel through `checkpoint::atomic_io` | `disallowed_methods` |
+//! | INC007 | `std::net` usage confined to the serve crate | `disallowed_types` |
+//!
+//! This crate proves the rest, which need whole-workspace reasoning:
 //!
 //! | rule | invariant |
 //! |------|-----------|
-//! | INC001 | no `unwrap()`/`expect()`/`panic!`/`todo!` in library code of core, ml, pii, regexlite, stats, cli |
-//! | INC002 | no `thread_rng`/`SystemTime::now`/`Instant::now` in library crates (bench binaries exempt) |
-//! | INC003 | no float `==`/`!=` in stats/ml |
-//! | INC004 | no unchecked slice indexing in the regexlite VM hot loop |
 //! | INC005 | taxonomy/pii/corpus spec constants agree with the paper |
-//! | INC006 | all persistent writes funnel through `checkpoint::atomic_io` |
-//! | INC007 | `std::net` usage confined to the serve crate |
 //! | INC008 | workspace locks are acquired in one consistent order |
 //! | INC009 | no blocking operation while a lock guard is live |
 //! | INC010 | serve request handlers only grow buffers under a bound |
@@ -22,9 +29,9 @@
 //! | INC015 | no float accumulation across `parallel::map_indexed` slots |
 //! | INC016 | wire-decoded lengths/offsets bounded before `+`/`*`/narrowing `as` |
 //!
-//! INC001–INC007 are per-file pattern rules over masked text. INC008–
-//! INC010 are graph rules: pass 1 ([`items`], [`graph`]) parses the item
-//! structure of every file and builds an approximate call graph with
+//! INC005 ([`spec`]) parses the spec declarations. INC008–INC010 are
+//! graph rules: pass 1 ([`items`], [`graph`]) parses the item structure of
+//! every masked file ([`lexer`]) and builds an approximate call graph with
 //! lock-site annotations; pass 2 ([`concurrency`]) walks that graph.
 //! INC011–INC013 are dataflow rules: pass 3 ([`taint`]) runs an
 //! interprocedural source→sanitizer→sink taint analysis and a purity
@@ -33,23 +40,20 @@
 //! unswept checkpoint writes, order-sensitive float folds, and unchecked
 //! wire arithmetic (DESIGN.md §19).
 //!
-//! The [`engine`] fans the per-file stage out on `incite_core::parallel`
-//! with a deterministic sequential merge — findings are byte-identical at
-//! any thread count — and memoizes per-file results in a content-hash-
-//! keyed [`cache`] written through the `atomic_io` funnel, so warm runs
-//! re-analyze only changed files.
+//! The [`engine`] fans the per-file read-and-mask stage out on
+//! `incite_core::parallel` with a deterministic sequential merge, so
+//! findings are byte-identical at any thread count.
 //!
 //! Findings are ratcheted against `lint.baseline.json` (see [`baseline`]):
 //! grandfathered debt passes, new debt fails, and paid-down debt is
 //! reported so the baseline can shrink. Suppress a single site with
-//! `// incite-lint: allow(INC00x)` on (or directly above) the line.
+//! `// incite-lint: allow(INC0xx)` on (or directly above) the line.
 //!
 //! The only dependency is `incite-core` — the linter runs on the exact
-//! parallel executor and checkpoint funnel it polices, and nothing else —
-//! so it still builds early in environments with no registry access.
+//! parallel executor it polices, and nothing else — so it still builds
+//! early in environments with no registry access.
 
 pub mod baseline;
-pub mod cache;
 pub mod concurrency;
 pub mod engine;
 pub mod graph;

@@ -105,7 +105,6 @@ mod tests {
         let comparison = Baseline::default().compare(&findings);
         Report {
             files_scanned: 1,
-            files_reanalyzed: 1,
             fuel: 1,
             comparison,
             findings,
@@ -123,7 +122,7 @@ mod tests {
     #[test]
     fn findings_render_rule_level_and_location() {
         let finding = Finding {
-            rule: "INC001",
+            rule: "INC011",
             severity: Severity::Error,
             file: "crates/core/src/a.rs".to_string(),
             line: 7,
@@ -131,12 +130,12 @@ mod tests {
             trace: Vec::new(),
         };
         let sarif = report_sarif(&report_with(vec![finding]));
-        assert!(sarif.contains("\"ruleId\": \"INC001\""));
+        assert!(sarif.contains("\"ruleId\": \"INC011\""));
         assert!(sarif.contains("\"level\": \"error\""));
         assert!(sarif.contains("\"startLine\": 7"));
         assert!(sarif.contains("say \\\"no\\\" to unwrap"));
         // The driver catalog carries the fired rule with its summary.
-        assert!(sarif.contains("{\"id\": \"INC001\", \"shortDescription\""));
+        assert!(sarif.contains("{\"id\": \"INC011\", \"shortDescription\""));
     }
 
     #[test]

@@ -1,152 +1,29 @@
-//! The engine's parallel fan-out and warm-scan cache, exercised over a
-//! mutable copy of the fixture tree: findings must be byte-identical at
-//! every thread count and across cache states, and a warm run must
-//! re-analyze exactly the files whose bytes changed — without ever
-//! hiding a newly planted violation.
+//! The engine's parallel fan-out over the fixture tree: findings must be
+//! byte-identical at every thread count.
 
 use incite_lint::baseline::Baseline;
-use incite_lint::engine::{self, Options};
-use std::fs;
+use incite_lint::engine;
 use std::path::{Path, PathBuf};
 
 fn fixture_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ws")
 }
 
-fn copy_tree(src: &Path, dst: &Path) {
-    fs::create_dir_all(dst).expect("create dir");
-    for entry in fs::read_dir(src).expect("read dir") {
-        let entry = entry.expect("dir entry");
-        let from = entry.path();
-        let to = dst.join(entry.file_name());
-        if from.is_dir() {
-            copy_tree(&from, &to);
-        } else {
-            fs::copy(&from, &to).expect("copy file");
-        }
-    }
-}
-
-/// A scratch copy of the fixture tree, removed on drop.
-struct TempWs {
-    root: PathBuf,
-}
-
-impl TempWs {
-    fn new(name: &str) -> TempWs {
-        let root =
-            std::env::temp_dir().join(format!("incite-lint-cache-{name}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&root);
-        copy_tree(&fixture_root(), &root);
-        TempWs { root }
-    }
-
-    fn options(&self, threads: usize) -> Options {
-        Options {
-            threads,
-            cache_dir: Some(self.root.join("cache")),
-        }
-    }
-}
-
-impl Drop for TempWs {
-    fn drop(&mut self) {
-        let _ = fs::remove_dir_all(&self.root);
-    }
-}
-
 #[test]
 fn parallel_report_is_byte_identical_to_sequential() {
-    let ws = TempWs::new("threads");
+    let root = fixture_root();
     let baseline = Baseline::default();
-    let sequential = engine::run_with(
-        &ws.root,
-        &baseline,
-        &Options {
-            threads: 1,
-            cache_dir: None,
-        },
-    )
-    .expect("sequential run");
+    let sequential = engine::run_with(&root, &baseline, 1).expect("sequential run");
     assert!(
         !sequential.findings.is_empty(),
         "the fixture tree must produce findings for byte-identity to mean anything"
     );
     for threads in [2, 4, 8] {
-        let parallel = engine::run_with(
-            &ws.root,
-            &baseline,
-            &Options {
-                threads,
-                cache_dir: None,
-            },
-        )
-        .expect("parallel run");
+        let parallel = engine::run_with(&root, &baseline, threads).expect("parallel run");
         assert_eq!(
             engine::report_json(&parallel),
             engine::report_json(&sequential),
             "report bytes drifted at {threads} threads"
         );
     }
-}
-
-#[test]
-fn warm_run_skips_unchanged_files_and_keeps_report_bytes() {
-    let ws = TempWs::new("warm");
-    let baseline = Baseline::default();
-    let cold = engine::run_with(&ws.root, &baseline, &ws.options(4)).expect("cold run");
-    assert_eq!(
-        cold.files_reanalyzed, cold.files_scanned,
-        "a cold cache must re-analyze every file"
-    );
-    let warm = engine::run_with(&ws.root, &baseline, &ws.options(4)).expect("warm run");
-    assert_eq!(warm.files_reanalyzed, 0, "an unchanged tree is a full skip");
-    assert_eq!(
-        engine::report_json(&warm),
-        engine::report_json(&cold),
-        "warm and cold reports must be byte-identical"
-    );
-}
-
-#[test]
-fn editing_one_file_reanalyzes_only_that_file() {
-    let ws = TempWs::new("edit");
-    let baseline = Baseline::default();
-    let cold = engine::run_with(&ws.root, &baseline, &ws.options(4)).expect("cold run");
-
-    // A trailing comment changes the bytes but no findings: exactly one
-    // file misses the cache, and the findings are unchanged.
-    let edited = ws.root.join("crates/core/src/folds.rs");
-    let mut text = fs::read_to_string(&edited).expect("fixture readable");
-    text.push_str("// trailing note: cache-invalidation probe\n");
-    fs::write(&edited, text).expect("fixture writable");
-    let after_edit = engine::run_with(&ws.root, &baseline, &ws.options(4)).expect("warm run");
-    assert_eq!(
-        after_edit.files_reanalyzed, 1,
-        "only the edited file may re-analyze"
-    );
-    assert_eq!(
-        after_edit.findings, cold.findings,
-        "a comment-only edit must not move findings"
-    );
-
-    // A newly planted violation must surface through the warm cache.
-    fs::write(
-        ws.root.join("crates/core/src/planted.rs"),
-        "pub fn boom(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n",
-    )
-    .expect("fixture writable");
-    let after_plant = engine::run_with(&ws.root, &baseline, &ws.options(4)).expect("warm run");
-    assert_eq!(
-        after_plant.files_reanalyzed, 1,
-        "only the new file may re-analyze"
-    );
-    assert!(
-        after_plant
-            .findings
-            .iter()
-            .any(|f| f.rule == "INC001" && f.file == "crates/core/src/planted.rs" && f.line == 2),
-        "the planted unwrap must fire through the warm cache: {:?}",
-        after_plant.findings
-    );
 }

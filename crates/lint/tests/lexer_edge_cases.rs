@@ -6,13 +6,11 @@
 //! in the `lexer` unit tests.
 
 use incite_lint::lexer::MaskedFile;
-use incite_lint::rules;
 
 #[test]
 fn doc_comment_code_fences_stay_masked() {
-    // The fenced examples quote an INC001 violation; none of it is code,
-    // so none of it may survive masking or reach the pattern rules —
-    // even in an INC001-scoped crate.
+    // The fenced examples quote an unwrap and a lock; none of it is code,
+    // so none of it may survive masking or reach the item parser.
     let source = "\
 //! Module docs.
 //!
@@ -46,11 +44,6 @@ pub fn score(x: u32) -> u32 {
         "masking ate the real code:\n{}",
         masked.masked
     );
-    let findings = rules::scan_file("crates/core/src/demo.rs", &masked);
-    assert!(
-        findings.is_empty(),
-        "doc-comment examples must not lint: {findings:?}"
-    );
 }
 
 #[test]
@@ -83,11 +76,6 @@ pub fn after(x: u32) -> u32 {
         masked.masked.contains("pub fn after"),
         "masking ate code after the raw string:\n{}",
         masked.masked
-    );
-    let findings = rules::scan_file("crates/core/src/demo.rs", &masked);
-    assert!(
-        findings.is_empty(),
-        "raw-string contents must not lint: {findings:?}"
     );
 }
 

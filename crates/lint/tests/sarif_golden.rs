@@ -5,6 +5,10 @@
 //! before it breaks a consumer. Regenerate with
 //! `BLESS=1 cargo test -p incite-lint --test sarif_golden`.
 
+// `BLESS=1` rewrites the golden file with a plain write; the INC006
+// write ban is for library code.
+#![allow(clippy::disallowed_methods)]
+
 use incite_lint::baseline::Baseline;
 use incite_lint::engine;
 use incite_lint::sarif;

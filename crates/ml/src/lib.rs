@@ -24,6 +24,14 @@
 //!   probability-out API the pipeline uses.
 //! * [`grid`] — hyperparameter grid search (the Table 3 text-length sweep).
 
+// INC001 (DESIGN.md §10): library code returns typed errors, never panics.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)
+)]
+// INC003 (DESIGN.md §10): compare computed floats by epsilon or `to_bits()`.
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 pub mod batch;
 pub mod data;
 pub mod featurize;

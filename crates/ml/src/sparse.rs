@@ -52,7 +52,6 @@ pub fn merge(a: &SparseVec, b: &SparseVec) -> SparseVec {
                 let v = a[i].1 + b[j].1;
                 // Sparse invariant: exactly-zero entries are not stored, so
                 // an exact comparison is the intended filter here.
-                // incite-lint: allow(INC003)
                 if v != 0.0 {
                     out.push((a[i].0, v));
                 }

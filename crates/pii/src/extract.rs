@@ -133,10 +133,10 @@ impl PiiExtractor {
     /// Compiles the builtin patterns, infallibly: they are constants covered
     /// by tests, so the only failure mode is programmer error. Callers that
     /// want to decide for themselves should use [`Self::try_new`].
+    // The expect is unreachable: every builtin pattern is compile-tested
+    // by `builtin_patterns_compile`.
+    #[allow(clippy::expect_used)]
     pub fn new() -> Self {
-        // The expect is unreachable: every builtin pattern is compile-tested
-        // by `builtin_patterns_compile`.
-        // incite-lint: allow(INC001)
         Self::try_new().expect("builtin PII patterns compile")
     }
 

@@ -18,6 +18,12 @@
 //! Modules: [`extract`] (the extractor), [`luhn`], [`gender`],
 //! [`harm`] (risk assignment), [`eval`] (the §5.6 accuracy harness).
 
+// INC001 (DESIGN.md §10): library code returns typed errors, never panics.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)
+)]
+
 pub mod eval;
 pub mod extract;
 pub mod gender;

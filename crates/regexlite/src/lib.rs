@@ -22,6 +22,12 @@
 //! Matching semantics are leftmost-first with greedy quantifier priority —
 //! the semantics the original Python patterns assume.
 
+// INC001 (DESIGN.md §10): library code returns typed errors, never panics.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)
+)]
+
 pub mod ast;
 pub mod compile;
 mod dfa;

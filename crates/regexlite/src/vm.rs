@@ -5,6 +5,9 @@
 //! leftmost-first alternation fall out of the ordering. Captures travel with
 //! each thread as reference-counted slot vectors (cloned on write).
 
+// INC004 (DESIGN.md §10): checked reads only, so no input can panic the VM.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use crate::ast::PerlClass;
 use crate::compile::{perl_matches, Inst, Program};
 use std::rc::Rc;

@@ -33,6 +33,12 @@
 //! scores are byte-identical to offline [`incite_core::ScoringEngine`]
 //! output at any `--threads` value and under any request interleaving.
 
+// INC001 (DESIGN.md §10): library code returns typed errors, never panics.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)
+)]
+
 pub mod admission;
 pub mod chaos;
 pub mod client;

@@ -3,6 +3,10 @@
 //! backpressure, graceful drain, and booting from a (possibly damaged)
 //! checkpointed run directory.
 
+// Fixtures are staged and damaged with plain writes; the INC006 write
+// ban is for library code.
+#![allow(clippy::disallowed_methods)]
+
 use incite_core::{load_latest_classifier, CheckpointError, ScoringEngine};
 use incite_corpus::{generate, CorpusConfig};
 use incite_ml::{FeaturizerConfig, TextClassifier, TrainConfig};

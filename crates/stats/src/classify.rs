@@ -113,7 +113,6 @@ fn prf(tp: u64, fp: u64, fn_: u64) -> PrfScores {
     };
     // Exact-zero guard against 0/0: both terms are nonnegative ratios, so
     // the sum is 0.0 iff both are identically zero.
-    // incite-lint: allow(INC003)
     let f1 = if precision + recall == 0.0 {
         0.0
     } else {
@@ -160,6 +159,9 @@ pub fn auc_roc(scores: &[f64], labels: &[bool]) -> Option<f64> {
     let mut i = 0;
     while i < order.len() {
         let mut j = i;
+        // Exact ties are intended: only bit-equal scores share a rank, so
+        // an epsilon would merge distinct neighbouring scores.
+        #[allow(clippy::float_cmp)]
         while j + 1 < order.len() && scores[order[j + 1]] == scores[order[i]] {
             j += 1;
         }
@@ -204,6 +206,9 @@ pub fn roc_curve(scores: &[f64], labels: &[bool]) -> Vec<RocPoint> {
     let mut i = 0;
     while i < order.len() {
         let threshold = scores[order[i]];
+        // Exact ties are intended: one point per distinct score, so an
+        // epsilon would merge thresholds that classify differently.
+        #[allow(clippy::float_cmp)]
         while i < order.len() && scores[order[i]] == threshold {
             if labels[order[i]] {
                 tp += 1.0;
@@ -297,6 +302,12 @@ mod tests {
         let scores = [0.5, 0.5, 0.5, 0.5];
         let labels = [true, false, true, false];
         assert!((auc_roc(&scores, &labels).unwrap() - 0.5).abs() < 1e-12);
+        // Ties are exact: a score one ULP above 0.5 ranks strictly higher,
+        // where an epsilon comparison would tie it and report 0.5.
+        let up = f64::from_bits(0.5f64.to_bits() + 1);
+        let scores = [0.5, up, 0.5, up];
+        let labels = [false, true, false, true];
+        assert_eq!(auc_roc(&scores, &labels), Some(1.0));
     }
 
     #[test]
@@ -327,5 +338,14 @@ mod tests {
         let last = curve.last().unwrap();
         assert_eq!(last.true_positive_rate, 1.0);
         assert_eq!(last.false_positive_rate, 1.0);
+        // One point per distinct score: the exact 0.7 tie shares a point,
+        // while a score one ULP above 0.7 gets its own threshold.
+        assert_eq!(curve.len(), 5);
+        let up = f64::from_bits(0.7f64.to_bits() + 1);
+        let curve = roc_curve(&[0.9, up, 0.7, 0.4], &[true, true, false, false]);
+        assert_eq!(curve.len(), 4);
+        assert_eq!(curve[1].threshold.to_bits(), up.to_bits());
+        assert_eq!(curve[1].true_positive_rate, 1.0);
+        assert_eq!(curve[1].false_positive_rate, 0.0);
     }
 }

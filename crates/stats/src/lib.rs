@@ -23,6 +23,14 @@
 //!   classifiers' parameters for better AUC-ROC scores").
 //! * [`ecdf`] — empirical CDFs and histograms (Figures 5 and 6).
 
+// INC001 (DESIGN.md §10): library code returns typed errors, never panics.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)
+)]
+// INC003 (DESIGN.md §10): compare computed floats by epsilon or `to_bits()`.
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 pub mod chisq;
 pub mod classify;
 pub mod correction;

@@ -42,6 +42,9 @@ pub fn mann_whitney_u(a: &[f64], b: &[f64]) -> Option<MannWhitneyResult> {
     let mut i = 0;
     while i < n {
         let mut j = i;
+        // Exact ties are intended: only bit-equal values share a rank, so
+        // an epsilon would merge distinct neighbouring values.
+        #[allow(clippy::float_cmp)]
         while j + 1 < n && pooled[j + 1].0 == pooled[i].0 {
             j += 1;
         }
@@ -116,6 +119,14 @@ mod tests {
         let r = mann_whitney_u(&a, &b).unwrap();
         assert!(r.p_value > 0.05); // small samples, mild shift
         assert!(r.effect_size < 0.5);
+        // Tied values share the average rank: the 1s rank 2.5, the 2s 6.5.
+        assert_eq!(r.u, 3.0 * 2.5 + 6.5 - 10.0);
+        // Ties are exact: values one ULP apart are distinct, so `a` lies
+        // entirely above `b`. An epsilon comparison would tie every value
+        // and return None (zero variance).
+        let up = f64::from_bits(0.5f64.to_bits() + 1);
+        let r = mann_whitney_u(&[up; 4], &[0.5; 4]).unwrap();
+        assert_eq!(r.effect_size, 1.0);
     }
 
     #[test]

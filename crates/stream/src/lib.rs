@@ -26,6 +26,12 @@
 //! cross-event fold is sequential in event order) and across kill/resume
 //! at any checkpoint boundary.
 
+// INC001 (DESIGN.md §10): library code returns typed errors, never panics.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)
+)]
+
 pub mod event;
 pub mod ranker;
 pub mod simulate;

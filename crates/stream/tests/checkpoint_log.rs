@@ -8,6 +8,10 @@
 //!    log is skipped, and any other damage (a flipped byte in a complete
 //!    record or the snapshot, a missing record) is a typed refusal.
 
+// Fixtures are staged and damaged with plain writes; the INC006 write
+// ban is for library code.
+#![allow(clippy::disallowed_methods)]
+
 mod common;
 
 use common::{state_dir, Fixture};
