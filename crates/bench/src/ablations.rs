@@ -1,17 +1,22 @@
 //! Quality ablations for the design choices DESIGN.md §5 calls out.
 //!
-//! The Criterion benches measure *throughput* of these choices; this module
-//! measures *classification quality* (held-out AUC / F1), which is what the
-//! paper actually optimized. Exposed through `repro ablations`.
+//! Each section measures *classification quality* (held-out AUC / F1),
+//! which is what the paper actually optimized; the classifier section also
+//! times training and prediction. Exposed through `repro ablations`.
 
 use crate::context::ReproContext;
 use incite_analysis::render;
 use incite_core::Task;
-use incite_ml::{FeatureMode, FeaturizerConfig, TextClassifier, TrainConfig};
+use incite_ml::{
+    Dataset, FeatureMode, Featurizer, FeaturizerConfig, LogisticRegression, NaiveBayes, SparseVec,
+    TextClassifier, TrainConfig,
+};
+use incite_stats::classify::{auc_roc, BinaryConfusion};
 use incite_textkit::SpanStrategy;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::fmt::Write as _;
+use std::time::Instant;
 
 /// Labeled examples: `(text, label)` pairs.
 type LabeledSplit = Vec<(String, bool)>;
@@ -73,6 +78,30 @@ fn auc_of(train: &[(String, bool)], dev: &[(String, bool)], fc: FeaturizerConfig
     );
     let report = clf.evaluate(dev.iter().map(|(t, l)| (t.as_str(), *l)), 0.5);
     (report.auc.unwrap_or(0.5), report.metrics.positive.f1)
+}
+
+/// Held-out `(AUC, F1)` of probability `scores` at the 0.5 threshold.
+fn quality(scores: &[f32], labels: &[bool]) -> (f64, f64) {
+    let mut confusion = BinaryConfusion::default();
+    for (&score, &label) in scores.iter().zip(labels) {
+        confusion.record(label, score > 0.5);
+    }
+    let scores: Vec<f64> = scores.iter().map(|&p| p as f64).collect();
+    let auc = auc_roc(&scores, labels).unwrap_or(0.5);
+    (auc, confusion.positive_scores().f1)
+}
+
+/// Runs `f` once to warm caches, then three timed times, so neither model
+/// pays for a cold start; returns its result and the fastest run in seconds.
+fn fastest<T>(mut f: impl FnMut() -> T) -> (T, f64) {
+    let mut out = f();
+    let mut secs = f64::INFINITY;
+    for _ in 0..3 {
+        let start = Instant::now();
+        out = f();
+        secs = secs.min(start.elapsed().as_secs_f64());
+    }
+    (out, secs)
 }
 
 /// Runs every quality ablation and renders a report.
@@ -174,5 +203,63 @@ pub fn run(ctx: &mut ReproContext) -> String {
         "\n4. Training-data scope (CTH dev AUC): combined {:.3} vs Gab-only {:.3} (paper: combined wins)",
         combined_auc, single_auc
     );
+
+    // 5. Classifier: logistic regression vs the naive Bayes floor, trained
+    // and evaluated on identical hashed features.
+    let mut rows = vec![vec![
+        "Train docs".into(),
+        "Model".into(),
+        "CTH AUC".into(),
+        "CTH F1".into(),
+        "Train ms".into(),
+        "Predict docs/s".into(),
+    ]];
+    // 400 docs is the split sections 1-4 train on and 100 a smaller seed
+    // set; 2,000 is the size of the pipeline's own CTH training set at
+    // paper scale (the Table 2 CTH columns sum to it).
+    let small = splits(ctx, Task::Cth, 100, 1);
+    let pipeline = splits(ctx, Task::Cth, 2_000, 1);
+    for (train, dev) in [
+        (&small.0, &small.1),
+        (&cth_train, &cth_dev),
+        (&pipeline.0, &pipeline.1),
+    ] {
+        let fc = FeaturizerConfig {
+            max_len: 128,
+            mode: FeatureMode::Word,
+            hash_bits: 16,
+            ..Default::default()
+        };
+        let featurizer = Featurizer::fit(fc, train.iter().map(|(t, _)| t.as_str()));
+        let dims = featurizer.dimensions();
+        let mut data = Dataset::new();
+        for (t, l) in train {
+            data.push(featurizer.features(t), *l);
+        }
+        let dev_x: Vec<_> = dev.iter().map(|(t, _)| featurizer.features(t)).collect();
+        let dev_y: Vec<bool> = dev.iter().map(|(_, l)| *l).collect();
+        let train_config = TrainConfig {
+            epochs: 8,
+            ..Default::default()
+        };
+        let (lr, lr_train) = fastest(|| LogisticRegression::train(&data, dims, train_config));
+        let (nb, nb_train) = fastest(|| NaiveBayes::train(&data, dims, 1.0));
+        let mut push = |model: &str, train_secs: f64, proba: &dyn Fn(&SparseVec) -> f32| {
+            let (scores, predict_secs) = fastest(|| dev_x.iter().map(proba).collect::<Vec<_>>());
+            let (auc, f1) = quality(&scores, &dev_y);
+            rows.push(vec![
+                data.len().to_string(),
+                model.into(),
+                format!("{auc:.3}"),
+                format!("{f1:.3}"),
+                format!("{:.2}", 1e3 * train_secs),
+                format!("{:.0}", dev_x.len() as f64 / predict_secs.max(1e-9)),
+            ]);
+        };
+        push("logreg", lr_train, &|x| lr.predict_proba(x));
+        push("naive_bayes", nb_train, &|x| nb.predict_proba(x));
+    }
+    s.push_str("\n5. Classifier (logistic regression vs naive Bayes, identical features):\n");
+    s.push_str(&render::table(&rows));
     s
 }

@@ -32,8 +32,8 @@ struct BenchReport {
     outcome_identical: bool,
 }
 
-/// Wall-clock fraction the checkpoint funnel may add (ISSUE acceptance
-/// criterion: < 10 % on quick corpora).
+/// Wall-clock fraction the checkpoint funnel may add: under 10 % on quick
+/// corpora.
 const OVERHEAD_BUDGET: f64 = 0.10;
 
 /// Minimum corpus size for the overhead measurement; below this the
@@ -41,9 +41,9 @@ const OVERHEAD_BUDGET: f64 = 0.10;
 const MIN_MEASUREMENT_DOCS: usize = 20_000;
 
 /// Timing repetitions; the median-free minimum over a few runs is stable
-/// enough for a pass/fail ratio without a Criterion dependency. Five
-/// repetitions because the measured filesystems jitter individual runs
-/// by up to ±15 % — the minimum of five keeps the ratio honest.
+/// enough for a pass/fail ratio. Five repetitions because the measured
+/// filesystems jitter individual runs by up to ±15 % — the minimum of
+/// five keeps the ratio honest.
 const REPS: usize = 5;
 
 pub fn run(ctx: &mut ReproContext) -> String {
@@ -51,7 +51,7 @@ pub fn run(ctx: &mut ReproContext) -> String {
         "\n================ checkpoint_overhead — resumable pipeline tax ================\n",
     );
     let task = Task::Dox;
-    // The acceptance criterion is phrased against quick corpora: the
+    // The acceptance bar is phrased against quick corpora: the
     // `quick` pipeline configuration on a corpus large enough that the
     // measurement reflects checkpoint design rather than fixed per-file
     // filesystem latency. A tiny corpus finishes in tens of
@@ -148,13 +148,6 @@ pub fn run(ctx: &mut ReproContext) -> String {
         overhead_ok: overhead_frac < OVERHEAD_BUDGET,
         outcome_identical,
     };
-    match serde_json::to_string(&bench) {
-        Ok(line) => {
-            let _ = writeln!(s, "BENCH {line}");
-        }
-        Err(err) => {
-            let _ = writeln!(s, "BENCH serialization failed: {err}");
-        }
-    }
+    crate::push_bench_line(&mut s, &bench);
     s
 }

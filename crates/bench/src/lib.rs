@@ -1,8 +1,10 @@
 //! # incite-bench
 //!
 //! The reproduction harness: one regeneration entry point per table and
-//! figure in the paper (see DESIGN.md §4 for the experiment index), plus
-//! shared state for the Criterion benches.
+//! figure in the paper (see DESIGN.md §4 for the experiment index), the
+//! DESIGN.md §5 ablations, and the performance experiments whose
+//! `BENCH {...}` lines `scripts/bench_ratchet` holds against the committed
+//! `BENCH_<experiment>.json` snapshots.
 //!
 //! ```text
 //! cargo run --release -p incite-bench --bin repro -- all --scale small
@@ -22,3 +24,18 @@ pub mod throughput;
 
 pub use context::{ReproContext, Scale};
 pub use experiments::{run_experiment, EXPERIMENTS};
+
+use std::fmt::Write as _;
+
+/// Appends an experiment's machine-readable `BENCH {...}` line: `report`
+/// serialized as one JSON object with sorted keys.
+pub fn push_bench_line<T: serde::Serialize + ?Sized>(s: &mut String, report: &T) {
+    match serde_json::to_string(report) {
+        Ok(line) => {
+            let _ = writeln!(s, "BENCH {line}");
+        }
+        Err(err) => {
+            let _ = writeln!(s, "BENCH serialization failed: {err}");
+        }
+    }
+}

@@ -78,13 +78,6 @@ pub fn run(_ctx: &mut ReproContext) -> String {
         files_per_sec,
         byte_identical,
     };
-    match serde_json::to_string(&bench) {
-        Ok(line) => {
-            let _ = writeln!(s, "BENCH {line}");
-        }
-        Err(err) => {
-            let _ = writeln!(s, "BENCH serialization failed: {err}");
-        }
-    }
+    crate::push_bench_line(&mut s, &bench);
     s
 }

@@ -272,13 +272,6 @@ pub fn run(ctx: &mut ReproContext) -> String {
         byte_identical,
         latency_ok,
     };
-    match serde_json::to_string(&bench) {
-        Ok(line) => {
-            let _ = writeln!(s, "BENCH {line}");
-        }
-        Err(err) => {
-            let _ = writeln!(s, "BENCH serialization failed: {err}");
-        }
-    }
+    crate::push_bench_line(&mut s, &bench);
     s
 }

@@ -16,8 +16,8 @@
 //!   p99 (with a small absolute floor so microsecond-scale jitter on a
 //!   loopback cannot flake the gate).
 //!
-//! CI greps the `BENCH {...}` line for `"dropped_ok":true` and
-//! `"mixed_ok":true`.
+//! `scripts/bench_ratchet` requires all four gates to be true in the
+//! `BENCH {...}` line.
 
 use crate::context::ReproContext;
 use incite_core::{load_latest_classifier_with_hash, run_pipeline_resumable, PipelineConfig, Task};
@@ -360,13 +360,6 @@ pub fn run(ctx: &mut ReproContext) -> String {
         swap_ok,
         p99_ratio_ok,
     };
-    match serde_json::to_string(&bench) {
-        Ok(line) => {
-            let _ = writeln!(s, "BENCH {line}");
-        }
-        Err(err) => {
-            let _ = writeln!(s, "BENCH serialization failed: {err}");
-        }
-    }
+    crate::push_bench_line(&mut s, &bench);
     s
 }

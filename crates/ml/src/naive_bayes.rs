@@ -2,8 +2,8 @@
 //!
 //! The paper compares only transformer variants, but an open-source release
 //! needs a cheap baseline; naive Bayes over the same hashed features is the
-//! classic text-classification floor, and the `classifier_ablation` bench
-//! reports how much the discriminative model buys.
+//! classic text-classification floor, and the classifier section of
+//! `repro ablations` reports how much the discriminative model buys.
 
 use crate::data::Dataset;
 use crate::sparse::SparseVec;

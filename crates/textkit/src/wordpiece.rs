@@ -317,15 +317,6 @@ impl WordPieceEncoder {
         }
     }
 
-    /// Encodes a sequence of words into a flat piece-id stream.
-    pub fn encode_words<'a, I: IntoIterator<Item = &'a str>>(&self, words: I) -> Vec<u32> {
-        let mut out = Vec::new();
-        for w in words {
-            out.extend(self.encode_word(w));
-        }
-        out
-    }
-
     /// Decodes piece ids back into a readable string (for diagnostics).
     pub fn decode(&self, ids: &[u32]) -> String {
         let mut out = String::new();
@@ -428,15 +419,6 @@ mod tests {
         let enc = train_on(&["abc"], 16);
         let long: String = std::iter::repeat_n('a', 200).collect();
         assert_eq!(enc.encode_word(&long), vec![UNK_ID]);
-    }
-
-    #[test]
-    fn encode_words_flattens() {
-        let enc = train_on(&["mass", "flag"], 64);
-        let ids = enc.encode_words(["mass", "flag"]);
-        let a = enc.encode_word("mass");
-        let b = enc.encode_word("flag");
-        assert_eq!(ids.len(), a.len() + b.len());
     }
 
     #[test]
