@@ -7,7 +7,6 @@
 //! CI's ratchet.
 
 use crate::context::ReproContext;
-use incite_lint::baseline::Baseline;
 use incite_lint::engine;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -34,10 +33,9 @@ pub fn run(_ctx: &mut ReproContext) -> String {
         .nth(2)
         .expect("workspace root")
         .to_path_buf();
-    let baseline = Baseline::default();
 
     let start = Instant::now();
-    let report = match engine::run_with(&root, &baseline, 4) {
+    let report = match engine::run_with(&root, 4) {
         Ok(report) => report,
         Err(err) => {
             let _ = writeln!(s, "scan failed: {err}");
@@ -58,7 +56,7 @@ pub fn run(_ctx: &mut ReproContext) -> String {
 
     // Thread-invariance gate: the sequential report must match the
     // 4-thread report byte for byte.
-    let sequential = match engine::run_with(&root, &baseline, 1) {
+    let sequential = match engine::run_with(&root, 1) {
         Ok(report) => report,
         Err(err) => {
             let _ = writeln!(s, "sequential scan failed: {err}");

@@ -690,8 +690,7 @@ pub fn run(command: &str, args: &[String], out: &mut dyn Write) -> Result<(), Cl
 #[cfg(test)]
 mod tests {
     // The tests propagate failures as `Result<(), CliError>` with `?` —
-    // the same error discipline as the library — so INC001 passes clean on
-    // this crate with no grandfathered debt.
+    // the same error discipline as the library.
     use super::*;
     use incite_corpus::{generate, CorpusConfig};
     use std::path::Path;

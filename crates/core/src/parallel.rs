@@ -58,6 +58,37 @@ const BLOCK: usize = 256;
 /// (slot `i` is always exactly `f(i)`; no cross-slot reduction). A panic
 /// inside `f` — on any worker, or on the serial path — is caught and
 /// returned as [`ScoreError::WorkerPanic`].
+///
+/// `f` is `Fn + Sync`, so it cannot mutate what it captures. A float
+/// folded into a captured accumulator would sum in worker-completion
+/// order; rustc rejects it (E0594):
+///
+/// ```compile_fail,E0594
+/// use incite_core::parallel::map_indexed;
+///
+/// let vals = vec![0.5f32; 1_000];
+/// let mut total = 0.0f32;
+/// let _ = map_indexed(vals.len(), 4, |i| {
+///     total += vals[i];
+///     0u32
+/// });
+/// ```
+///
+/// Return the per-slot value instead and fold the returned slot vector
+/// sequentially, which gives the same bits at any thread count:
+///
+/// ```
+/// use incite_core::parallel::map_indexed;
+///
+/// let vals = vec![0.5f32; 1_000];
+/// let slots = map_indexed(vals.len(), 4, |i| vals[i])?;
+/// let mut total = 0.0f32;
+/// for slot in slots {
+///     total += slot;
+/// }
+/// assert_eq!(total, 500.0);
+/// # Ok::<(), incite_core::parallel::ScoreError>(())
+/// ```
 pub fn map_indexed<T, F>(n: usize, threads: usize, f: F) -> Result<Vec<T>, ScoreError>
 where
     T: Send + Default,

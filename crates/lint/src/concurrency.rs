@@ -24,7 +24,7 @@
 use crate::graph::Workspace;
 use crate::items::{contains_word, is_ident_byte, line_at};
 use crate::lexer::matching_brace;
-use crate::rules::{Finding, Severity};
+use crate::rules::Finding;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Handler entry points for INC010, by function name within the serve
@@ -96,7 +96,6 @@ fn inc008_lock_order(ws: &Workspace<'_>, findings: &mut Vec<Finding>) {
                 .unwrap_or_default();
             findings.push(Finding {
                 rule: "INC008",
-                severity: Severity::Error,
                 file: p.file.clone(),
                 line: p.line,
                 message: format!(
@@ -116,7 +115,6 @@ fn inc009_blocking_under_lock(ws: &Workspace<'_>, findings: &mut Vec<Finding>) {
     for site in &ws.blocked {
         findings.push(Finding {
             rule: "INC009",
-            severity: Severity::Error,
             file: site.file.clone(),
             line: site.line,
             message: format!(
@@ -182,7 +180,6 @@ fn inc010_unbounded_growth(ws: &Workspace<'_>, findings: &mut Vec<Finding>) {
                     let call = &needle[1..needle.len() - 1];
                     findings.push(Finding {
                         rule: "INC010",
-                        severity: Severity::Error,
                         file: file.path.clone(),
                         line: line_at(&file.lines, at),
                         message: format!(

@@ -4,18 +4,16 @@
 //! [`incite_core::parallel::map_indexed_coarse`] — one file per work unit
 //! — and merges back in slot order, so the findings are byte-identical at
 //! every thread count. The workspace passes then run over the merged
-//! [`MaskedFile`]s: the INC005 spec checks, the two-pass graph rules
-//! (INC008–INC010), the taint pass (INC011–INC013), and the invariant pass
-//! (INC014–INC016). Everything ends sorted by `(file, line, rule)` and
-//! ratcheted against a baseline.
+//! [`MaskedFile`]s: the two-pass graph rules (INC008–INC010), the taint
+//! pass (INC011–INC013), and the invariant pass (INC014, INC016).
+//! Everything ends sorted by `(file, line, rule)`; any finding fails the
+//! run.
 
-use crate::baseline::{Baseline, Comparison};
 use crate::concurrency;
 use crate::graph;
 use crate::invariants;
 use crate::lexer::MaskedFile;
 use crate::rules::Finding;
-use crate::spec;
 use crate::taint;
 use incite_core::parallel;
 use std::collections::BTreeMap;
@@ -34,8 +32,6 @@ pub const FUEL_BUDGET: u64 = 50_000_000;
 pub struct Report {
     /// Every current finding, sorted by (file, line, rule).
     pub findings: Vec<Finding>,
-    /// Ratchet outcome against the provided baseline.
-    pub comparison: Comparison,
     /// Number of files scanned (for the summary line).
     pub files_scanned: usize,
     /// Deterministic work performed, in fuel units (see [`FUEL_BUDGET`]).
@@ -85,17 +81,16 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// Runs the whole catalog against `root` and ratchets against `baseline`,
-/// sequentially. Equivalent to [`run_with`] at one thread; the CLI uses
-/// [`run_with`] directly.
-pub fn run(root: &Path, baseline: &Baseline) -> io::Result<Report> {
-    run_with(root, baseline, 1)
+/// Runs the whole catalog against `root`, sequentially. Equivalent to
+/// [`run_with`] at one thread; the CLI uses [`run_with`] directly.
+pub fn run(root: &Path) -> io::Result<Report> {
+    run_with(root, 1)
 }
 
 /// Runs the whole catalog against `root`, fanning the per-file stage out
 /// over `threads` workers. Any thread count produces byte-identical
 /// findings; `1` is fully sequential.
-pub fn run_with(root: &Path, baseline: &Baseline, threads: usize) -> io::Result<Report> {
+pub fn run_with(root: &Path, threads: usize) -> io::Result<Report> {
     let sources = collect_sources(root)?;
 
     // Per-file stage: read and mask every file. One file per work unit —
@@ -122,9 +117,6 @@ pub fn run_with(root: &Path, baseline: &Baseline, threads: usize) -> io::Result<
         masked.insert(rel.clone(), file);
     }
 
-    let lookup = |path: &str| masked.get(path);
-    let mut findings = spec::check(&spec::SpecSource { files: &lookup });
-
     // Two-pass graph rules: build the item graph (pass 1), then walk it
     // (pass 2). `masked` is a BTreeMap, so the build order is the sorted
     // path order and the graph is deterministic.
@@ -132,14 +124,14 @@ pub fn run_with(root: &Path, baseline: &Baseline, threads: usize) -> io::Result<
         masked.iter().map(|(p, m)| (p.clone(), m)).collect();
     let ws = graph::build(&graph_sources);
     fuel += ws.fuel;
-    findings.extend(concurrency::check(&ws));
+    let mut findings = concurrency::check(&ws);
 
     // Pass 3: interprocedural taint & purity dataflow (INC011–INC013).
     let (taint_findings, taint_fuel) = taint::check(&ws);
     fuel += taint_fuel;
     findings.extend(taint_findings);
 
-    // Pass 4: invariant enforcement (INC014–INC016).
+    // Pass 4: invariant enforcement (INC014, INC016).
     let (invariant_findings, invariant_fuel) = invariants::check(&ws);
     fuel += invariant_fuel;
     findings.extend(invariant_findings);
@@ -147,10 +139,8 @@ pub fn run_with(root: &Path, baseline: &Baseline, threads: usize) -> io::Result<
     findings
         .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
 
-    let comparison = baseline.compare(&findings);
     Ok(Report {
         findings,
-        comparison,
         files_scanned: sources.len(),
         fuel,
     })
@@ -159,7 +149,6 @@ pub fn run_with(root: &Path, baseline: &Baseline, threads: usize) -> io::Result<
 /// Renders the machine-readable JSON report (deterministic field order).
 pub fn report_json(report: &Report) -> String {
     let mut out = String::from("{\n  \"findings\": [\n");
-    let grandfathered_ok = |f: &Finding| !report.comparison.new_findings.contains(f);
     for (i, f) in report.findings.iter().enumerate() {
         let trace = f
             .trace
@@ -168,16 +157,13 @@ pub fn report_json(report: &Report) -> String {
             .collect::<Vec<_>>()
             .join(", ");
         out.push_str(&format!(
-            "    {{\"rule\": \"{}\", \"severity\": \"{}\", \"file\": \"{}\", \
-             \"line\": {}, \"message\": \"{}\", \"trace\": [{}], \
-             \"grandfathered\": {}}}{}\n",
+            "    {{\"rule\": \"{}\", \"severity\": \"error\", \"file\": \"{}\", \
+             \"line\": {}, \"message\": \"{}\", \"trace\": [{}]}}{}\n",
             f.rule,
-            f.severity.as_str(),
             escape(&f.file),
             f.line,
             escape(&f.message),
             trace,
-            grandfathered_ok(f),
             if i + 1 == report.findings.len() {
                 ""
             } else {
@@ -187,12 +173,9 @@ pub fn report_json(report: &Report) -> String {
     }
     out.push_str("  ],\n");
     out.push_str(&format!(
-        "  \"files_scanned\": {},\n  \"total\": {},\n  \"new\": {},\n  \
-         \"stale_baseline_entries\": {},\n  \"fuel\": {}\n}}\n",
+        "  \"files_scanned\": {},\n  \"total\": {},\n  \"fuel\": {}\n}}\n",
         report.files_scanned,
         report.findings.len(),
-        report.comparison.new_findings.len(),
-        report.comparison.improved.len(),
         report.fuel,
     ));
     out
@@ -232,24 +215,15 @@ mod tests {
         assert_eq!(sources, sorted, "source order must be deterministic");
     }
 
-    /// Self-test: the repository must be clean against its checked-in
-    /// baseline. This is the same check CI's static-analysis job runs.
+    /// Self-test: the repository has no findings. This is the same check
+    /// CI's static-analysis job runs.
     #[test]
-    fn repo_is_clean_against_committed_baseline() {
-        let root = repo_root();
-        let text = fs::read_to_string(root.join("lint.baseline.json"))
-            .expect("lint.baseline.json is committed at the workspace root");
-        let baseline = Baseline::parse(&text).expect("baseline parses");
-        let report = run(&root, &baseline).unwrap();
-        let rendered: Vec<String> = report
-            .comparison
-            .new_findings
-            .iter()
-            .map(Finding::render)
-            .collect();
+    fn repo_has_no_findings() {
+        let report = run(&repo_root()).unwrap();
+        let rendered: Vec<String> = report.findings.iter().map(Finding::render).collect();
         assert!(
             rendered.is_empty(),
-            "new lint violations:\n{}",
+            "lint violations:\n{}",
             rendered.join("\n")
         );
     }
@@ -257,7 +231,7 @@ mod tests {
     #[test]
     fn report_json_is_valid_shape() {
         let root = repo_root();
-        let report = run(&root, &Baseline::default()).unwrap();
+        let report = run(&root).unwrap();
         let json = report_json(&report);
         assert!(json.starts_with("{\n"));
         assert!(json.contains("\"files_scanned\""));
@@ -273,7 +247,7 @@ mod tests {
     /// the workspace at all.
     #[test]
     fn full_run_stays_inside_the_fuel_budget() {
-        let report = run(&repo_root(), &Baseline::default()).unwrap();
+        let report = run(&repo_root()).unwrap();
         assert!(report.fuel > 0, "fuel accounting must be wired up");
         assert!(
             report.fuel <= FUEL_BUDGET,

@@ -1,20 +1,14 @@
-//! Pass 4: invariant enforcement (INC014–INC016).
+//! Pass 4: invariant enforcement (INC014, INC016).
 //!
-//! Three rules that turn the repo's load-bearing dynamic contracts —
-//! crash-recovery coverage, cross-thread byte-identity, and bounded wire
-//! arithmetic — into static checks over the item graph from pass 1:
+//! Two rules that turn the repo's load-bearing dynamic contracts —
+//! crash-recovery coverage and bounded wire arithmetic — into static
+//! checks over the item graph from pass 1:
 //!
 //! * **INC014 checkpoint-unswept** — every `atomic_io` write/append
 //!   acquisition outside tests (in `core`, `serve`, `stream`) must be
 //!   reachable, through resolved call edges, from a function that
 //!   consults a failpoint registry (`.check(…)` / `.trip(…)`). A write
 //!   no sweep can reach is crash-recovery coverage that silently shrank.
-//! * **INC015 unordered-float-fold** — a mutable `f32`/`f64` local
-//!   declared *before* a `parallel::map_indexed` call and accumulated
-//!   *inside* the closure folds in worker-completion order, which is the
-//!   exact non-determinism the slot-indexed contract forbids. Slot
-//!   writes (`out[i] = …`) and accumulators declared inside the closure
-//!   are fine; so is folding the returned slot vector sequentially.
 //! * **INC016 unchecked-wire-arithmetic** — interval-lite dataflow over
 //!   the two wire decoders (`corpus/src/jsonl.rs`, `stream/src/event.rs`):
 //!   a value originating from a wire decode (`from_le_bytes`, `.parse(`,
@@ -24,22 +18,21 @@
 //!   `checked_*`/`saturating_*`/`wrapping_*`. Lengths of in-memory
 //!   collections (`.len()`) are already bounded and never become tainted.
 //!
-//! All three honor `lint:allow` pragmas and test regions, and burn fuel
+//! Both honor `lint:allow` pragmas and test regions, and burn fuel
 //! proportional to events + bytes scanned so the engine's deterministic
 //! fuel budget keeps holding.
 
-use crate::graph::{matching_paren, CallEvent, Event, Workspace};
+use crate::graph::{CallEvent, Event, Workspace};
 use crate::items;
-use crate::rules::{Finding, Severity};
+use crate::rules::Finding;
 use std::collections::BTreeSet;
 
-/// Runs INC014–INC016 over the workspace graph. Returns the findings
+/// Runs INC014 and INC016 over the workspace graph. Returns the findings
 /// (unsorted — the engine sorts globally) and the fuel consumed.
 pub fn check(ws: &Workspace) -> (Vec<Finding>, u64) {
     let mut findings = Vec::new();
     let mut fuel = 0u64;
     inc014(ws, &mut findings, &mut fuel);
-    inc015(ws, &mut findings, &mut fuel);
     inc016(ws, &mut findings, &mut fuel);
     (findings, fuel)
 }
@@ -132,7 +125,6 @@ fn inc014(ws: &Workspace, findings: &mut Vec<Finding>, fuel: &mut u64) {
             }
             findings.push(Finding {
                 rule: "INC014",
-                severity: Severity::Error,
                 file: file.path.clone(),
                 line,
                 message: format!(
@@ -142,167 +134,6 @@ fn inc014(ws: &Workspace, findings: &mut Vec<Finding>, fuel: &mut u64) {
                 ),
                 trace: Vec::new(),
             });
-        }
-    }
-}
-
-// ------------------------------------------------------------------
-// INC015 — unordered-float-fold
-// ------------------------------------------------------------------
-
-/// Mutable float locals (`let mut x = 0.0f32;`, `let mut y: f64 = …;`)
-/// declared in `bytes[start..end)`, with their names.
-fn mut_float_locals(bytes: &[u8], start: usize, end: usize) -> Vec<String> {
-    let text = match std::str::from_utf8(&bytes[start..end]) {
-        Ok(text) => text,
-        Err(_) => return Vec::new(),
-    };
-    let mut out = Vec::new();
-    let mut from = 0;
-    while let Some(rel) = text[from..].find("let mut ") {
-        let at = from + rel;
-        from = at + "let mut ".len();
-        if at > 0 && items::is_ident_byte(text.as_bytes()[at - 1]) {
-            continue;
-        }
-        let rest = &text[from..];
-        let name_len = rest
-            .bytes()
-            .take_while(|&b| items::is_ident_byte(b))
-            .count();
-        if name_len == 0 {
-            continue;
-        }
-        let name = &rest[..name_len];
-        // Declaration tail up to the statement end: the type annotation
-        // and/or initializer decide floatness.
-        let tail_end = rest.find(';').unwrap_or(rest.len()).min(200);
-        let tail = &rest[name_len..tail_end];
-        if is_float_decl_tail(tail) {
-            out.push(name.to_string());
-        }
-    }
-    out
-}
-
-/// Whether a `let mut <name>` declaration tail declares a scalar float:
-/// an `f32`/`f64` annotation or suffix, or a bare `= <digits>.<digits>`
-/// initializer. Collections of floats (`vec![0.0f32; n]`) are slot
-/// targets, not fold accumulators, and stay out.
-fn is_float_decl_tail(tail: &str) -> bool {
-    if tail.contains("vec!") || tail.contains("Vec<") || tail.contains('[') {
-        return false;
-    }
-    for needle in ["f32", "f64"] {
-        let mut from = 0;
-        while let Some(rel) = tail[from..].find(needle) {
-            let at = from + rel;
-            from = at + needle.len();
-            let before_ok = at == 0 || !items::is_ident_byte(tail.as_bytes()[at - 1]);
-            let after_ok = from >= tail.len() || !items::is_ident_byte(tail.as_bytes()[from]);
-            // `0.0f32` has a digit before the suffix: allow digits too.
-            let before_suffix = at > 0 && tail.as_bytes()[at - 1].is_ascii_digit();
-            if (before_ok || before_suffix) && after_ok {
-                return true;
-            }
-        }
-    }
-    if let Some(eq) = tail.find('=') {
-        let rhs = tail[eq + 1..].trim_start();
-        let digits = rhs.bytes().take_while(u8::is_ascii_digit).count();
-        if digits > 0 && rhs.as_bytes().get(digits) == Some(&b'.') {
-            return true;
-        }
-    }
-    false
-}
-
-/// Byte offsets in `bytes[from..to)` where `name` is compound-assigned
-/// (`name += …`) or self-assigned through an operator (`name = name + …`).
-fn fold_mutations(bytes: &[u8], from: usize, to: usize, name: &str) -> Vec<usize> {
-    let Ok(text) = std::str::from_utf8(&bytes[from..to]) else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    let mut at = 0;
-    while let Some(rel) = text[at..].find(name) {
-        let pos = at + rel;
-        at = pos + name.len();
-        let bounded_left = pos == 0 || !items::is_ident_byte(text.as_bytes()[pos - 1]);
-        let bounded_right = at >= text.len() || !items::is_ident_byte(text.as_bytes()[at]);
-        if !bounded_left || !bounded_right {
-            continue;
-        }
-        let rest = text[at..].trim_start();
-        let compound = ["+=", "-=", "*=", "/="]
-            .iter()
-            .any(|op| rest.starts_with(op));
-        let self_assign = rest.starts_with('=') && !rest.starts_with("==") && {
-            let rhs = rest[1..].trim_start();
-            rhs.strip_prefix(name).is_some_and(|after| {
-                let after = after.trim_start();
-                after.starts_with('+')
-                    || after.starts_with('-')
-                    || after.starts_with('*')
-                    || after.starts_with('/')
-            })
-        };
-        if compound || self_assign {
-            out.push(from + pos);
-        }
-    }
-    out
-}
-
-fn inc015(ws: &Workspace, findings: &mut Vec<Finding>, fuel: &mut u64) {
-    for node in &ws.fns {
-        if node.in_test {
-            continue;
-        }
-        let Some(body) = node.body else { continue };
-        let file = &ws.files[node.file];
-        let bytes = file.masked.masked.as_bytes();
-        for ev in &node.events {
-            let Event::Call(call) = ev else { continue };
-            if call.segs.last().map(String::as_str) != Some("map_indexed") {
-                continue;
-            }
-            *fuel += (call.off.saturating_sub(body.start)) as u64;
-            let accumulators = mut_float_locals(bytes, body.start, call.off);
-            if accumulators.is_empty() {
-                continue;
-            }
-            let close = matching_paren(bytes, call.off, body.end);
-            // The closure is the last argument: its body runs from after
-            // the parameter list (`|i|`) to the call's closing paren.
-            let Some(bar1) = (call.off..close).find(|&j| bytes[j] == b'|') else {
-                continue;
-            };
-            let Some(bar2) = (bar1 + 1..close).find(|&j| bytes[j] == b'|') else {
-                continue;
-            };
-            for name in &accumulators {
-                for off in fold_mutations(bytes, bar2 + 1, close, name) {
-                    let line = items::line_at(&file.lines, off);
-                    if file.masked.in_test_region(line) || file.masked.is_suppressed("INC015", line)
-                    {
-                        continue;
-                    }
-                    findings.push(Finding {
-                        rule: "INC015",
-                        severity: Severity::Error,
-                        file: file.path.clone(),
-                        line,
-                        message: format!(
-                            "unordered float fold: `{name}` is accumulated inside a \
-                             `map_indexed` closure, so the result depends on worker \
-                             completion order; return per-slot values and fold the \
-                             slot vector sequentially"
-                        ),
-                        trace: Vec::new(),
-                    });
-                }
-            }
         }
     }
 }
@@ -527,7 +358,6 @@ fn inc016(ws: &Workspace, findings: &mut Vec<Finding>, fuel: &mut u64) {
                 }
                 findings.push(Finding {
                     rule: "INC016",
-                    severity: Severity::Error,
                     file: file.path.clone(),
                     line,
                     message: format!(
@@ -636,49 +466,6 @@ pub fn open_log(path: &Path) -> Result<AppendLog, E> {
                 && f.message.contains("AppendLog::open")),
             "{findings:?}"
         );
-    }
-
-    #[test]
-    fn inc015_flags_captured_accumulator_not_slot_writes() {
-        let src = "\
-pub fn bad(vals: &[f32], threads: usize) -> f32 {
-    let mut total = 0.0f32;
-    let _ = map_indexed(vals.len(), threads, |i| {
-        total += vals[i];
-        0u32
-    });
-    total
-}
-pub fn good(vals: &[f32], threads: usize) -> f32 {
-    let slots = map_indexed(vals.len(), threads, |i| vals[i] * 2.0);
-    let mut total = 0.0f32;
-    for s in slots.unwrap_or_default() {
-        total += s;
-    }
-    total
-}
-";
-        let findings = run_on(&[("crates/core/src/demo.rs", src)]);
-        let inc015: Vec<_> = findings.iter().filter(|f| f.rule == "INC015").collect();
-        assert_eq!(inc015.len(), 1, "{findings:?}");
-        assert_eq!(inc015[0].line, 4);
-        assert!(inc015[0].message.contains("total"));
-    }
-
-    #[test]
-    fn inc015_allows_accumulator_declared_inside_closure() {
-        let src = "\
-pub fn ok(vals: &[f32], threads: usize) {
-    let _ = map_indexed(vals.len(), threads, |i| {
-        let mut acc = 0.0f32;
-        acc += vals[i];
-        acc
-    });
-}
-";
-        assert!(run_on(&[("crates/core/src/demo.rs", src)])
-            .iter()
-            .all(|f| f.rule != "INC015"));
     }
 
     #[test]

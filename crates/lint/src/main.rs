@@ -1,11 +1,8 @@
-//! CLI: `cargo run -p incite-lint -- check [--baseline PATH]
-//! [--format json|text|sarif] [--threads N] [--update-baseline]
-//! [--root PATH]`.
+//! CLI: `cargo run -p incite-lint -- check [--format json|text|sarif]
+//! [--threads N] [--root PATH]`.
 //!
-//! Exit codes: 0 clean (or baseline updated), 1 new violations, 2 usage,
-//! I/O, or baseline-ledger error.
+//! Exit codes: 0 clean, 1 any finding, 2 usage or I/O error.
 
-use incite_lint::baseline::Baseline;
 use incite_lint::engine;
 use incite_lint::rules::{RuleInfo, CATALOG};
 use incite_lint::sarif;
@@ -21,8 +18,6 @@ USAGE:
     incite-lint explain <RULE>   (alias: --explain; e.g. explain INC011)
 
 OPTIONS:
-    --baseline <PATH>    Baseline file (default: <root>/lint.baseline.json)
-    --update-baseline    Rewrite the baseline from current findings and exit 0
     --format <FMT>       Report format: `text` (rustc-style, default),
                          `json` (machine-readable) or `sarif` (SARIF 2.1.0),
                          both on stdout
@@ -41,8 +36,6 @@ enum Format {
 }
 
 struct Args {
-    baseline: Option<PathBuf>,
-    update_baseline: bool,
     format: Format,
     threads: Option<usize>,
     root: PathBuf,
@@ -52,19 +45,12 @@ fn parse_args(mut argv: std::env::Args) -> Result<(String, Args), String> {
     let _bin = argv.next();
     let command = argv.next().ok_or_else(|| USAGE.to_string())?;
     let mut args = Args {
-        baseline: None,
-        update_baseline: false,
         format: Format::Text,
         threads: None,
         root: PathBuf::from("."),
     };
     while let Some(flag) = argv.next() {
         match flag.as_str() {
-            "--baseline" => {
-                let v = argv.next().ok_or("--baseline requires a path")?;
-                args.baseline = Some(PathBuf::from(v));
-            }
-            "--update-baseline" => args.update_baseline = true,
             "--json" => args.format = Format::Json,
             "--format" => {
                 let v = argv
@@ -156,37 +142,12 @@ fn explain(id: Option<String>) -> ExitCode {
 }
 
 fn check(args: Args) -> ExitCode {
-    let baseline_path = args
-        .baseline
-        .unwrap_or_else(|| args.root.join("lint.baseline.json"));
-
-    let baseline = if args.update_baseline {
-        // Regeneration ignores the existing file entirely.
-        Baseline::default()
-    } else {
-        match std::fs::read_to_string(&baseline_path) {
-            Ok(text) => match Baseline::parse(&text) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("error: {}: {e}", baseline_path.display());
-                    return ExitCode::from(2);
-                }
-            },
-            // Missing baseline = empty baseline: every finding is new.
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Baseline::default(),
-            Err(e) => {
-                eprintln!("error: {}: {e}", baseline_path.display());
-                return ExitCode::from(2);
-            }
-        }
-    };
-
     let threads = args.threads.unwrap_or_else(|| {
         std::thread::available_parallelism()
             .map(|n| n.get().min(8))
             .unwrap_or(1)
     });
-    let report = match engine::run_with(&args.root, &baseline, threads) {
+    let report = match engine::run_with(&args.root, threads) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: scanning {}: {e}", args.root.display());
@@ -194,51 +155,22 @@ fn check(args: Args) -> ExitCode {
         }
     };
 
-    if args.update_baseline {
-        let regenerated = Baseline::from_findings(&report.findings);
-        // INC006 exempt: the baseline is a hand-reviewed ledger, not
-        // pipeline state, so it needs no atomic_io framing.
-        #[allow(clippy::disallowed_methods)]
-        let written = std::fs::write(&baseline_path, regenerated.to_json());
-        if let Err(e) = written {
-            eprintln!("error: writing {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "wrote {} ({} grandfathered findings across {} files)",
-            baseline_path.display(),
-            report.findings.len(),
-            report.files_scanned
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    // The ledger must describe reality exactly: an entry above the
-    // current count (stale after a pay-down, or hand-inflated) is a
-    // typed hard error, not a note.
-    if let Err(e) = baseline.verify(&report.findings) {
-        eprintln!("error: {}: {e}", baseline_path.display());
-        return ExitCode::from(2);
-    }
-
     match args.format {
         Format::Json => print!("{}", engine::report_json(&report)),
         Format::Sarif => print!("{}", sarif::report_sarif(&report)),
         Format::Text => {
-            for f in &report.comparison.new_findings {
+            for f in &report.findings {
                 eprintln!("{}\n", f.render());
             }
             eprintln!(
-                "incite-lint: {} file(s), {} finding(s) ({} grandfathered, {} new)",
+                "incite-lint: {} file(s), {} finding(s)",
                 report.files_scanned,
-                report.findings.len(),
-                report.findings.len() - report.comparison.new_findings.len(),
-                report.comparison.new_findings.len()
+                report.findings.len()
             );
         }
     }
 
-    if report.comparison.new_findings.is_empty() {
+    if report.findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

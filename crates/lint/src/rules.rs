@@ -1,36 +1,20 @@
 //! The rule catalog and the finding type.
 //!
-//! Every rule here is proved by a workspace-wide pass (INC005 in
-//! [`crate::spec`], INC008–INC016 over the item graph). The token-level
-//! invariants INC001–INC004, INC006 and INC007 are clippy lints, scoped by
-//! crate attributes and the workspace `clippy.toml` (DESIGN.md §10).
-
-/// Diagnostic severity. Every shipped rule is `Error` today; the field
-/// exists so a future rule can be introduced as `Warn` before ratcheting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    Warn,
-    Error,
-}
-
-impl Severity {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Severity::Warn => "warning",
-            Severity::Error => "error",
-        }
-    }
-}
+//! Every rule here is proved by a pass over the workspace item graph
+//! (INC008–INC014, INC016). The token-level invariants INC001–INC004,
+//! INC006 and INC007 are clippy lints, scoped by crate attributes and the
+//! workspace `clippy.toml`; INC005's taxonomy counts are unit tests in
+//! the crates that declare them, and INC015 is rustc's `Fn + Sync` bound
+//! on `parallel::map_indexed` (DESIGN.md §10). Every finding is an error.
 
 /// One rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// Rule ID, e.g. `INC011`.
     pub rule: &'static str,
-    pub severity: Severity,
     /// Repo-relative path with `/` separators.
     pub file: String,
-    /// 1-based line number (0 for file-level findings).
+    /// 1-based line number.
     pub line: usize,
     pub message: String,
     /// Dataflow steps for taint findings (INC011–INC013): source → hops
@@ -43,12 +27,8 @@ impl Finding {
     /// Rustc-style rendering: `error[INC011]: message\n  --> file:line`.
     pub fn render(&self) -> String {
         format!(
-            "{}[{}]: {}\n  --> {}:{}",
-            self.severity.as_str(),
-            self.rule,
-            self.message,
-            self.file,
-            self.line
+            "error[{}]: {}\n  --> {}:{}",
+            self.rule, self.message, self.file, self.line
         )
     }
 }
@@ -76,20 +56,6 @@ impl RuleInfo {
 
 /// The shipped catalog.
 pub const CATALOG: &[RuleInfo] = &[
-    RuleInfo {
-        id: "INC005",
-        summary: "taxonomy/pii/corpus spec constants must agree with the paper \
-                  (10 attack parents, 28+1 subcategories, 9 PII families / 12 \
-                  expressions, 6 platforms / 5 data sets)",
-        contract: "The taxonomy, PII expression set and platform list encode \
-                   the paper's published counts; drifting constants would \
-                   silently change every downstream table.",
-        example: "Adding an 11th attack parent without updating the spec \
-                  tables in DESIGN.md.",
-        fix: "Either revert the constant or update the paper-spec table and \
-              DESIGN.md together, then adjust the rule's expected counts in \
-              the same commit.",
-    },
     RuleInfo {
         id: "INC008",
         summary: "workspace locks are acquired in one consistent order — the \
@@ -196,23 +162,6 @@ pub const CATALOG: &[RuleInfo] = &[
               sweep tests.",
     },
     RuleInfo {
-        id: "INC015",
-        summary: "no f32/f64 accumulation across parallel::map_indexed \
-                  slots: closures must be slot-indexed, folds sequential",
-        contract: "The parallel executor guarantees byte-identical output \
-                   at any thread count because slot `i` is exactly `f(i)`. \
-                   A mutable float declared before a `map_indexed` call and \
-                   accumulated inside the closure folds in worker-completion \
-                   order, which breaks that guarantee in exactly the way the \
-                   determinism ratchets exist to catch.",
-        example: "let mut total = 0.0f32;\nmap_indexed(n, threads, |i| { \
-                  total += score(i); 0 });",
-        fix: "Return the per-slot value from the closure and fold the \
-              returned slot vector sequentially: `let slots = \
-              map_indexed(n, threads, score)?; let total: f32 = \
-              slots.iter().sum();`.",
-    },
-    RuleInfo {
         id: "INC016",
         summary: "wire-decoded lengths/offsets in corpus::jsonl and \
                   stream::event are bounded before +/*/narrowing-as \
@@ -241,7 +190,6 @@ mod tests {
     fn render_is_rustc_style() {
         let f = Finding {
             rule: "INC014",
-            severity: Severity::Error,
             file: "crates/core/src/pipeline.rs".into(),
             line: 7,
             message: "unswept checkpoint write".into(),

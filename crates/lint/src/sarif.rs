@@ -7,10 +7,6 @@
 //! deterministic — same report in, same bytes out — so the golden-file
 //! test and the CI thread-invariance diff both hold byte-for-byte.
 //!
-//! File-level findings (line 0, e.g. INC005 spec coverage) carry no
-//! `region`: SARIF line numbers are 1-based and a fabricated line 1
-//! would point reviewers at the wrong place.
-//!
 //! [SARIF 2.1.0]: https://docs.oasis-open.org/sarif/sarif/v2.1.0/sarif-v2.1.0.html
 
 use crate::engine::Report;
@@ -49,30 +45,14 @@ pub fn report_sarif(report: &Report) -> String {
     out.push_str("      \"results\": [\n");
 
     for (i, f) in report.findings.iter().enumerate() {
-        let level = match f.severity.as_str() {
-            "warning" => "warning",
-            _ => "error",
-        };
-        let location = if f.line == 0 {
-            format!(
-                "{{\"physicalLocation\": {{\"artifactLocation\": {{\"uri\": \"{}\"}}}}}}",
-                esc(&f.file)
-            )
-        } else {
-            format!(
-                "{{\"physicalLocation\": {{\"artifactLocation\": {{\"uri\": \"{}\"}}, \
-                 \"region\": {{\"startLine\": {}}}}}}}",
-                esc(&f.file),
-                f.line
-            )
-        };
         out.push_str(&format!(
-            "        {{\"ruleId\": \"{}\", \"level\": \"{}\", \"message\": {{\"text\": \
-             \"{}\"}}, \"locations\": [{}]}}{}\n",
+            "        {{\"ruleId\": \"{}\", \"level\": \"error\", \"message\": {{\"text\": \
+             \"{}\"}}, \"locations\": [{{\"physicalLocation\": {{\"artifactLocation\": \
+             {{\"uri\": \"{}\"}}, \"region\": {{\"startLine\": {}}}}}}}]}}{}\n",
             esc(f.rule),
-            level,
             esc(&f.message),
-            location,
+            esc(&f.file),
+            f.line,
             if i + 1 == report.findings.len() {
                 ""
             } else {
@@ -98,15 +78,12 @@ fn esc(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::Baseline;
-    use crate::rules::{Finding, Severity};
+    use crate::rules::Finding;
 
     fn report_with(findings: Vec<Finding>) -> Report {
-        let comparison = Baseline::default().compare(&findings);
         Report {
             files_scanned: 1,
             fuel: 1,
-            comparison,
             findings,
         }
     }
@@ -123,7 +100,6 @@ mod tests {
     fn findings_render_rule_level_and_location() {
         let finding = Finding {
             rule: "INC011",
-            severity: Severity::Error,
             file: "crates/core/src/a.rs".to_string(),
             line: 7,
             message: "say \"no\" to unwrap".to_string(),
@@ -136,20 +112,5 @@ mod tests {
         assert!(sarif.contains("say \\\"no\\\" to unwrap"));
         // The driver catalog carries the fired rule with its summary.
         assert!(sarif.contains("{\"id\": \"INC011\", \"shortDescription\""));
-    }
-
-    #[test]
-    fn file_level_findings_omit_the_region() {
-        let finding = Finding {
-            rule: "INC005",
-            severity: Severity::Error,
-            file: "crates/taxonomy/src/lib.rs".to_string(),
-            line: 0,
-            message: "spec constant missing".to_string(),
-            trace: Vec::new(),
-        };
-        let sarif = report_sarif(&report_with(vec![finding]));
-        assert!(!sarif.contains("startLine"));
-        assert!(sarif.contains("\"uri\": \"crates/taxonomy/src/lib.rs\""));
     }
 }

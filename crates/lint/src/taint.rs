@@ -36,7 +36,7 @@
 use crate::graph::{matching_paren, Event, FnNode, Workspace};
 use crate::items::{line_at, FnItem};
 use crate::lexer::matching_brace;
-use crate::rules::{Finding, Severity};
+use crate::rules::Finding;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Crates in taint scope: the data plane. `bench` drives experiments on
@@ -382,7 +382,6 @@ impl SinkObserver for Report<'_, '_> {
         let file = &self.ws.files[node.file];
         self.findings.push(Finding {
             rule,
-            severity: Severity::Error,
             file: file.path.clone(),
             line: line_at(&file.lines, off),
             message,
@@ -937,7 +936,6 @@ fn inc012_nondeterminism(
                 trace.push(format!("`{}` {desc}", needle.trim()));
                 findings.push(Finding {
                     rule: "INC012",
-                    severity: Severity::Error,
                     file: file.path.clone(),
                     line: line_at(&file.lines, body.start + at),
                     message: format!(

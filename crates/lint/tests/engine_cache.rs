@@ -1,7 +1,6 @@
 //! The engine's parallel fan-out over the fixture tree: findings must be
 //! byte-identical at every thread count.
 
-use incite_lint::baseline::Baseline;
 use incite_lint::engine;
 use std::path::{Path, PathBuf};
 
@@ -12,14 +11,13 @@ fn fixture_root() -> PathBuf {
 #[test]
 fn parallel_report_is_byte_identical_to_sequential() {
     let root = fixture_root();
-    let baseline = Baseline::default();
-    let sequential = engine::run_with(&root, &baseline, 1).expect("sequential run");
+    let sequential = engine::run_with(&root, 1).expect("sequential run");
     assert!(
         !sequential.findings.is_empty(),
         "the fixture tree must produce findings for byte-identity to mean anything"
     );
     for threads in [2, 4, 8] {
-        let parallel = engine::run_with(&root, &baseline, threads).expect("parallel run");
+        let parallel = engine::run_with(&root, threads).expect("parallel run");
         assert_eq!(
             engine::report_json(&parallel),
             engine::report_json(&sequential),

@@ -4,7 +4,6 @@
 //! drift silently. A deliberate schema change updates this file in the
 //! same commit.
 
-use incite_lint::baseline::Baseline;
 use incite_lint::engine;
 use std::path::{Path, PathBuf};
 
@@ -20,21 +19,14 @@ const FINDING_KEYS: &[&str] = &[
     "\"line\": ",
     "\"message\": \"",
     "\"trace\": [",
-    "\"grandfathered\": ",
 ];
 
 /// The report footer carries exactly these keys, in this order.
-const FOOTER_KEYS: &[&str] = &[
-    "\"files_scanned\": ",
-    "\"total\": ",
-    "\"new\": ",
-    "\"stale_baseline_entries\": ",
-    "\"fuel\": ",
-];
+const FOOTER_KEYS: &[&str] = &["\"files_scanned\": ", "\"total\": ", "\"fuel\": "];
 
 #[test]
 fn finding_objects_keep_their_key_order() {
-    let report = engine::run(&fixture_root(), &Baseline::default()).unwrap();
+    let report = engine::run(&fixture_root()).unwrap();
     let json = engine::report_json(&report);
     assert!(json.starts_with("{\n  \"findings\": [\n"), "header moved");
 
@@ -71,7 +63,7 @@ fn finding_objects_keep_their_key_order() {
 /// interprocedural taint trace, one INC012 flow with a call-path trace.
 #[test]
 fn golden_taint_finding_lines_are_stable() {
-    let report = engine::run(&fixture_root(), &Baseline::default()).unwrap();
+    let report = engine::run(&fixture_root()).unwrap();
     let json = engine::report_json(&report);
 
     let golden_inc011 = "    {\"rule\": \"INC011\", \"severity\": \"error\", \
@@ -79,14 +71,14 @@ fn golden_taint_finding_lines_are_stable() {
          \"message\": \"tainted document text reaches `eprintln!`\", \
          \"trace\": [\"`{doc}` interpolated (parameter `doc` of `serve::report` \
          tainted at call from `serve::handle` (source `serve::read_request`))\", \
-         \"sink: `eprintln!` in `serve::report`\"], \"grandfathered\": false},";
+         \"sink: `eprintln!` in `serve::report`\"]},";
     let golden_inc012 = "    {\"rule\": \"INC012\", \"severity\": \"error\", \
          \"file\": \"crates/core/src/nondet.rs\", \"line\": 28, \
          \"message\": \"`thread::current` in `core::salt` — observes the thread id; \
          reachable from scoring entry `core::ScoringEngine::score_all`\", \
          \"trace\": [\"scoring entry `core::ScoringEngine::score_all`\", \
          \"calls `core::tally`\", \"calls `core::salt`\", \
-         \"`thread::current` observes the thread id\"], \"grandfathered\": false},";
+         \"`thread::current` observes the thread id\"]},";
 
     for golden in [golden_inc011, golden_inc012] {
         // The continuation-heavy literal collapses runs of spaces that the
@@ -98,23 +90,4 @@ fn golden_taint_finding_lines_are_stable() {
             "golden line drifted; wanted:\n{want}\ngot:\n{json}"
         );
     }
-}
-
-/// The `grandfathered` flag is the baseline comparison, not decoration:
-/// all-new against an empty ledger, all-grandfathered against a ledger
-/// regenerated from the same findings.
-#[test]
-fn grandfathered_flag_tracks_the_baseline() {
-    let root = fixture_root();
-    let fresh = engine::run(&root, &Baseline::default()).unwrap();
-    let json = engine::report_json(&fresh);
-    assert!(json.contains("\"grandfathered\": false"));
-    assert!(!json.contains("\"grandfathered\": true"));
-
-    let ledger = Baseline::from_findings(&fresh.findings);
-    let ratcheted = engine::run(&root, &ledger).unwrap();
-    let json = engine::report_json(&ratcheted);
-    assert!(json.contains("\"grandfathered\": true"));
-    assert!(!json.contains("\"grandfathered\": false"));
-    assert!(json.contains("\"new\": 0,"));
 }

@@ -9,7 +9,6 @@
 // write ban is for library code.
 #![allow(clippy::disallowed_methods)]
 
-use incite_lint::baseline::Baseline;
 use incite_lint::engine;
 use incite_lint::sarif;
 use std::path::{Path, PathBuf};
@@ -20,8 +19,7 @@ fn manifest_path(rel: &str) -> PathBuf {
 
 #[test]
 fn sarif_output_matches_the_committed_golden_file() {
-    let report = engine::run(&manifest_path("tests/fixtures/ws"), &Baseline::default())
-        .expect("fixture tree scans");
+    let report = engine::run(&manifest_path("tests/fixtures/ws")).expect("fixture tree scans");
     let rendered = sarif::report_sarif(&report);
     let golden_path = manifest_path("tests/golden/fixture.sarif");
     if std::env::var_os("BLESS").is_some() {

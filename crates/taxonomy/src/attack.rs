@@ -330,9 +330,68 @@ impl fmt::Display for Subcategory {
 mod tests {
     use super::*;
 
+    /// Table 5 fixes ten parents. The match has no wildcard arm, so a new
+    /// variant stops this test building until the count is revisited.
+    #[test]
+    fn ten_parents() {
+        let row = |parent| match parent {
+            AttackType::ContentLeakage => 0,
+            AttackType::Generic => 1,
+            AttackType::Impersonation => 2,
+            AttackType::LockoutAndControl => 3,
+            AttackType::Overloading => 4,
+            AttackType::PublicOpinionManipulation => 5,
+            AttackType::Reporting => 6,
+            AttackType::ReputationalHarm => 7,
+            AttackType::Surveillance => 8,
+            AttackType::ToxicContent => 9,
+        };
+        for (i, parent) in AttackType::ALL.into_iter().enumerate() {
+            assert_eq!(row(parent), i, "{parent} is out of Table 5 order");
+        }
+        assert_eq!(AttackType::ALL.len(), 10);
+    }
+
+    /// Table 11 defines 28 subcategories; GenericCall is the 29th label.
+    /// The match has no wildcard arm, so a new variant stops this test
+    /// building until the count is revisited.
     #[test]
     fn twenty_eight_subcategories_plus_generic() {
-        // Table 11 defines 28 subcategories; GenericCall is the 29th label.
+        use Subcategory::*;
+        let row = |sub| match sub {
+            Doxing => 0,
+            LeakedChatsProfile => 1,
+            NonConsensualMediaExposure => 2,
+            OutingDeadnaming => 3,
+            DoxPropagation => 4,
+            ContentLeakageMisc => 5,
+            ImpersonatedProfiles => 6,
+            SyntheticPornography => 7,
+            ImpersonationMisc => 8,
+            AccountLockout => 9,
+            LockoutMisc => 10,
+            NegativeRatingsReviews => 11,
+            Raiding => 12,
+            Spamming => 13,
+            OverloadingMisc => 14,
+            HashtagHijacking => 15,
+            PublicOpinionManipulationMisc => 16,
+            FalseReportingToAuthorities => 17,
+            MassFlagging => 18,
+            ReportingMisc => 19,
+            ReputationalHarmPrivate => 20,
+            ReputationalHarmPublic => 21,
+            ReputationalHarmMisc => 22,
+            StalkingOrTracking => 23,
+            SurveillanceMisc => 24,
+            HateSpeech => 25,
+            UnwantedExplicitContent => 26,
+            ToxicContentMisc => 27,
+            GenericCall => 28,
+        };
+        for (i, sub) in Subcategory::ALL.into_iter().enumerate() {
+            assert_eq!(row(sub), i, "{sub} is out of Table 11 order");
+        }
         assert_eq!(Subcategory::COUNT, 29);
         let non_generic = Subcategory::ALL
             .iter()

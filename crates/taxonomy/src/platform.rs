@@ -151,6 +151,37 @@ impl fmt::Display for DataSet {
 mod tests {
     use super::*;
 
+    /// Table 1 fixes six crawl platforms folded into five data sets. The
+    /// matches have no wildcard arm, so a new variant stops this test
+    /// building until the counts are revisited.
+    #[test]
+    fn six_platforms_in_five_data_sets() {
+        let platform_row = |platform| match platform {
+            Platform::Boards => 0,
+            Platform::Discord => 1,
+            Platform::Telegram => 2,
+            Platform::Gab => 3,
+            Platform::Pastes => 4,
+            Platform::Blogs => 5,
+        };
+        for (i, platform) in Platform::ALL.into_iter().enumerate() {
+            assert_eq!(platform_row(platform), i, "{platform} is out of order");
+        }
+        assert_eq!(Platform::ALL.len(), 6);
+
+        let data_set_row = |data_set| match data_set {
+            DataSet::Boards => 0,
+            DataSet::Blogs => 1,
+            DataSet::Chat => 2,
+            DataSet::Gab => 3,
+            DataSet::Pastes => 4,
+        };
+        for (i, data_set) in DataSet::ALL.into_iter().enumerate() {
+            assert_eq!(data_set_row(data_set), i, "{data_set} is out of order");
+        }
+        assert_eq!(DataSet::ALL.len(), 5);
+    }
+
     #[test]
     fn every_platform_maps_into_its_data_set() {
         for p in Platform::ALL {
