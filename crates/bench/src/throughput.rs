@@ -27,6 +27,7 @@ struct BenchReport {
     nnz: usize,
     featurize_passes: usize,
     score_passes: usize,
+    memo_hit_rate: f64,
     serial_docs_per_sec: f64,
     cached_parallel_docs_per_sec: f64,
     speedup: f64,
@@ -108,6 +109,7 @@ pub fn run(ctx: &mut ReproContext) -> String {
     let engine_rate = work / engine_elapsed.as_secs_f64().max(1e-9);
     let speedup = serial_elapsed.as_secs_f64() / engine_elapsed.as_secs_f64().max(1e-9);
     let stats = engine.stats();
+    let memo = engine.memo_stats();
 
     let _ = writeln!(
         s,
@@ -133,6 +135,13 @@ pub fn run(ctx: &mut ReproContext) -> String {
     );
     let _ = writeln!(
         s,
+        "word memo: {} of {} word tokens served from the chunk memos ({:.1}% hit rate)",
+        memo.hits,
+        memo.word_tokens,
+        100.0 * memo.hit_rate()
+    );
+    let _ = writeln!(
+        s,
         "speedup: {speedup:.2}x | byte-identical scores: {byte_identical}"
     );
 
@@ -144,6 +153,7 @@ pub fn run(ctx: &mut ReproContext) -> String {
         nnz: stats.nnz,
         featurize_passes: stats.featurize_passes,
         score_passes: stats.score_passes,
+        memo_hit_rate: memo.hit_rate(),
         serial_docs_per_sec: serial_rate,
         cached_parallel_docs_per_sec: engine_rate,
         speedup,

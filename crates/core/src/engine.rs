@@ -10,14 +10,27 @@
 //! dot products against the current model:
 //! `O(passes × tokenize)` → `O(1 × tokenize + passes × spmv)`.
 //!
+//! Featurize runs in fixed chunks of [`FEATURIZE_CHUNK`] documents on
+//! [`map_indexed_coarse`]. Each chunk owns a fresh [`FeaturizeScratch`]
+//! (its buffers and word memo) and appends its rows straight into its own
+//! CSR arena; the arenas are joined in chunk order. No per-row vector is
+//! built.
+//!
 //! Determinism contract: featurization is a pure per-document function and
 //! every scoring pass writes slot `i` from row `i` alone, so scores are
-//! byte-identical across thread counts (see [`crate::parallel`]).
+//! byte-identical across thread counts (see [`crate::parallel`]). Chunk
+//! boundaries do not depend on the thread count either, so neither do
+//! the memo's hit counts.
 
-use crate::parallel::{map_indexed, ScoreError};
+use crate::parallel::{map_indexed, map_indexed_coarse, ScoreError};
 use incite_corpus::{DocId, Document};
 use incite_ml::batch::{FeatureMatrix, ROW_TILE};
-use incite_ml::{Featurizer, LogisticRegression, TextClassifier};
+use incite_ml::{FeaturizeScratch, Featurizer, LogisticRegression, TextClassifier};
+use incite_textkit::MemoStats;
+
+/// Documents per featurize chunk in [`ScoringEngine::build`]: each chunk
+/// gets one word memo and one CSR arena.
+pub const FEATURIZE_CHUNK: usize = 16 * ROW_TILE;
 
 /// Instrumentation for the featurize-once invariant and the BENCH report.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -38,6 +51,7 @@ pub struct ScoringEngine {
     ids: Vec<DocId>,
     matrix: FeatureMatrix,
     stats: EngineStats,
+    memo: MemoStats,
 }
 
 impl ScoringEngine {
@@ -49,8 +63,10 @@ impl ScoringEngine {
         docs: &[&Document],
         threads: usize,
     ) -> Result<Self, ScoreError> {
-        let rows = map_indexed(docs.len(), threads, |i| featurizer.features(&docs[i].text))?;
-        let matrix = FeatureMatrix::from_rows(featurizer.dimensions(), rows.iter());
+        let (matrix, memo) =
+            featurize_chunks(featurizer, docs.len(), FEATURIZE_CHUNK, threads, |i| {
+                &docs[i].text
+            })?;
         let stats = EngineStats {
             documents: matrix.len(),
             nnz: matrix.nnz(),
@@ -61,6 +77,7 @@ impl ScoringEngine {
             ids: docs.iter().map(|d| d.id).collect(),
             matrix,
             stats,
+            memo,
         })
     }
 
@@ -73,7 +90,7 @@ impl ScoringEngine {
         model: &LogisticRegression,
         threads: usize,
     ) -> Result<Vec<(DocId, f32)>, ScoreError> {
-        let scores = score_matrix_tiled(&self.matrix, model, threads)?;
+        let scores = score_matrix(&self.matrix, model, threads)?;
         self.stats.score_passes += 1;
         Ok(self.ids.iter().copied().zip(scores).collect())
     }
@@ -82,8 +99,7 @@ impl ScoringEngine {
     /// single/batch entry the online inference service (`incite-serve`)
     /// serves from.
     ///
-    /// Featurizes each text exactly once and scores it as a sparse dot
-    /// product, both on the panic-free executor. Slot `i` of the result
+    /// [`featurize_texts`] then [`score_matrix`]. Slot `i` of the result
     /// is a pure function of `texts[i]` and the model alone, so every
     /// score is bit-identical to `classifier.score(texts[i])` — and
     /// therefore to an offline engine pass over the same documents — at
@@ -93,10 +109,20 @@ impl ScoringEngine {
         texts: &[&str],
         threads: usize,
     ) -> Result<Vec<f32>, ScoreError> {
-        let featurizer = classifier.featurizer();
-        let rows = map_indexed(texts.len(), threads, |i| featurizer.features(texts[i]))?;
-        let matrix = FeatureMatrix::from_rows(featurizer.dimensions(), rows.iter());
-        score_matrix_tiled(&matrix, classifier.model(), threads)
+        let matrix = featurize_texts(classifier.featurizer(), texts, threads)?;
+        score_matrix(&matrix, classifier.model(), threads)
+    }
+
+    /// The CSR arena: row `i` is document `i`'s features.
+    pub fn matrix(&self) -> &FeatureMatrix {
+        &self.matrix
+    }
+
+    /// Word tokens the build encoded, and how many its chunks' memos
+    /// served. Kept out of [`EngineStats`], which outcome digests and
+    /// checkpoints pin.
+    pub fn memo_stats(&self) -> MemoStats {
+        self.memo
     }
 
     /// Number of cached documents.
@@ -134,6 +160,45 @@ impl ScoringEngine {
     }
 }
 
+/// Featurizes `texts` into a CSR matrix, row `i` from `texts[i]`, with
+/// the kernel [`ScoringEngine::build`] uses. Chunks are [`ROW_TILE`]
+/// documents, so a batch of more than one tile fans out across workers.
+pub fn featurize_texts(
+    featurizer: &Featurizer,
+    texts: &[&str],
+    threads: usize,
+) -> Result<FeatureMatrix, ScoreError> {
+    let (matrix, _) = featurize_chunks(featurizer, texts.len(), ROW_TILE, threads, |i| texts[i])?;
+    Ok(matrix)
+}
+
+/// Featurizes documents `0..n` in fixed chunks of `chunk`, one
+/// [`FeaturizeScratch`] and one CSR arena per chunk, and joins the
+/// arenas in chunk order. Returns the summed memo counts as well.
+fn featurize_chunks<'a>(
+    featurizer: &Featurizer,
+    n: usize,
+    chunk: usize,
+    threads: usize,
+    text: impl Fn(usize) -> &'a str + Sync,
+) -> Result<(FeatureMatrix, MemoStats), ScoreError> {
+    let dimensions = featurizer.dimensions();
+    let parts = map_indexed_coarse(n.div_ceil(chunk), threads, 1, |c| {
+        let rows = c * chunk..n.min((c + 1) * chunk);
+        let mut scratch = FeaturizeScratch::for_docs(rows.len());
+        let mut part = FeatureMatrix::with_capacity(dimensions, rows.len(), 0);
+        for i in rows {
+            featurizer.features_into(text(i), &mut scratch, &mut part);
+        }
+        (part, scratch.memo_stats())
+    })?;
+    let memo = parts
+        .iter()
+        .fold(MemoStats::default(), |sum, (_, m)| sum + *m);
+    let parts = parts.into_iter().map(|(part, _)| part).collect();
+    Ok((FeatureMatrix::concat(dimensions, parts), memo))
+}
+
 /// One parallel pass of the block-tiled spmv over every matrix row.
 ///
 /// The parallel work unit is a fixed tile of [`ROW_TILE`] consecutive rows
@@ -142,7 +207,7 @@ impl ScoringEngine {
 /// always covers rows `[t·ROW_TILE, (t+1)·ROW_TILE)` and the kernel keeps
 /// one in-order accumulator per row, so the output is bit-identical to a
 /// serial `score_row` sweep at any thread count.
-fn score_matrix_tiled(
+pub fn score_matrix(
     matrix: &FeatureMatrix,
     model: &LogisticRegression,
     threads: usize,

@@ -56,7 +56,7 @@ pub use checkpoint::{
     clear_run_dir, load_latest_classifier, load_latest_classifier_with_hash, CheckpointError,
     Checkpointer, PipelineSnapshot,
 };
-pub use engine::{score_corpus, EngineStats, ScoringEngine};
+pub use engine::{score_corpus, EngineStats, ScoringEngine, FEATURIZE_CHUNK};
 pub use failpoint::{pipeline_sites, FailpointRegistry, InjectedFault};
 pub use parallel::ScoreError;
 pub use pipeline::{

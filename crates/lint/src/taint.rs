@@ -16,16 +16,16 @@
 //! reason); precision comes from *where* taint is introduced and killed:
 //!
 //! * **Sources** — functions that read corpus jsonl or request bodies
-//!   ([`SOURCE_FNS`]), `.text`/`.texts`/`.body` field reads
-//!   ([`SOURCE_FIELDS`]), and text-typed parameters of the crates that
-//!   exist to process document text ([`PRESUME_PARAM_CRATES`]).
+//!   (`SOURCE_FNS`), `.text`/`.texts`/`.body` field reads
+//!   (`SOURCE_FIELDS`), and text-typed parameters of the crates that
+//!   exist to process document text (`PRESUME_PARAM_CRATES`).
 //! * **Sanitizers** — `pii::redact`, `corpus::redact_excerpt`, the
 //!   feature-hashing family and the panic-message funnel
-//!   ([`SANITIZER_NAMES`]): their results are clean by contract, and
+//!   (`SANITIZER_NAMES`): their results are clean by contract, and
 //!   their argument spans are scrubbed before any other indicator runs.
 //! * **Sinks** — stderr/stdout macros, serve error bodies and HTTP
-//!   response constructors, the CLI error funnel ([`SINK_MACROS`],
-//!   [`SINK_FNS`]), and (INC013) constructions of error-enum variants
+//!   response constructors, the CLI error funnel (`SINK_MACROS`,
+//!   `SINK_FNS`), and (INC013) constructions of error-enum variants
 //!   whose payload can carry text.
 //!
 //! Known approximation classes are catalogued in DESIGN.md §15; the

@@ -20,7 +20,7 @@
 //!   retrains instead of re-running WordPiece tokenization per retrain.
 
 use crate::data::Dataset;
-use crate::featurize::Featurizer;
+use crate::featurize::{FeatureSink, Featurizer};
 use crate::logreg::LogisticRegression;
 use crate::sparse::SparseVec;
 use std::collections::HashMap;
@@ -30,7 +30,7 @@ use std::collections::HashMap;
 /// Row `i` occupies `indices[offsets[i]..offsets[i + 1]]` and the parallel
 /// `values` range. Indices within a row are strictly increasing (inherited
 /// from the [`SparseVec`] invariant).
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeatureMatrix {
     indices: Vec<u32>,
     values: Vec<f32>,
@@ -73,11 +73,29 @@ impl FeatureMatrix {
 
     /// Appends one row.
     pub fn push_row(&mut self, row: &SparseVec) {
-        for &(i, v) in row {
-            self.indices.push(i);
-            self.values.push(v);
+        self.append_row(row.iter().copied());
+    }
+
+    /// Joins row blocks built independently (one per worker chunk) into
+    /// one matrix, in order. Each part is dropped once it is copied.
+    pub fn concat(dimensions: usize, parts: Vec<FeatureMatrix>) -> Self {
+        let nnz = parts.iter().map(FeatureMatrix::nnz).sum();
+        let rows: usize = parts.iter().map(FeatureMatrix::len).sum();
+        let mut m = FeatureMatrix {
+            indices: Vec::with_capacity(nnz),
+            values: Vec::with_capacity(nnz),
+            offsets: Vec::with_capacity(rows + 1),
+            dimensions,
+        };
+        m.offsets.push(0);
+        for part in parts {
+            let base = m.indices.len();
+            m.indices.extend_from_slice(&part.indices);
+            m.values.extend_from_slice(&part.values);
+            m.offsets
+                .extend(part.offsets.iter().skip(1).map(|end| base + end));
         }
-        self.offsets.push(self.indices.len());
+        m
     }
 
     /// Number of rows.
@@ -186,6 +204,26 @@ impl FeatureMatrix {
             );
         }
         out
+    }
+}
+
+impl Default for FeatureMatrix {
+    /// An empty matrix over a zero-slot feature space.
+    fn default() -> Self {
+        FeatureMatrix::new(0)
+    }
+}
+
+impl FeatureSink for FeatureMatrix {
+    fn append_row(&mut self, row: impl Iterator<Item = (u32, f32)>) {
+        let (entries, _) = row.size_hint();
+        self.indices.reserve(entries);
+        self.values.reserve(entries);
+        for (i, v) in row {
+            self.indices.push(i);
+            self.values.push(v);
+        }
+        self.offsets.push(self.indices.len());
     }
 }
 
@@ -322,6 +360,32 @@ mod tests {
                 .collect();
             assert_eq!(&rebuilt, row);
         }
+    }
+
+    #[test]
+    fn concat_joins_parts_in_order() {
+        let rows: Vec<SparseVec> = vec![
+            vec![(0, 1.0), (5, 2.0)],
+            vec![],
+            vec![(3, -1.0)],
+            vec![(1, 0.25), (2, 0.5), (9, 4.0)],
+            vec![(7, 1.5)],
+        ];
+        let whole = FeatureMatrix::from_rows(16, rows.iter());
+        for split in [vec![], vec![5], vec![0, 5], vec![2, 3], vec![1, 1, 4]] {
+            let mut parts = Vec::new();
+            let mut start = 0;
+            for end in split.iter().copied().chain(std::iter::once(rows.len())) {
+                parts.push(FeatureMatrix::from_rows(99, rows[start..end].iter()));
+                start = end;
+            }
+            assert_eq!(FeatureMatrix::concat(16, parts), whole, "split {split:?}");
+        }
+        assert_eq!(
+            FeatureMatrix::concat(16, Vec::new()),
+            FeatureMatrix::new(16)
+        );
+        assert!(FeatureMatrix::default().is_empty());
     }
 
     #[test]

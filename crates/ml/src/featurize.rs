@@ -5,11 +5,16 @@
 //! hyperparameter, tokenize with punctuation splitting, segment into
 //! WordPiece subwords (or plain words / char n-grams for the feature-space
 //! ablation), extract n-grams, and hash into a fixed-dimensional space.
+//!
+//! [`Featurizer::features_into`] is the one kernel: it appends a row to
+//! any [`FeatureSink`] from a caller-held [`FeaturizeScratch`], so a
+//! chunk of documents reuses one set of buffers and one word memo.
 
 use crate::sparse::{merge, SparseVec};
 use incite_textkit::{
-    char_ngrams, normalize, sample_spans, tokenize, EncodeScratch, FeatureHasher, SpanStrategy,
-    SplitMix64, TokenKind, WordPieceEncoder, WordPieceTrainer,
+    char_ngrams, normalize, normalize_into, sample_spans, tokenize, tokens, EncodeScratch,
+    FeatureHasher, MemoStats, RollingSlot, SpanStrategy, SplitMix64, TokenKind, WordMemo,
+    WordPieceEncoder, WordPieceTrainer, MEMO_WORDS,
 };
 
 /// Which token stream feeds the n-gram extractor.
@@ -66,9 +71,134 @@ enum TokenStream {
     /// Plain word unigrams + bigrams.
     Word,
     /// WordPiece subwords with the vocabulary trained at fit time.
-    Subword(WordPieceEncoder),
+    Subword(SubwordStream),
     /// Character 3–5-grams.
     Char,
+}
+
+/// The trained encoder plus its piece-gram table. Serializes as the bare
+/// encoder and rebuilds the table on load, the way `WordPieceVocab`
+/// rebuilds its index, so model files never carry derived state.
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[serde(from = "WordPieceEncoder", into = "WordPieceEncoder")]
+struct SubwordStream {
+    encoder: WordPieceEncoder,
+    /// Indexed by piece id.
+    grams: Vec<PieceGram>,
+}
+
+impl From<WordPieceEncoder> for SubwordStream {
+    fn from(encoder: WordPieceEncoder) -> Self {
+        let pieces = encoder.vocab().len() as u32;
+        let grams = (0..pieces).map(PieceGram::new).collect();
+        SubwordStream { encoder, grams }
+    }
+}
+
+impl From<SubwordStream> for WordPieceEncoder {
+    fn from(stream: SubwordStream) -> Self {
+        stream.encoder
+    }
+}
+
+impl SubwordStream {
+    /// Appends the unigram and bigram slots of one span's piece ids.
+    fn hash(&self, hasher: &FeatureHasher, ids: &[u32], pairs: &mut Vec<(u32, f32)>) {
+        pairs.reserve(2 * ids.len());
+        for &id in ids {
+            pairs.push(hasher.finish(self.grams[id as usize].unigram));
+        }
+        for pair in ids.windows(2) {
+            let mut slot = self.grams[pair[0] as usize].bigram_left;
+            slot.update(self.grams[pair[1] as usize].unit());
+            pairs.push(hasher.finish(slot));
+        }
+    }
+}
+
+/// One piece's n-gram hash states. Piece `id`'s unit text is `p{id}`, so
+/// they follow from the id alone: the unigram `1|p{id}` is one finished
+/// state, and the bigram `2|p{a} p{b}` continues `a`'s state after
+/// `2|p{a} ` with `b`'s unit bytes. FNV-1a folds bytes in order, so both
+/// equal hashing the formatted gram.
+#[derive(Debug, Clone, Copy)]
+struct PieceGram {
+    /// State after `1|p{id}`.
+    unigram: RollingSlot,
+    /// State after `2|p{id} `.
+    bigram_left: RollingSlot,
+    /// `p{id}` is `unit[..len]`: a `p` and at most ten digits.
+    unit: [u8; 11],
+    len: u8,
+}
+
+impl PieceGram {
+    fn new(id: u32) -> Self {
+        let text = format!("p{id}");
+        let mut unit = [0u8; 11];
+        unit[..text.len()].copy_from_slice(text.as_bytes());
+        let mut unigram = RollingSlot::with_prefix(b"1|");
+        unigram.update(text.as_bytes());
+        let mut bigram_left = RollingSlot::with_prefix(b"2|");
+        bigram_left.update(text.as_bytes());
+        bigram_left.update(b" ");
+        PieceGram {
+            unigram,
+            bigram_left,
+            unit,
+            len: text.len() as u8,
+        }
+    }
+
+    fn unit(&self) -> &[u8] {
+        &self.unit[..self.len as usize]
+    }
+}
+
+/// Where [`Featurizer::features_into`] appends a finished row.
+pub trait FeatureSink {
+    /// Appends one row of `(index, value)` entries in ascending index order.
+    fn append_row(&mut self, row: impl Iterator<Item = (u32, f32)>);
+}
+
+impl FeatureSink for SparseVec {
+    fn append_row(&mut self, row: impl Iterator<Item = (u32, f32)>) {
+        self.extend(row);
+    }
+}
+
+/// Expected distinct words per document when sizing a chunk's memo table.
+const MEMO_WORDS_PER_DOC: usize = 4;
+
+/// Working storage for [`Featurizer::features_into`], reused across the
+/// documents of one chunk: the normalized text, the document's hashed
+/// pairs, the span's piece ids and, in `Subword` mode, a word memo. The
+/// default scratch has no memo.
+#[derive(Debug, Default)]
+pub struct FeaturizeScratch {
+    norm: String,
+    pairs: Vec<(u32, f32)>,
+    ids: Vec<u32>,
+    encode: EncodeScratch,
+    memo: WordMemo,
+}
+
+impl FeaturizeScratch {
+    /// Scratch for a chunk of `docs` documents, its memo table sized from
+    /// the chunk. A single document gets no memo: a memo pays off when
+    /// words repeat across documents.
+    pub fn for_docs(docs: usize) -> Self {
+        let cap = if docs > 1 { MEMO_WORDS } else { 0 };
+        FeaturizeScratch {
+            memo: WordMemo::new(cap, docs.saturating_mul(MEMO_WORDS_PER_DOC)),
+            ..FeaturizeScratch::default()
+        }
+    }
+
+    /// Word tokens encoded so far, and how many the memo served.
+    pub fn memo_stats(&self) -> MemoStats {
+        self.memo.stats()
+    }
 }
 
 /// A fitted featurizer. In `Subword` mode it owns a trained WordPiece
@@ -102,9 +232,9 @@ impl Featurizer {
                         }
                     }
                 }
-                TokenStream::Subword(WordPieceEncoder::new(
+                TokenStream::Subword(SubwordStream::from(WordPieceEncoder::new(
                     trainer.train(words.iter().map(|s| s.as_str())),
-                ))
+                )))
             }
         };
         Featurizer {
@@ -127,22 +257,100 @@ impl Featurizer {
     /// Featurizes one document. Deterministic: the span-sampling RNG is
     /// seeded from the config seed and a hash of the document.
     ///
-    /// Runs the rolling-FNV n-gram path: grams are hashed straight from
-    /// token byte slices, never materialized as `String`s. Byte-identical
-    /// to [`Featurizer::features_legacy`] (enforced by tests).
+    /// [`Featurizer::features_into`] with a fresh memo-less scratch.
+    /// Byte-identical to [`Featurizer::features_legacy`] (enforced by
+    /// tests).
     pub fn features(&self, text: &str) -> SparseVec {
-        self.features_with(text, |span| self.span_features(span))
+        let mut row = SparseVec::new();
+        self.features_into(text, &mut FeaturizeScratch::default(), &mut row);
+        row
+    }
+
+    /// Featurizes one document and appends its row to `out`.
+    ///
+    /// Grams are hashed straight from token bytes (in `Subword` mode, from
+    /// the piece-gram table), never materialized as `String`s. The pairs
+    /// of every span go into one buffer that is sorted once: duplicates
+    /// are summed, exact zeros dropped, then the row is L2-normalized.
+    /// Every pre-L2 value is a sum of ±1 counts, which f32 holds exactly,
+    /// so this equals finalizing each span and merging them.
+    pub fn features_into(
+        &self,
+        text: &str,
+        scratch: &mut FeaturizeScratch,
+        out: &mut impl FeatureSink,
+    ) {
+        let mut norm = std::mem::take(&mut scratch.norm);
+        normalize_into(text, &mut norm);
+        scratch.pairs.clear();
+        let c = &self.config;
+        if c.max_len > 0 && c.max_spans > 0 && norm.len() <= c.max_len {
+            // `sample_spans` returns a short document whole and never
+            // draws from the RNG, so its seed need not be hashed.
+            self.span_pairs(&norm, scratch);
+        } else {
+            let mut rng = SplitMix64::new(c.seed ^ fnv(norm.as_bytes()));
+            for span in sample_spans(&norm, c.max_len, c.max_spans, c.strategy, &mut rng) {
+                self.span_pairs(span, scratch);
+            }
+        }
+        scratch.norm = norm;
+
+        let pairs = &mut scratch.pairs;
+        pairs.sort_unstable_by_key(|&(index, _)| index);
+        pairs.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 += next.1;
+            }
+            same
+        });
+        pairs.retain(|&(_, v)| v != 0.0);
+        // L2 normalize so documents of different span counts are comparable.
+        let n: f32 = pairs.iter().map(|(_, v)| v * v).sum::<f32>().sqrt();
+        out.append_row(
+            pairs
+                .iter()
+                .map(|&(index, v)| (index, if n > 0.0 { v / n } else { v })),
+        );
+    }
+
+    /// Appends one span's hashed (unmerged) n-gram pairs to the scratch.
+    /// Bigrams never cross a span boundary.
+    fn span_pairs(&self, span: &str, scratch: &mut FeaturizeScratch) {
+        match &self.stream {
+            TokenStream::Word => {
+                let words: Vec<&[u8]> = tokens(span)
+                    .filter(|t| t.kind != TokenKind::Punct)
+                    .map(|t| t.text.as_bytes())
+                    .collect();
+                self.hasher.hash_ngrams_rolling(&words, &mut scratch.pairs);
+            }
+            TokenStream::Subword(stream) => {
+                scratch.ids.clear();
+                for tok in tokens(span) {
+                    if tok.kind != TokenKind::Punct {
+                        scratch.memo.encode(
+                            &stream.encoder,
+                            tok.text,
+                            &mut scratch.ids,
+                            &mut scratch.encode,
+                        );
+                    }
+                }
+                stream.hash(&self.hasher, &scratch.ids, &mut scratch.pairs);
+            }
+            TokenStream::Char => {
+                self.hasher
+                    .hash_char_ngrams_rolling(span, 3, 5, &mut scratch.pairs);
+            }
+        }
     }
 
     /// The original string-allocating featurize path, kept as the reference
-    /// implementation for the rolling path's byte-identity tests and the
+    /// implementation for the kernel's byte-identity tests and the
     /// `featurize_throughput` before/after measurement.
     pub fn features_legacy(&self, text: &str) -> SparseVec {
-        self.features_with(text, |span| self.span_features_legacy(span))
-    }
-
-    /// Shared span-sampling + merge + L2 skeleton of both featurize paths.
-    fn features_with(&self, text: &str, span_features: impl Fn(&str) -> SparseVec) -> SparseVec {
         let norm = normalize(text);
         let doc_hash = fnv(norm.as_bytes());
         let mut rng = SplitMix64::new(self.config.seed ^ doc_hash);
@@ -155,7 +363,7 @@ impl Featurizer {
         );
         let mut acc: SparseVec = Vec::new();
         for span in spans {
-            let span_feats = span_features(span);
+            let span_feats = self.span_features_legacy(span);
             // `merge(&[], &b)` copies `b` verbatim; taking it directly is
             // bit-identical and skips the copy for the common 1-span doc.
             acc = if acc.is_empty() {
@@ -175,46 +383,6 @@ impl Featurizer {
         acc
     }
 
-    fn span_features(&self, span: &str) -> SparseVec {
-        let mut pairs: Vec<(u32, f32)> = Vec::new();
-        match &self.stream {
-            TokenStream::Word => {
-                let words: Vec<&[u8]> = tokenize(span)
-                    .iter()
-                    .filter(|t| t.kind != TokenKind::Punct)
-                    .map(|t| t.text.as_bytes())
-                    .collect();
-                self.hasher.hash_ngrams_rolling(&words, &mut pairs);
-            }
-            TokenStream::Subword(encoder) => {
-                // Piece units live as `"p{id}"` byte runs in one arena;
-                // `bounds` holds the run boundaries. No per-piece String.
-                let mut ids: Vec<u32> = Vec::new();
-                let mut scratch = EncodeScratch::default();
-                for tok in tokenize(span) {
-                    if tok.kind == TokenKind::Punct {
-                        continue;
-                    }
-                    encoder.encode_word_into(tok.text, &mut ids, &mut scratch);
-                }
-                let mut arena: Vec<u8> = Vec::with_capacity(ids.len() * 4);
-                let mut bounds: Vec<usize> = Vec::with_capacity(ids.len() + 1);
-                bounds.push(0);
-                for &id in &ids {
-                    arena.push(b'p');
-                    push_decimal(&mut arena, id);
-                    bounds.push(arena.len());
-                }
-                let units: Vec<&[u8]> = bounds.windows(2).map(|w| &arena[w[0]..w[1]]).collect();
-                self.hasher.hash_ngrams_rolling(&units, &mut pairs);
-            }
-            TokenStream::Char => {
-                self.hasher.hash_char_ngrams_rolling(span, 3, 5, &mut pairs);
-            }
-        }
-        self.hasher.finalize_hashed(pairs, false)
-    }
-
     fn span_features_legacy(&self, span: &str) -> SparseVec {
         let mut grams: Vec<String> = Vec::new();
         match &self.stream {
@@ -226,13 +394,13 @@ impl Featurizer {
                     .collect();
                 push_ngrams(&mut grams, &words);
             }
-            TokenStream::Subword(encoder) => {
+            TokenStream::Subword(stream) => {
                 let mut pieces: Vec<String> = Vec::new();
                 for tok in tokenize(span) {
                     if tok.kind == TokenKind::Punct {
                         continue;
                     }
-                    for id in encoder.encode_word(tok.text) {
+                    for id in stream.encoder.encode_word(tok.text) {
                         pieces.push(format!("p{id}"));
                     }
                 }
@@ -258,21 +426,6 @@ fn push_ngrams(grams: &mut Vec<String>, units: &[String]) {
     for w in units.windows(2) {
         grams.push(format!("2|{} {}", w[0], w[1]));
     }
-}
-
-/// Appends the decimal digits of `v`, matching `format!("{v}")`.
-fn push_decimal(buf: &mut Vec<u8>, mut v: u32) {
-    let mut digits = [0u8; 10];
-    let mut i = digits.len();
-    loop {
-        i -= 1;
-        digits[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    buf.extend_from_slice(&digits[i..]);
 }
 
 fn fnv(bytes: &[u8]) -> u64 {

@@ -56,11 +56,24 @@ impl TopicFingerprint {
         fp
     }
 
+    /// Folds one CSR row (a [`crate::FeatureMatrix::row`]) into a fresh
+    /// fingerprint, entry by entry in the same order as
+    /// [`Self::from_features`] on the equivalent vector.
+    pub fn from_row(indices: &[u32], values: &[f32]) -> Self {
+        let mut fp = Self::new();
+        fp.fold_entries(indices.iter().copied().zip(values.iter().copied()));
+        fp
+    }
+
     /// Folds one more document's features into this profile. The fold is
     /// order-independent (a sum), so an actor's history fingerprint does
     /// not depend on within-epoch processing order.
     pub fn fold(&mut self, features: &SparseVec) {
-        for &(index, weight) in features {
+        self.fold_entries(features.iter().copied());
+    }
+
+    fn fold_entries(&mut self, entries: impl Iterator<Item = (u32, f32)>) {
+        for (index, weight) in entries {
             let slot = index as usize % FINGERPRINT_DIM;
             let sign = if fnv1a(&index.to_le_bytes(), FOLD_SIGN_SEED) & 1 == 0 {
                 1.0
@@ -181,6 +194,27 @@ mod tests {
         ba.fold(&y);
         ba.fold(&x);
         assert_eq!(ab, ba);
+    }
+
+    #[test]
+    fn row_fold_matches_vector_fold() {
+        let f = featurizer();
+        let texts = ["post her address and workplace", "", "raid the stream"];
+        let matrix = crate::FeatureMatrix::from_rows(
+            f.dimensions(),
+            texts
+                .iter()
+                .map(|t| f.features(t))
+                .collect::<Vec<_>>()
+                .iter(),
+        );
+        for (i, text) in texts.iter().enumerate() {
+            let (indices, values) = matrix.row(i);
+            let by_row = TopicFingerprint::from_row(indices, values);
+            let by_vec = TopicFingerprint::from_features(&f.features(text));
+            let bits = |fp: &TopicFingerprint| fp.slots().map(f32::to_bits);
+            assert_eq!(bits(&by_row), bits(&by_vec), "{text:?}");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use crate::batch::{FeatureCache, FeatureMatrix};
 use crate::data::Dataset;
-use crate::featurize::{Featurizer, FeaturizerConfig};
+use crate::featurize::{FeaturizeScratch, Featurizer, FeaturizerConfig};
 use crate::logreg::{LogisticRegression, TrainConfig};
 use incite_stats::classify::{auc_roc, BinaryConfusion, MultiMetrics};
 
@@ -117,9 +117,12 @@ impl TextClassifier {
     /// Featurizes a batch of texts (once each) into a CSR matrix whose row
     /// order matches the input order.
     pub fn features_matrix<'a, I: IntoIterator<Item = &'a str>>(&self, texts: I) -> FeatureMatrix {
+        let texts = texts.into_iter();
+        let mut scratch = FeaturizeScratch::for_docs(texts.size_hint().0);
         let mut matrix = FeatureMatrix::new(self.featurizer.dimensions());
         for text in texts {
-            matrix.push_row(&self.featurizer.features(text));
+            self.featurizer
+                .features_into(text, &mut scratch, &mut matrix);
         }
         matrix
     }

@@ -6,7 +6,7 @@
 //! return a typed error (or drop the one affected connection) and keep
 //! serving byte-identical scores afterwards — never hang, never corrupt.
 //!
-//! Sites are **one-shot**: [`ChaosRegistry::trip`] consumes the armed
+//! Sites are **one-shot**: `ChaosRegistry::trip` consumes the armed
 //! site, so a single server lifetime can demonstrate both the fault and
 //! the recovery. Without the `failpoints` cargo feature the registry is a
 //! unit struct and `trip` is a constant `false` the optimizer deletes.

@@ -74,7 +74,7 @@ fn is_timeout(e: &std::io::Error) -> bool {
 /// Reads one request. `abort` is polled on read timeouts: while no byte
 /// of a new request has arrived it closes the connection cleanly; once a
 /// request has started it bounds the remaining patience to
-/// [`DRAIN_GRACE`].
+/// `DRAIN_GRACE`.
 ///
 /// `io_window` is the per-connection anti-slow-loris deadline: it starts
 /// the moment the first request byte arrives, and covers the rest of the

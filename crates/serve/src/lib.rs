@@ -19,7 +19,7 @@
 //!
 //! Architecture: connection handling is decoupled from inference. An
 //! acceptor thread hands each connection to a handler thread; handlers
-//! parse requests and push [`worker::ScoreJob`]s into a **bounded** queue
+//! parse requests and push `ScoreJob`s into a **bounded** queue
 //! ([`queue::BoundedQueue`]); engine workers drain the queue in
 //! micro-batches and score them on [`incite_core::parallel`]'s panic-free
 //! executor. A full queue is explicit backpressure — the client gets

@@ -3,10 +3,11 @@
 //!
 //! Events are consumed in fixed-size epochs. Each epoch:
 //!
-//! 1. scores every newly-posted document's toxicity through the same
-//!    [`ScoringEngine::score_texts`] micro-batch path serve uses;
-//! 2. folds each document into a [`TopicFingerprint`] (parallel,
-//!    slot-indexed, deterministic);
+//! 1. featurizes every newly-posted document once and scores its
+//!    toxicity with the kernels `ScoringEngine::score_texts` (serve's
+//!    micro-batch path) is built from;
+//! 2. folds each document's row of that matrix into a
+//!    [`TopicFingerprint`] (parallel, slot-indexed, deterministic);
 //! 3. applies events **sequentially in stream order** — follower graph
 //!    updates, per-actor history profiles, and audience-exposure
 //!    snapshots for amplifications of targeted documents;
@@ -26,7 +27,7 @@
 
 use crate::event::{EventKind, EventStream};
 use crate::StreamError;
-use incite_core::engine::ScoringEngine;
+use incite_core::engine::{featurize_texts, score_matrix};
 use incite_core::parallel::map_indexed;
 use incite_core::threshold::ThresholdConfig;
 use incite_ml::{TextClassifier, TopicFingerprint};
@@ -246,10 +247,12 @@ impl ThreatRanker {
                 .ok_or(StreamError::UnknownDoc { doc: *doc })?;
             texts.push(text);
         }
-        let toxicity = ScoringEngine::score_texts(classifier, &texts, threads)?;
-        let featurizer = classifier.featurizer();
-        let fingerprints = map_indexed(texts.len(), threads, |i| {
-            TopicFingerprint::from_features(&featurizer.features(texts[i]))
+        // Featurize once; score and fingerprint the same rows.
+        let matrix = featurize_texts(classifier.featurizer(), &texts, threads)?;
+        let toxicity = score_matrix(&matrix, classifier.model(), threads)?;
+        let fingerprints = map_indexed(matrix.len(), threads, |i| {
+            let (indices, values) = matrix.row(i);
+            TopicFingerprint::from_row(indices, values)
         })?;
         let mut scored: BTreeMap<u64, (u32, TopicFingerprint)> = BTreeMap::new();
         for (i, doc) in fresh.iter().enumerate() {

@@ -29,8 +29,11 @@ pub mod wordpiece;
 
 pub use hash::{fnv1a, FeatureHasher, RollingSlot};
 pub use ngram::{char_ngrams, word_ngrams};
-pub use normalize::normalize;
+pub use normalize::{normalize, normalize_into};
 pub use rng::SplitMix64;
 pub use span::{sample_spans, SpanStrategy};
-pub use tokenize::{tokenize, Token, TokenKind};
-pub use wordpiece::{EncodeScratch, WordPieceEncoder, WordPieceTrainer, WordPieceVocab};
+pub use tokenize::{tokenize, tokens, Token, TokenKind, Tokens};
+pub use wordpiece::{
+    EncodeScratch, MemoStats, WordMemo, WordPieceEncoder, WordPieceTrainer, WordPieceVocab,
+    MEMO_WORDS,
+};

@@ -10,6 +10,15 @@
 /// trailing whitespace is removed.
 pub fn normalize(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
+    normalize_into(text, &mut out);
+    out
+}
+
+/// [`normalize`] into a caller-held buffer, which is cleared first — the
+/// featurize kernel reuses one buffer for a whole chunk of documents.
+pub fn normalize_into(text: &str, out: &mut String) {
+    out.clear();
+    out.reserve(text.len());
     let mut pending_space = false;
     for ch in text.chars() {
         // ASCII fast path: in that range White_Space ∪ Cc is exactly
@@ -44,7 +53,6 @@ pub fn normalize(text: &str) -> String {
             out.push(lc);
         }
     }
-    out
 }
 
 /// Lowercases without altering whitespace — used where byte offsets must be

@@ -74,86 +74,75 @@ fn word_run_end(text: &str, mut i: usize) -> usize {
 /// * maximal runs of digits become `Number` tokens;
 /// * a case change does not split (callers normalize first if desired).
 pub fn tokenize(text: &str) -> Vec<Token<'_>> {
-    let bytes = text.as_bytes();
-    let mut tokens = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        let b = bytes[i];
-        // ASCII fast path: classification in that range needs no Unicode
-        // tables (whitespace is 0x09..=0x0D and space; everything that is
-        // neither alphanumeric nor whitespace — punctuation, symbols,
-        // control characters — is a one-byte Punct token).
-        if b < 0x80 {
-            if b == b' ' || (0x09..=0x0d).contains(&b) {
-                i += 1;
-                continue;
-            }
-            if b.is_ascii_alphabetic() {
-                let start = i;
-                let end = word_run_end(text, i + 1);
-                tokens.push(Token {
-                    text: &text[start..end],
-                    start,
-                    end,
-                    kind: TokenKind::Word,
-                });
-                i = end;
-                continue;
-            }
-            if b.is_ascii_digit() {
-                let start = i;
-                let mut end = i + 1;
-                while end < bytes.len() && bytes[end].is_ascii_digit() {
-                    end += 1;
+    tokens(text).collect()
+}
+
+/// [`tokenize`] as a lazy iterator: the same tokens in the same order,
+/// with no `Vec` — the form the featurize kernel walks.
+pub fn tokens(text: &str) -> Tokens<'_> {
+    Tokens { text, i: 0 }
+}
+
+/// The iterator behind [`tokens`].
+#[derive(Debug, Clone)]
+pub struct Tokens<'a> {
+    text: &'a str,
+    /// Byte offset of the next unscanned input.
+    i: usize,
+}
+
+impl<'a> Iterator for Tokens<'a> {
+    type Item = Token<'a>;
+
+    fn next(&mut self) -> Option<Token<'a>> {
+        let text = self.text;
+        let bytes = text.as_bytes();
+        while self.i < bytes.len() {
+            let i = self.i;
+            let b = bytes[i];
+            // ASCII fast path: classification in that range needs no Unicode
+            // tables (whitespace is 0x09..=0x0D and space; everything that is
+            // neither alphanumeric nor whitespace — punctuation, symbols,
+            // control characters — is a one-byte Punct token).
+            let (end, kind) = if b < 0x80 {
+                if b == b' ' || (0x09..=0x0d).contains(&b) {
+                    self.i += 1;
+                    continue;
                 }
-                tokens.push(Token {
-                    text: &text[start..end],
-                    start,
-                    end,
-                    kind: TokenKind::Number,
-                });
-                i = end;
-                continue;
-            }
-            tokens.push(Token {
-                text: &text[i..i + 1],
+                if b.is_ascii_alphabetic() {
+                    (word_run_end(text, i + 1), TokenKind::Word)
+                } else if b.is_ascii_digit() {
+                    let mut end = i + 1;
+                    while end < bytes.len() && bytes[end].is_ascii_digit() {
+                        end += 1;
+                    }
+                    (end, TokenKind::Number)
+                } else {
+                    (i + 1, TokenKind::Punct)
+                }
+            } else {
+                let ch = text[i..].chars().next()?;
+                if ch.is_whitespace() {
+                    self.i += ch.len_utf8();
+                    continue;
+                }
+                if is_punct(ch) {
+                    (i + ch.len_utf8(), TokenKind::Punct)
+                } else {
+                    // Non-ASCII alphanumeric (never an ASCII digit): a Word run.
+                    (word_run_end(text, i + ch.len_utf8()), TokenKind::Word)
+                }
+            };
+            self.i = end;
+            return Some(Token {
+                text: &text[i..end],
                 start: i,
-                end: i + 1,
-                kind: TokenKind::Punct,
-            });
-            i += 1;
-            continue;
-        }
-        let Some(ch) = text[i..].chars().next() else {
-            break;
-        };
-        let start = i;
-        if ch.is_whitespace() {
-            i += ch.len_utf8();
-            continue;
-        }
-        if is_punct(ch) {
-            let end = start + ch.len_utf8();
-            tokens.push(Token {
-                text: &text[start..end],
-                start,
                 end,
-                kind: TokenKind::Punct,
+                kind,
             });
-            i = end;
-            continue;
         }
-        // Non-ASCII alphanumeric (never an ASCII digit): a Word run.
-        let end = word_run_end(text, start + ch.len_utf8());
-        tokens.push(Token {
-            text: &text[start..end],
-            start,
-            end,
-            kind: TokenKind::Word,
-        });
-        i = end;
+        None
     }
-    tokens
 }
 
 /// Convenience: tokenized text as owned lowercase strings (words and numbers

@@ -335,6 +335,165 @@ impl WordPieceEncoder {
     }
 }
 
+/// Words a chunk's [`WordMemo`] holds at most; later words are encoded
+/// without being inserted.
+pub const MEMO_WORDS: usize = 16_384;
+
+/// Word-token and hit counts of a [`WordMemo`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemoStats {
+    /// Words encoded through the memo.
+    pub word_tokens: u64,
+    /// Of those, words whose ids came from the memo.
+    pub hits: u64,
+}
+
+impl MemoStats {
+    /// `hits / word_tokens`, or 0 when nothing was encoded.
+    pub fn hit_rate(&self) -> f64 {
+        if self.word_tokens == 0 {
+            0.0
+        } else {
+            self.hits as f64 / self.word_tokens as f64
+        }
+    }
+}
+
+impl std::ops::Add for MemoStats {
+    type Output = MemoStats;
+
+    fn add(self, other: MemoStats) -> MemoStats {
+        MemoStats {
+            word_tokens: self.word_tokens + other.word_tokens,
+            hits: self.hits + other.hits,
+        }
+    }
+}
+
+/// A word → piece-ids memo in front of
+/// [`WordPieceEncoder::encode_word_into`].
+///
+/// FNV-1a open addressing with linear probing over a power-of-two slot
+/// table, kept at most half full. (A `HashMap` would put `RandomState`
+/// on the scoring path.) The table is allocated on the first insert and
+/// doubles as it fills. Past `cap` words, misses are encoded without
+/// being inserted; `cap` is at most [`MEMO_WORDS`]. A hit replays the ids
+/// the encoder produced for the same word, so memoized output equals the
+/// encoder's. The default memo has `cap == 0`: it never hashes, and only
+/// counts words.
+#[derive(Debug, Clone, Default)]
+pub struct WordMemo {
+    /// 0 = empty; otherwise 1 + an index into `entries`.
+    slots: Vec<u32>,
+    entries: Vec<MemoEntry>,
+    /// Word bytes of every entry, back to back.
+    words: Vec<u8>,
+    /// Piece ids of every entry, back to back.
+    ids: Vec<u32>,
+    cap: usize,
+    /// Slot count of the first allocation.
+    first_slots: usize,
+    stats: MemoStats,
+}
+
+/// One memoized word: its hash, and its `words` and `ids` ranges.
+#[derive(Debug, Clone, Copy)]
+struct MemoEntry {
+    hash: u64,
+    word: (usize, usize),
+    ids: (usize, usize),
+}
+
+impl WordMemo {
+    /// A memo of at most `cap` words (clamped to [`MEMO_WORDS`]) whose
+    /// first table fits `expected_words` of them.
+    pub fn new(cap: usize, expected_words: usize) -> Self {
+        let cap = cap.min(MEMO_WORDS);
+        WordMemo {
+            cap,
+            first_slots: (2 * expected_words.min(cap)).next_power_of_two().max(16),
+            ..WordMemo::default()
+        }
+    }
+
+    /// Word-token and hit counts so far.
+    pub fn stats(&self) -> MemoStats {
+        self.stats
+    }
+
+    /// Appends `word`'s piece ids to `ids`, exactly as
+    /// [`WordPieceEncoder::encode_word_into`] would.
+    pub fn encode(
+        &mut self,
+        encoder: &WordPieceEncoder,
+        word: &str,
+        ids: &mut Vec<u32>,
+        scratch: &mut EncodeScratch,
+    ) {
+        self.stats.word_tokens += 1;
+        if self.cap == 0 {
+            encoder.encode_word_into(word, ids, scratch);
+            return;
+        }
+        let hash = crate::hash::fnv1a(word.as_bytes(), 0);
+        if let Some(entry) = self.find(hash, word.as_bytes()) {
+            self.stats.hits += 1;
+            ids.extend_from_slice(&self.ids[entry.ids.0..entry.ids.1]);
+            return;
+        }
+        let first = ids.len();
+        encoder.encode_word_into(word, ids, scratch);
+        if self.entries.len() < self.cap {
+            self.insert(hash, word.as_bytes(), &ids[first..]);
+        }
+    }
+
+    fn find(&self, hash: u64, word: &[u8]) -> Option<MemoEntry> {
+        let mask = self.slots.len().checked_sub(1)?;
+        let mut pos = hash as usize & mask;
+        loop {
+            // Slot 0 is empty: `checked_sub` ends the probe there.
+            let entry = self.entries[self.slots[pos].checked_sub(1)? as usize];
+            if entry.hash == hash && &self.words[entry.word.0..entry.word.1] == word {
+                return Some(entry);
+            }
+            pos = (pos + 1) & mask;
+        }
+    }
+
+    fn insert(&mut self, hash: u64, word: &[u8], ids: &[u32]) {
+        if 2 * (self.entries.len() + 1) > self.slots.len() {
+            self.grow();
+        }
+        self.entries.push(MemoEntry {
+            hash,
+            word: (self.words.len(), self.words.len() + word.len()),
+            ids: (self.ids.len(), self.ids.len() + ids.len()),
+        });
+        self.words.extend_from_slice(word);
+        self.ids.extend_from_slice(ids);
+        // At most MEMO_WORDS entries, so the slot value fits.
+        self.place(hash, self.entries.len() as u32);
+    }
+
+    fn place(&mut self, hash: u64, slot: u32) {
+        let mask = self.slots.len() - 1;
+        let mut pos = hash as usize & mask;
+        while self.slots[pos] != 0 {
+            pos = (pos + 1) & mask;
+        }
+        self.slots[pos] = slot;
+    }
+
+    fn grow(&mut self) {
+        let len = (2 * self.slots.len()).max(self.first_slots);
+        self.slots = vec![0; len];
+        for e in 0..self.entries.len() {
+            self.place(self.entries[e].hash, e as u32 + 1);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,6 +578,47 @@ mod tests {
         let enc = train_on(&["abc"], 16);
         let long: String = std::iter::repeat_n('a', 200).collect();
         assert_eq!(enc.encode_word(&long), vec![UNK_ID]);
+    }
+
+    #[test]
+    fn memo_replays_the_encoder_past_its_cap_and_growth() {
+        let enc = train_on(&["report", "reporting", "harass", "harassment"], 128);
+        let words = [
+            "report",
+            "reportment",
+            "xyz",
+            "",
+            "harass",
+            "report",
+            "reporting",
+            "xyz",
+        ];
+        // cap 0 = off; cap 3 = full after three inserts; a one-slot first
+        // table forces growth.
+        for (cap, expected) in [(0, 0), (3, 3), (MEMO_WORDS, 1)] {
+            let mut memo = WordMemo::new(cap, expected);
+            let mut scratch = EncodeScratch::default();
+            for round in 0..3 {
+                for w in words {
+                    let mut ids = vec![7];
+                    memo.encode(&enc, w, &mut ids, &mut scratch);
+                    let mut direct = vec![7];
+                    direct.extend(enc.encode_word(w));
+                    assert_eq!(ids, direct, "cap {cap}, round {round}: {w:?}");
+                }
+            }
+            let stats = memo.stats();
+            assert_eq!(stats.word_tokens, 3 * words.len() as u64);
+            let distinct = 6;
+            let expected_hits = match cap {
+                0 => 0,
+                // The first three words enter; round one hits "report" and
+                // "xyz" again, each later round hits five of eight.
+                3 => 2 + 5 + 5,
+                _ => 3 * words.len() as u64 - distinct,
+            };
+            assert_eq!(stats.hits, expected_hits, "cap {cap}");
+        }
     }
 
     #[test]
