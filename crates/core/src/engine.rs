@@ -188,7 +188,7 @@ fn featurize_chunks<'a>(
         let mut scratch = FeaturizeScratch::for_docs(rows.len());
         let mut part = FeatureMatrix::with_capacity(dimensions, rows.len(), 0);
         for i in rows {
-            featurizer.features_into(text(i), &mut scratch, &mut part);
+            part.push_row(featurizer.features_into(text(i), &mut scratch));
         }
         (part, scratch.memo_stats())
     })?;

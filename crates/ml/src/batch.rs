@@ -20,7 +20,7 @@
 //!   retrains instead of re-running WordPiece tokenization per retrain.
 
 use crate::data::Dataset;
-use crate::featurize::{FeatureSink, Featurizer};
+use crate::featurize::Featurizer;
 use crate::logreg::LogisticRegression;
 use crate::sparse::SparseVec;
 use std::collections::HashMap;
@@ -71,23 +71,26 @@ impl FeatureMatrix {
         m
     }
 
-    /// Appends one row.
-    pub fn push_row(&mut self, row: &SparseVec) {
-        self.append_row(row.iter().copied());
+    /// Appends one row of `(index, value)` entries in ascending index
+    /// order.
+    pub fn push_row(&mut self, row: &[(u32, f32)]) {
+        self.indices.extend(row.iter().map(|&(i, _)| i));
+        self.values.extend(row.iter().map(|&(_, v)| v));
+        self.offsets.push(self.indices.len());
     }
 
     /// Joins row blocks built independently (one per worker chunk) into
-    /// one matrix, in order. Each part is dropped once it is copied.
+    /// one matrix, in order. The first part becomes the result and grows
+    /// in place; each later part is dropped once it is copied.
     pub fn concat(dimensions: usize, parts: Vec<FeatureMatrix>) -> Self {
-        let nnz = parts.iter().map(FeatureMatrix::nnz).sum();
-        let rows: usize = parts.iter().map(FeatureMatrix::len).sum();
-        let mut m = FeatureMatrix {
-            indices: Vec::with_capacity(nnz),
-            values: Vec::with_capacity(nnz),
-            offsets: Vec::with_capacity(rows + 1),
-            dimensions,
-        };
-        m.offsets.push(0);
+        let nnz: usize = parts.iter().skip(1).map(FeatureMatrix::nnz).sum();
+        let rows: usize = parts.iter().skip(1).map(FeatureMatrix::len).sum();
+        let mut parts = parts.into_iter();
+        let mut m = parts.next().unwrap_or_default();
+        m.dimensions = dimensions;
+        m.indices.reserve_exact(nnz);
+        m.values.reserve_exact(nnz);
+        m.offsets.reserve_exact(rows);
         for part in parts {
             let base = m.indices.len();
             m.indices.extend_from_slice(&part.indices);
@@ -211,19 +214,6 @@ impl Default for FeatureMatrix {
     /// An empty matrix over a zero-slot feature space.
     fn default() -> Self {
         FeatureMatrix::new(0)
-    }
-}
-
-impl FeatureSink for FeatureMatrix {
-    fn append_row(&mut self, row: impl Iterator<Item = (u32, f32)>) {
-        let (entries, _) = row.size_hint();
-        self.indices.reserve(entries);
-        self.values.reserve(entries);
-        for (i, v) in row {
-            self.indices.push(i);
-            self.values.push(v);
-        }
-        self.offsets.push(self.indices.len());
     }
 }
 

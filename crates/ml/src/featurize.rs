@@ -6,15 +6,16 @@
 //! WordPiece subwords (or plain words / char n-grams for the feature-space
 //! ablation), extract n-grams, and hash into a fixed-dimensional space.
 //!
-//! [`Featurizer::features_into`] is the one kernel: it appends a row to
-//! any [`FeatureSink`] from a caller-held [`FeaturizeScratch`], so a
-//! chunk of documents reuses one set of buffers and one word memo.
+//! [`Featurizer::features_into`] is the one kernel: it builds a row in a
+//! caller-held [`FeaturizeScratch`] and lends it out as a slice, so a
+//! chunk of documents reuses one set of buffers and one word memo, and
+//! the caller copies each row once, to wherever it belongs.
 
 use crate::sparse::{merge, SparseVec};
 use incite_textkit::{
-    char_ngrams, normalize, normalize_into, sample_spans, tokenize, tokens, EncodeScratch,
-    FeatureHasher, MemoStats, RollingSlot, SpanStrategy, SplitMix64, TokenKind, WordMemo,
-    WordPieceEncoder, WordPieceTrainer, MEMO_WORDS,
+    char_ngrams, fits_whole, normalize, normalize_into, sample_spans, tokenize, tokens,
+    EncodeScratch, FeatureHasher, MemoStats, SpanStrategy, SplitMix64, TokenKind, UnitGrams,
+    WordMemo, WordPieceEncoder, WordPieceTrainer, MEMO_WORDS,
 };
 
 /// Which token stream feeds the n-gram extractor.
@@ -106,27 +107,21 @@ impl SubwordStream {
     fn hash(&self, hasher: &FeatureHasher, ids: &[u32], pairs: &mut Vec<(u32, f32)>) {
         pairs.reserve(2 * ids.len());
         for &id in ids {
-            pairs.push(hasher.finish(self.grams[id as usize].unigram));
+            pairs.push(hasher.finish(self.grams[id as usize].grams.unigram()));
         }
         for pair in ids.windows(2) {
-            let mut slot = self.grams[pair[0] as usize].bigram_left;
-            slot.update(self.grams[pair[1] as usize].unit());
-            pairs.push(hasher.finish(slot));
+            let right = self.grams[pair[1] as usize].unit();
+            pairs.push(hasher.finish(self.grams[pair[0] as usize].grams.bigram(right)));
         }
     }
 }
 
 /// One piece's n-gram hash states. Piece `id`'s unit text is `p{id}`, so
-/// they follow from the id alone: the unigram `1|p{id}` is one finished
-/// state, and the bigram `2|p{a} p{b}` continues `a`'s state after
-/// `2|p{a} ` with `b`'s unit bytes. FNV-1a folds bytes in order, so both
-/// equal hashing the formatted gram.
+/// its [`UnitGrams`] follow from the id alone; a bigram then needs only
+/// the right piece's `p{id}` bytes, kept beside them.
 #[derive(Debug, Clone, Copy)]
 struct PieceGram {
-    /// State after `1|p{id}`.
-    unigram: RollingSlot,
-    /// State after `2|p{id} `.
-    bigram_left: RollingSlot,
+    grams: UnitGrams,
     /// `p{id}` is `unit[..len]`: a `p` and at most ten digits.
     unit: [u8; 11],
     len: u8,
@@ -137,14 +132,8 @@ impl PieceGram {
         let text = format!("p{id}");
         let mut unit = [0u8; 11];
         unit[..text.len()].copy_from_slice(text.as_bytes());
-        let mut unigram = RollingSlot::with_prefix(b"1|");
-        unigram.update(text.as_bytes());
-        let mut bigram_left = RollingSlot::with_prefix(b"2|");
-        bigram_left.update(text.as_bytes());
-        bigram_left.update(b" ");
         PieceGram {
-            unigram,
-            bigram_left,
+            grams: UnitGrams::new(text.as_bytes()),
             unit,
             len: text.len() as u8,
         }
@@ -154,21 +143,6 @@ impl PieceGram {
         &self.unit[..self.len as usize]
     }
 }
-
-/// Where [`Featurizer::features_into`] appends a finished row.
-pub trait FeatureSink {
-    /// Appends one row of `(index, value)` entries in ascending index order.
-    fn append_row(&mut self, row: impl Iterator<Item = (u32, f32)>);
-}
-
-impl FeatureSink for SparseVec {
-    fn append_row(&mut self, row: impl Iterator<Item = (u32, f32)>) {
-        self.extend(row);
-    }
-}
-
-/// Expected distinct words per document when sizing a chunk's memo table.
-const MEMO_WORDS_PER_DOC: usize = 4;
 
 /// Working storage for [`Featurizer::features_into`], reused across the
 /// documents of one chunk: the normalized text, the document's hashed
@@ -184,13 +158,12 @@ pub struct FeaturizeScratch {
 }
 
 impl FeaturizeScratch {
-    /// Scratch for a chunk of `docs` documents, its memo table sized from
-    /// the chunk. A single document gets no memo: a memo pays off when
-    /// words repeat across documents.
+    /// Scratch for a chunk of `docs` documents. A single document gets no
+    /// memo: a memo pays off when words repeat across documents.
     pub fn for_docs(docs: usize) -> Self {
         let cap = if docs > 1 { MEMO_WORDS } else { 0 };
         FeaturizeScratch {
-            memo: WordMemo::new(cap, docs.saturating_mul(MEMO_WORDS_PER_DOC)),
+            memo: WordMemo::new(cap),
             ..FeaturizeScratch::default()
         }
     }
@@ -261,12 +234,12 @@ impl Featurizer {
     /// Byte-identical to [`Featurizer::features_legacy`] (enforced by
     /// tests).
     pub fn features(&self, text: &str) -> SparseVec {
-        let mut row = SparseVec::new();
-        self.features_into(text, &mut FeaturizeScratch::default(), &mut row);
-        row
+        self.features_into(text, &mut FeaturizeScratch::default())
+            .to_vec()
     }
 
-    /// Featurizes one document and appends its row to `out`.
+    /// Featurizes one document into `scratch` and returns its row, which
+    /// lives until the next call with the same scratch.
     ///
     /// Grams are hashed straight from token bytes (in `Subword` mode, from
     /// the piece-gram table), never materialized as `String`s. The pairs
@@ -274,19 +247,18 @@ impl Featurizer {
     /// are summed, exact zeros dropped, then the row is L2-normalized.
     /// Every pre-L2 value is a sum of ±1 counts, which f32 holds exactly,
     /// so this equals finalizing each span and merging them.
-    pub fn features_into(
+    pub fn features_into<'s>(
         &self,
         text: &str,
-        scratch: &mut FeaturizeScratch,
-        out: &mut impl FeatureSink,
-    ) {
+        scratch: &'s mut FeaturizeScratch,
+    ) -> &'s [(u32, f32)] {
         let mut norm = std::mem::take(&mut scratch.norm);
         normalize_into(text, &mut norm);
         scratch.pairs.clear();
         let c = &self.config;
-        if c.max_len > 0 && c.max_spans > 0 && norm.len() <= c.max_len {
-            // `sample_spans` returns a short document whole and never
-            // draws from the RNG, so its seed need not be hashed.
+        if fits_whole(&norm, c.max_len, c.max_spans) {
+            // A whole document draws nothing from the RNG, so its seed
+            // need not be hashed.
             self.span_pairs(&norm, scratch);
         } else {
             let mut rng = SplitMix64::new(c.seed ^ fnv(norm.as_bytes()));
@@ -308,11 +280,12 @@ impl Featurizer {
         pairs.retain(|&(_, v)| v != 0.0);
         // L2 normalize so documents of different span counts are comparable.
         let n: f32 = pairs.iter().map(|(_, v)| v * v).sum::<f32>().sqrt();
-        out.append_row(
-            pairs
-                .iter()
-                .map(|&(index, v)| (index, if n > 0.0 { v / n } else { v })),
-        );
+        if n > 0.0 {
+            for (_, v) in pairs.iter_mut() {
+                *v /= n;
+            }
+        }
+        pairs
     }
 
     /// Appends one span's hashed (unmerged) n-gram pairs to the scratch.

@@ -45,7 +45,7 @@ pub mod sparse;
 
 pub use batch::{FeatureCache, FeatureMatrix};
 pub use data::{kfold, train_test_split, Dataset, Example};
-pub use featurize::{FeatureMode, FeatureSink, FeaturizeScratch, Featurizer, FeaturizerConfig};
+pub use featurize::{FeatureMode, FeaturizeScratch, Featurizer, FeaturizerConfig};
 pub use fingerprint::{TopicFingerprint, FINGERPRINT_DIM};
 pub use grid::{grid_search, GridPoint, GridResult};
 pub use logreg::{LogisticRegression, TrainConfig};

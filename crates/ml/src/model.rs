@@ -121,8 +121,7 @@ impl TextClassifier {
         let mut scratch = FeaturizeScratch::for_docs(texts.size_hint().0);
         let mut matrix = FeatureMatrix::new(self.featurizer.dimensions());
         for text in texts {
-            self.featurizer
-                .features_into(text, &mut scratch, &mut matrix);
+            matrix.push_row(self.featurizer.features_into(text, &mut scratch));
         }
         matrix
     }

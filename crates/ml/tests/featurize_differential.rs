@@ -98,20 +98,17 @@ fn matrix_row(m: &FeatureMatrix, i: usize) -> SparseVec {
 
 /// Asserts that `features()`, a reused memo-less scratch and a memoized
 /// chunk scratch writing into a matrix all give the reference rows for
-/// `docs`, and that a sink keeps what it held before.
+/// `docs`.
 fn assert_agreement(f: &Featurizer, docs: &[String]) {
     let mut plain = FeaturizeScratch::default();
     let mut memo = FeaturizeScratch::for_docs(docs.len());
     let mut matrix = FeatureMatrix::new(f.dimensions());
-    let sentinel = (u32::MAX, 7.0f32);
     for doc in docs {
         let reference = bits(&f.features_legacy(doc));
         assert_eq!(bits(&f.features(doc)), reference, "features(): {doc:?}");
-        let mut row = vec![sentinel];
-        f.features_into(doc, &mut plain, &mut row);
-        assert_eq!(bits(&row[..1]), bits(&[sentinel]), "sink prefix: {doc:?}");
-        assert_eq!(bits(&row[1..]), reference, "reused scratch: {doc:?}");
-        f.features_into(doc, &mut memo, &mut matrix);
+        let row = f.features_into(doc, &mut plain);
+        assert_eq!(bits(row), reference, "reused scratch: {doc:?}");
+        matrix.push_row(f.features_into(doc, &mut memo));
     }
     assert_eq!(matrix.len(), docs.len());
     for (i, doc) in docs.iter().enumerate() {

@@ -70,6 +70,49 @@ impl RollingSlot {
     }
 }
 
+/// One unit's states in the word-style n-gram format: the unigram
+/// `1|{unit}` and the bigram `2|{unit} {right}`. The format is written
+/// here alone: [`FeatureHasher::hash_ngrams_rolling`] builds these per
+/// token, and a caller whose units come from a fixed set (the subword
+/// featurizer's pieces) can build them once per unit and keep them.
+#[derive(Debug, Clone, Copy)]
+pub struct UnitGrams {
+    /// State after `1|{unit}`.
+    unigram: RollingSlot,
+    /// State after `2|{unit} `.
+    bigram_left: RollingSlot,
+}
+
+impl UnitGrams {
+    /// Both states of `unit`.
+    #[inline]
+    pub fn new(unit: &[u8]) -> Self {
+        let mut unigram = RollingSlot::with_prefix(b"1|");
+        unigram.update(unit);
+        let mut bigram_left = RollingSlot::with_prefix(b"2|");
+        bigram_left.update(unit);
+        bigram_left.update(b" ");
+        UnitGrams {
+            unigram,
+            bigram_left,
+        }
+    }
+
+    /// The unigram `1|{unit}`, ready for [`FeatureHasher::finish`].
+    #[inline]
+    pub fn unigram(&self) -> RollingSlot {
+        self.unigram
+    }
+
+    /// The bigram `2|{unit} {right}`, ready for [`FeatureHasher::finish`].
+    #[inline]
+    pub fn bigram(&self, right: &[u8]) -> RollingSlot {
+        let mut slot = self.bigram_left;
+        slot.update(right);
+        slot
+    }
+}
+
 impl FeatureHasher {
     /// Creates a hasher with `2^bits` output dimensions. `bits` is clamped
     /// to `[1, 30]`.
@@ -114,23 +157,20 @@ impl FeatureHasher {
 
     /// Hashes order-prefixed word-style unigrams (`"1|{u}"`) and bigrams
     /// (`"2|{a} {b}"`) straight from unit byte slices into `pairs` — zero
-    /// intermediate `String`s. Byte-identical to formatting each gram and
-    /// calling [`FeatureHasher::slot`], because FNV-1a is byte-sequential.
+    /// intermediate `String`s. Once summed by index, byte-identical to
+    /// formatting each gram and calling [`FeatureHasher::slot`], because
+    /// FNV-1a is byte-sequential. Each unit's [`UnitGrams`] are built
+    /// once and serve its unigram and its bigram with the next unit.
     pub fn hash_ngrams_rolling(&self, units: &[&[u8]], pairs: &mut Vec<(u32, f32)>) {
-        let unigram_prefix = RollingSlot::with_prefix(b"1|");
-        let bigram_prefix = RollingSlot::with_prefix(b"2|");
         pairs.reserve(units.len().saturating_mul(2));
+        let mut left: Option<UnitGrams> = None;
         for unit in units {
-            let mut slot = unigram_prefix;
-            slot.update(unit);
-            pairs.push(self.finish(slot));
-        }
-        for window in units.windows(2) {
-            let mut slot = bigram_prefix;
-            slot.update(window[0]);
-            slot.update(b" ");
-            slot.update(window[1]);
-            pairs.push(self.finish(slot));
+            if let Some(left) = left {
+                pairs.push(self.finish(left.bigram(unit)));
+            }
+            let grams = UnitGrams::new(unit);
+            pairs.push(self.finish(grams.unigram()));
+            left = Some(grams);
         }
     }
 
@@ -298,6 +338,19 @@ mod tests {
         let mut pairs = Vec::new();
         h.hash_ngrams_rolling(&unit_bytes, &mut pairs);
         assert_eq!(h.finalize_hashed(pairs, false), legacy);
+    }
+
+    #[test]
+    fn unit_grams_match_formatted_strings() {
+        let h = FeatureHasher::new(18);
+        for (a, b) in [("mass", "flag"), ("p17", "p4095"), ("", "报告")] {
+            let grams = UnitGrams::new(a.as_bytes());
+            assert_eq!(h.finish(grams.unigram()), h.slot(&format!("1|{a}")));
+            assert_eq!(
+                h.finish(grams.bigram(b.as_bytes())),
+                h.slot(&format!("2|{a} {b}"))
+            );
+        }
     }
 
     #[test]

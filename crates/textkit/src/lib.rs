@@ -27,11 +27,11 @@ pub mod span;
 pub mod tokenize;
 pub mod wordpiece;
 
-pub use hash::{fnv1a, FeatureHasher, RollingSlot};
+pub use hash::{fnv1a, FeatureHasher, RollingSlot, UnitGrams};
 pub use ngram::{char_ngrams, word_ngrams};
 pub use normalize::{normalize, normalize_into};
 pub use rng::SplitMix64;
-pub use span::{sample_spans, SpanStrategy};
+pub use span::{fits_whole, sample_spans, SpanStrategy};
 pub use tokenize::{tokenize, tokens, Token, TokenKind, Tokens};
 pub use wordpiece::{
     EncodeScratch, MemoStats, WordMemo, WordPieceEncoder, WordPieceTrainer, WordPieceVocab,

@@ -78,9 +78,17 @@ fn slice_span(text: &str, start: usize, end: usize) -> &str {
     &text[s..e.max(s)]
 }
 
+/// Whether [`sample_spans`] returns `text` whole: the budgets are
+/// non-zero and `text` fits in `max_len` bytes. Such a document draws
+/// nothing from the RNG, whatever the strategy.
+pub fn fits_whole(text: &str, max_len: usize, max_spans: usize) -> bool {
+    max_len > 0 && max_spans > 0 && text.len() <= max_len
+}
+
 /// Samples spans of at most `max_len` bytes from `text`.
 ///
-/// * Documents within budget are returned whole, regardless of strategy.
+/// * Documents within budget are returned whole, regardless of strategy
+///   (see [`fits_whole`]).
 /// * `max_spans` caps the number of sampled spans (the memory/throughput
 ///   trade-off the paper discusses).
 /// * Sampling is deterministic given the RNG state.
@@ -91,11 +99,11 @@ pub fn sample_spans<'a>(
     strategy: SpanStrategy,
     rng: &mut SplitMix64,
 ) -> Vec<&'a str> {
+    if fits_whole(text, max_len, max_spans) {
+        return vec![text];
+    }
     if max_len == 0 || max_spans == 0 {
         return Vec::new();
-    }
-    if text.len() <= max_len {
-        return vec![text];
     }
     match strategy {
         SpanStrategy::RandomNonOverlapping => {

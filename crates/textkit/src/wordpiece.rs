@@ -375,8 +375,8 @@ impl std::ops::Add for MemoStats {
 ///
 /// FNV-1a open addressing with linear probing over a power-of-two slot
 /// table, kept at most half full. (A `HashMap` would put `RandomState`
-/// on the scoring path.) The table is allocated on the first insert and
-/// doubles as it fills. Past `cap` words, misses are encoded without
+/// on the scoring path.) The table starts at 16 slots on the first
+/// insert and doubles as it fills. Past `cap` words, misses are encoded without
 /// being inserted; `cap` is at most [`MEMO_WORDS`]. A hit replays the ids
 /// the encoder produced for the same word, so memoized output equals the
 /// encoder's. The default memo has `cap == 0`: it never hashes, and only
@@ -391,8 +391,6 @@ pub struct WordMemo {
     /// Piece ids of every entry, back to back.
     ids: Vec<u32>,
     cap: usize,
-    /// Slot count of the first allocation.
-    first_slots: usize,
     stats: MemoStats,
 }
 
@@ -405,13 +403,10 @@ struct MemoEntry {
 }
 
 impl WordMemo {
-    /// A memo of at most `cap` words (clamped to [`MEMO_WORDS`]) whose
-    /// first table fits `expected_words` of them.
-    pub fn new(cap: usize, expected_words: usize) -> Self {
-        let cap = cap.min(MEMO_WORDS);
+    /// A memo of at most `cap` words (clamped to [`MEMO_WORDS`]).
+    pub fn new(cap: usize) -> Self {
         WordMemo {
-            cap,
-            first_slots: (2 * expected_words.min(cap)).next_power_of_two().max(16),
+            cap: cap.min(MEMO_WORDS),
             ..WordMemo::default()
         }
     }
@@ -486,7 +481,7 @@ impl WordMemo {
     }
 
     fn grow(&mut self) {
-        let len = (2 * self.slots.len()).max(self.first_slots);
+        let len = (2 * self.slots.len()).max(16);
         self.slots = vec![0; len];
         for e in 0..self.entries.len() {
             self.place(self.entries[e].hash, e as u32 + 1);
@@ -583,7 +578,7 @@ mod tests {
     #[test]
     fn memo_replays_the_encoder_past_its_cap_and_growth() {
         let enc = train_on(&["report", "reporting", "harass", "harassment"], 128);
-        let words = [
+        let mut words: Vec<String> = [
             "report",
             "reportment",
             "xyz",
@@ -592,14 +587,19 @@ mod tests {
             "report",
             "reporting",
             "xyz",
-        ];
-        // cap 0 = off; cap 3 = full after three inserts; a one-slot first
-        // table forces growth.
-        for (cap, expected) in [(0, 0), (3, 3), (MEMO_WORDS, 1)] {
-            let mut memo = WordMemo::new(cap, expected);
+        ]
+        .map(String::from)
+        .to_vec();
+        // Twenty more distinct words take the uncapped memo past its first
+        // 16-slot table twice.
+        words.extend((0..20).map(|i| format!("harass{i}")));
+        let distinct = 6 + 20;
+        // cap 0 = off; cap 3 = full after three inserts.
+        for cap in [0, 3, MEMO_WORDS] {
+            let mut memo = WordMemo::new(cap);
             let mut scratch = EncodeScratch::default();
             for round in 0..3 {
-                for w in words {
+                for w in &words {
                     let mut ids = vec![7];
                     memo.encode(&enc, w, &mut ids, &mut scratch);
                     let mut direct = vec![7];
@@ -609,11 +609,11 @@ mod tests {
             }
             let stats = memo.stats();
             assert_eq!(stats.word_tokens, 3 * words.len() as u64);
-            let distinct = 6;
             let expected_hits = match cap {
                 0 => 0,
                 // The first three words enter; round one hits "report" and
-                // "xyz" again, each later round hits five of eight.
+                // "xyz" again, each later round hits five of the eight
+                // named words.
                 3 => 2 + 5 + 5,
                 _ => 3 * words.len() as u64 - distinct,
             };
