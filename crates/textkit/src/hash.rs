@@ -341,19 +341,6 @@ mod tests {
     }
 
     #[test]
-    fn unit_grams_match_formatted_strings() {
-        let h = FeatureHasher::new(18);
-        for (a, b) in [("mass", "flag"), ("p17", "p4095"), ("", "报告")] {
-            let grams = UnitGrams::new(a.as_bytes());
-            assert_eq!(h.finish(grams.unigram()), h.slot(&format!("1|{a}")));
-            assert_eq!(
-                h.finish(grams.bigram(b.as_bytes())),
-                h.slot(&format!("2|{a} {b}"))
-            );
-        }
-    }
-
-    #[test]
     fn hash_char_ngrams_rolling_matches_legacy_strings() {
         let h = FeatureHasher::new(14);
         let span = "mass fläg hér ac"; // multibyte chars exercise offsets
