@@ -22,6 +22,24 @@
 //! and `clear_run_dir` (the CLI's `--force`) recovers the directory, so
 //! damaged state is never resumed from either way.
 //!
+//! Renaming over an existing file is cheap only once. On ext4
+//! (`rw,relatime,discard`, a 2-vCPU VM), replacing a freshly written 3 MB
+//! file by rename blocked from the second replacement on: 251–312 ms in
+//! one run, 57–99 ms and 29–45 ms in later ones, as the disk's writeback
+//! speed varied. A rename onto a vacant name took under 0.06 ms. The cost
+//! is not the rename but freeing the file it replaces: ext4
+//! (`auto_da_alloc`) starts writeback of a file that replaced another by
+//! rename, and that file cannot be freed until the writeback ends. A file
+//! that never replaced another was unlinked in under 0.1 ms. So a hot
+//! path that rewrites one fixed name (the stream watcher's `STREAM.ckpt`)
+//! first calls [`set_aside`], which renames the old file to
+//! `.<name>.prev`, then writes onto the vacant name, then calls
+//! [`discard_aside`]. The window in between has no file at `path`; a
+//! reader that finds none reads [`aside_path`] instead, and only then.
+//! One-shot writers (run dir sections have fresh names, the manifest is
+//! written only when absent, CLI outputs run once) keep plain
+//! [`write_atomic`].
+//!
 //! Lint rule INC006 enforces the funnel: the workspace `clippy.toml`
 //! bans `File::create`, `fs::write` and `OpenOptions::new` everywhere
 //! except this module (allowed below), so no code path can quietly
@@ -71,7 +89,8 @@ fn io_err(path: &Path, source: std::io::Error) -> CheckpointError {
     }
 }
 
-fn tmp_sibling(path: &Path) -> Result<PathBuf, CheckpointError> {
+/// The hidden sibling `.<name>.<suffix>` of `path`.
+fn sibling(path: &Path, suffix: &str) -> Result<PathBuf, CheckpointError> {
     let name =
         path.file_name()
             .and_then(|n| n.to_str())
@@ -79,7 +98,41 @@ fn tmp_sibling(path: &Path) -> Result<PathBuf, CheckpointError> {
                 path: path.to_path_buf(),
                 detail: "path has no usable file name".to_string(),
             })?;
-    Ok(path.with_file_name(format!(".{name}.tmp")))
+    Ok(path.with_file_name(format!(".{name}.{suffix}")))
+}
+
+/// Where [`set_aside`] moves `path`: its sibling `.<name>.prev`.
+pub fn aside_path(path: &Path) -> Result<PathBuf, CheckpointError> {
+    sibling(path, "prev")
+}
+
+/// Unlinks `path`; a missing file is not an error.
+fn remove_if_present(path: &Path) -> Result<(), CheckpointError> {
+    match fs::remove_file(path) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(io_err(path, e)),
+        _ => Ok(()),
+    }
+}
+
+/// Moves `path` to [`aside_path`] so that the next write of `path`
+/// renames onto a vacant name (module docs). A stale aside from an
+/// earlier crash is unlinked first, so this rename too lands on a vacant
+/// name. If `path` is missing, the aside is left alone: it is then the
+/// live file of a rewrite that was interrupted after its own set-aside,
+/// and deleting it would lose that state.
+pub fn set_aside(path: &Path) -> Result<(), CheckpointError> {
+    let aside = aside_path(path)?;
+    if !path.try_exists().map_err(|e| io_err(path, e))? {
+        return Ok(());
+    }
+    remove_if_present(&aside)?;
+    fs::rename(path, &aside).map_err(|e| io_err(path, e))
+}
+
+/// Unlinks the file [`set_aside`] moved away from `path`, once the new
+/// `path` is in place. A missing aside is not an error.
+pub fn discard_aside(path: &Path) -> Result<(), CheckpointError> {
+    remove_if_present(&aside_path(path)?)
 }
 
 /// Atomically replaces `path` with `bytes` via write-to-temp + rename.
@@ -91,7 +144,7 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
             fs::create_dir_all(parent).map_err(|e| io_err(parent, e))?;
         }
     }
-    let tmp = tmp_sibling(path)?;
+    let tmp = sibling(path, "tmp")?;
     let mut file = fs::File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
     file.write_all(bytes).map_err(|e| io_err(&tmp, e))?;
     drop(file);
@@ -322,6 +375,7 @@ mod tests {
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("incite-atomic-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).expect("create temp dir");
         dir
     }
@@ -353,6 +407,45 @@ mod tests {
         write_hashed(&path, b"first").expect("write 1");
         write_hashed(&path, b"second").expect("write 2");
         assert_eq!(read_hashed(&path).expect("read"), b"second".to_vec());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn set_aside_vacates_the_path_and_discard_removes_the_old_file() {
+        let dir = temp_dir("aside");
+        let path = dir.join("state.ckpt");
+        let aside = dir.join(".state.ckpt.prev");
+        assert_eq!(aside_path(&path).expect("aside path"), aside);
+        // Nothing to move, nothing to discard: both are no-ops.
+        set_aside(&path).expect("set aside a missing file");
+        discard_aside(&path).expect("discard a missing aside");
+        assert!(!aside.exists());
+
+        write_hashed(&path, b"first").expect("write 1");
+        // A stale aside from an interrupted rewrite gives way to the
+        // current file.
+        std::fs::write(&aside, b"stale").expect("plant stale aside");
+        set_aside(&path).expect("set aside");
+        assert!(!path.exists());
+        assert_eq!(read_hashed(&aside).expect("aside"), b"first".to_vec());
+        write_hashed(&path, b"second").expect("write 2");
+        discard_aside(&path).expect("discard");
+        assert!(!aside.exists());
+        assert_eq!(read_hashed(&path).expect("read"), b"second".to_vec());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn set_aside_never_unlinks_the_aside_when_the_path_is_missing() {
+        let dir = temp_dir("aside-live");
+        let path = dir.join("state.ckpt");
+        write_hashed(&path, b"live").expect("write");
+        set_aside(&path).expect("set aside");
+        // A crash here leaves only the aside; the retried rewrite sets
+        // aside again before it writes.
+        set_aside(&path).expect("set aside again");
+        let aside = aside_path(&path).expect("aside path");
+        assert_eq!(read_hashed(&aside).expect("aside kept"), b"live".to_vec());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -53,7 +53,13 @@ fn qualified(ws: &Workspace, fn_idx: usize) -> String {
 const INC014_CRATES: &[&str] = &["core", "serve", "stream"];
 
 /// Last-segment names that acquire the atomic-write funnel.
-const FUNNEL_WRITES: &[&str] = &["write_atomic", "write_hashed", "write_framed"];
+const FUNNEL_WRITES: &[&str] = &[
+    "write_atomic",
+    "write_hashed",
+    "write_framed",
+    "set_aside",
+    "discard_aside",
+];
 
 fn funnel_callee(call: &CallEvent) -> Option<String> {
     let last = call.segs.last()?;
@@ -449,6 +455,28 @@ mod tests {
         assert!(run_on(&[("crates/core/src/demo.rs", test_src)])
             .iter()
             .all(|f| f.rule != "INC014"));
+    }
+
+    #[test]
+    fn inc014_flags_an_unswept_set_aside_and_discard() {
+        let src = "\
+pub fn rewrite(path: &Path, fp: &Reg) {
+    fp.check(\"site\");
+    atomic_io::set_aside(path);
+}
+pub fn orphan(path: &Path) {
+    atomic_io::set_aside(path);
+    atomic_io::discard_aside(path);
+}
+";
+        let findings = run_on(&[("crates/stream/src/demo.rs", src)]);
+        let lines: Vec<usize> = findings
+            .iter()
+            .filter(|f| f.rule == "INC014")
+            .map(|f| f.line)
+            .collect();
+        assert_eq!(lines, [6, 7], "{findings:?}");
+        assert!(findings.iter().any(|f| f.message.contains("discard_aside")));
     }
 
     #[test]

@@ -149,7 +149,8 @@ pub const CATALOG: &[RuleInfo] = &[
         contract: "Crash-recovery is proven by the failpoint sweeps, and a \
                    sweep can only kill what a failpoint brackets: every \
                    `write_atomic`/`write_hashed`/`write_framed`/\
-                   `AppendLog::open` call site outside tests must be \
+                   `set_aside`/`discard_aside`/`AppendLog::open` call \
+                   site outside tests must be \
                    reachable, through the call graph, from a function that \
                    consults a failpoint registry (`.check(..)`/`.trip(..)`). \
                    An unreachable write is persistence the sweep silently \

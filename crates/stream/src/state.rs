@@ -4,12 +4,11 @@
 //! **Layout.** A state directory holds two files:
 //!
 //! * `STREAM.ckpt`, the full ranker state, written with
-//!   [`atomic_io::write_hashed`] (tmp + rename + integrity footer) so a
-//!   kill at any instant leaves either the previous snapshot or the new
-//!   one, never a torn file. The payload is JSON over flat rows (the
-//!   vendored serde derives structs and fieldless enums only) and every
-//!   float is stored as its raw `u32` bits, so a save/load cycle is
-//!   byte-exact and resumed runs produce byte-identical rankings.
+//!   [`atomic_io::write_hashed`] (tmp + rename + integrity footer). The
+//!   payload is JSON over flat rows (the vendored serde derives structs
+//!   and fieldless enums only) and every float is stored as its raw `u32`
+//!   bits, so a save/load cycle is byte-exact and resumed runs produce
+//!   byte-identical rankings.
 //! * `STREAM.log`, an [`atomic_io::AppendLog`] holding one hash-framed
 //!   record per epoch since the snapshot. A record holds the stream
 //!   positions before and after its epoch and the post-epoch values of
@@ -19,32 +18,59 @@
 //!   derived from the epoch's event slice, so the ranker keeps no dirty
 //!   set. Snapshot and record share one set of row encode/apply helpers.
 //!
+//! During a compaction two more names can appear and then go:
+//! `.STREAM.ckpt.tmp`, the new snapshot before its rename, and
+//! `.STREAM.ckpt.prev`, the old snapshot moved aside. A clean exit leaves
+//! only the two files above.
+//!
 //! **Saving.** After each epoch the watch loop appends the epoch's record.
 //! It rewrites the snapshot instead (compacts) when appending would make
 //! the log larger than the snapshot, when the directory has no snapshot
 //! yet or its log holds bytes replay skipped, and for the last epoch an
 //! invocation runs, so a clean exit leaves one snapshot and an empty log.
-//! A compaction renames the new snapshot into place, then truncates the
-//! log. A pass therefore writes O(state) checkpoint bytes instead of
+//! A pass therefore writes O(state) checkpoint bytes instead of
 //! O(epochs × state), replay mid-run is bounded by one snapshot's worth of
 //! log, and an invocation that processes no epoch writes nothing.
 //!
+//! **Compaction** never renames onto an existing file, because on ext4
+//! that can block for tens to hundreds of milliseconds (see
+//! `atomic_io`). Each step is followed by its failpoint site:
+//!
+//! 1. encode the snapshot payload;
+//! 2. [`atomic_io::set_aside`] renames `STREAM.ckpt` to
+//!    `.STREAM.ckpt.prev` (`stream-compact-aside-N`);
+//! 3. [`atomic_io::write_hashed`] renames the new snapshot onto the now
+//!    vacant `STREAM.ckpt` (`stream-compact-renamed-N`);
+//! 4. the log is truncated (`stream-compact-reset-N`);
+//! 5. [`atomic_io::discard_aside`] unlinks the old snapshot.
+//!
+//! A kill after step 2 leaves the aside and the log, which together hold
+//! the state before the epoch. A kill after step 3 or 4 leaves the new
+//! snapshot beside the aside, which load ignores and the next compaction
+//! removes. [`save_state`] runs steps 1–3 and 5; it has no log to
+//! truncate.
+//!
 //! **Replay.** [`load_state`] reads the snapshot, then the log in order.
-//! A record applies only when it starts where the state so far ends.
-//! Records that end at or before the snapshot's position are stale (a
-//! kill between the snapshot rename and the log truncation leaves them)
-//! and are skipped. Any other gap is a [`StreamError::StateMismatch`].
+//! Only if `STREAM.ckpt` does not exist does it read `.STREAM.ckpt.prev`
+//! instead, and the next save then compacts. A record applies only when
+//! it starts where the state so far ends. Records that end at or before
+//! the snapshot's position are stale (a kill between the snapshot rename
+//! and the log truncation leaves them) and are skipped. Any other gap is
+//! a [`StreamError::StateMismatch`].
 //!
 //! **Damage.** A torn final record is what a kill mid-append leaves:
 //! replay stops at the last complete record, and the next save compacts
 //! before anything is appended after the torn bytes. A hash mismatch in
 //! any complete record, or in the snapshot, refuses resume with a typed
-//! [`StreamError::Checkpoint`]: no panic, and no silent rollback.
+//! [`StreamError::Checkpoint`]: no panic, and no silent rollback. A
+//! damaged `STREAM.ckpt` is never answered from the aside, which holds an
+//! older state.
 //!
 //! **Durability** is `atomic_io`'s: no fsync is issued; both files are
-//! atomic against process crashes (rename for the snapshot, one `write(2)`
-//! per record, one `ftruncate(2)` per log reset); tearing from a power
-//! loss is detected by the hash framing, never resumed from.
+//! atomic against process crashes (renames onto vacant names for the
+//! snapshot, one `write(2)` per record, one `ftruncate(2)` per log reset);
+//! tearing from a power loss is detected by the hash framing, never
+//! resumed from.
 //!
 //! Both files are bound to the stream digest and the ranker-config
 //! fingerprint they were written under; loading them against anything
@@ -383,11 +409,14 @@ fn decode_json<T: Deserialize>(payload: &[u8]) -> Result<T, StreamError> {
     serde_json::from_str(text).map_err(|_| StreamError::StateMismatch)
 }
 
-/// Writes the snapshot; returns its payload hash and its bytes on disk.
+/// Compaction steps 1–3 (module docs): encodes `ranker`, moves the old
+/// `STREAM.ckpt` aside and writes the new one onto the vacant name.
+/// Returns the payload hash and its bytes on disk.
 fn write_snapshot(
     state_dir: &Path,
     ranker: &ThreatRanker,
     stream_digest: &str,
+    failpoints: &FailpointRegistry,
 ) -> Result<(String, u64), StreamError> {
     let file = StateFile {
         version: STATE_VERSION,
@@ -413,19 +442,44 @@ fn write_snapshot(
             .collect(),
     };
     let payload = serde_json::to_string(&file).map_err(|_| StreamError::Encode)?;
-    let hash = atomic_io::write_hashed(&state_dir.join(STATE_FILE), payload.as_bytes())?;
+    let epoch = ranker.epochs_done;
+    let path = state_dir.join(STATE_FILE);
+    atomic_io::set_aside(&path)?;
+    failpoints.check(&format!("stream-compact-aside-{epoch}"))?;
+    let hash = atomic_io::write_hashed(&path, payload.as_bytes())?;
+    failpoints.check(&format!("stream-compact-renamed-{epoch}"))?;
     Ok((hash, atomic_io::framed_len(payload.len())))
 }
 
+/// Compaction step 5: unlinks the snapshot step 2 moved aside. Shared
+/// with `save_state` as a function `compact` calls, so INC014 sees the
+/// unlink reached from the kill sweep.
+fn remove_aside(state_dir: &Path) -> Result<(), StreamError> {
+    Ok(atomic_io::discard_aside(&state_dir.join(STATE_FILE))?)
+}
+
+/// Whether `error` says the file read does not exist.
+fn is_missing(error: &CheckpointError) -> bool {
+    matches!(error, CheckpointError::Io { source, .. } if source.kind() == std::io::ErrorKind::NotFound)
+}
+
 /// Saves the ranker as a full snapshot to `state_dir/STREAM.ckpt`, bound
-/// to `stream_digest`, and returns the payload's content hash. The watch
-/// loop calls this only to compact its delta log.
+/// to `stream_digest`, and returns the payload's content hash. Like a
+/// compaction, it never renames onto an existing file; it leaves any
+/// `STREAM.log` as it is. The watch loop compacts through the same steps.
 pub fn save_state(
     state_dir: &Path,
     ranker: &ThreatRanker,
     stream_digest: &str,
 ) -> Result<String, StreamError> {
-    write_snapshot(state_dir, ranker, stream_digest).map(|(hash, _)| hash)
+    let (hash, _) = write_snapshot(
+        state_dir,
+        ranker,
+        stream_digest,
+        &FailpointRegistry::default(),
+    )?;
+    remove_aside(state_dir)?;
+    Ok(hash)
 }
 
 /// Loads a ranker from `state_dir`: the `STREAM.ckpt` snapshot, then the
@@ -441,9 +495,11 @@ pub fn load_state(
     StateStore::new(state_dir, &config, stream_digest).load(config, n_actors)
 }
 
-/// Whether a state checkpoint exists in `state_dir`.
+/// Whether a state checkpoint exists in `state_dir`: `STREAM.ckpt`, or
+/// the old snapshot a compaction interrupted after its set-aside left.
 pub fn has_state(state_dir: &Path) -> bool {
-    state_dir.join(STATE_FILE).is_file()
+    let path = state_dir.join(STATE_FILE);
+    path.is_file() || atomic_io::aside_path(&path).is_ok_and(|aside| aside.is_file())
 }
 
 /// What one watch invocation wrote to its state directory. Counts, not
@@ -508,7 +564,19 @@ impl StateStore {
     /// Reads the snapshot and replays the log after it, noting the sizes
     /// of both and whether the log holds bytes replay skipped.
     fn load(&mut self, config: RankerConfig, n_actors: usize) -> Result<ThreatRanker, StreamError> {
-        let payload = atomic_io::read_hashed(&self.dir.join(STATE_FILE))?;
+        let path = self.dir.join(STATE_FILE);
+        let payload = match atomic_io::read_hashed(&path) {
+            // A compaction was killed after its set-aside: the aside and
+            // the log hold the state, and the next save compacts.
+            Err(missing) if is_missing(&missing) => {
+                self.untidy = true;
+                match atomic_io::read_hashed(&atomic_io::aside_path(&path)?) {
+                    Err(aside) if is_missing(&aside) => return Err(missing.into()),
+                    read => read?,
+                }
+            }
+            read => read?,
+        };
         self.snapshot_bytes = atomic_io::framed_len(payload.len());
         let file: StateFile = decode_json(&payload)?;
         if file.version != STATE_VERSION
@@ -536,14 +604,10 @@ impl StateStore {
         }
 
         let (records, torn) = match atomic_io::read_log_strict(&self.dir.join(LOG_FILE)) {
-            Err(CheckpointError::Io { source, .. })
-                if source.kind() == std::io::ErrorKind::NotFound =>
-            {
-                (Vec::new(), None)
-            }
+            Err(missing) if is_missing(&missing) => (Vec::new(), None),
             read => read?,
         };
-        self.untidy = torn.is_some();
+        self.untidy |= torn.is_some();
         for payload in &records {
             self.log_bytes += atomic_io::framed_len(payload.len());
             let record: DeltaRecord = decode_json(payload)?;
@@ -596,24 +660,23 @@ impl StateStore {
         self.compact(ranker, failpoints)
     }
 
-    /// Rewrites the snapshot from `ranker`, then empties the log. A kill
-    /// between the two leaves records that replay skips as stale.
+    /// Rewrites the snapshot from `ranker`, then empties the log, in the
+    /// step order of the module docs. A kill between the two leaves
+    /// records that replay skips as stale.
     fn compact(
         &mut self,
         ranker: &ThreatRanker,
         failpoints: &FailpointRegistry,
     ) -> Result<(), StreamError> {
-        let epoch = ranker.epochs_done();
-        let (_, bytes) = write_snapshot(&self.dir, ranker, &self.stream_digest)?;
+        let (_, bytes) = write_snapshot(&self.dir, ranker, &self.stream_digest, failpoints)?;
         self.snapshot_bytes = bytes;
         self.stats.snapshots += 1;
         self.stats.bytes += bytes;
-        failpoints.check(&format!("stream-compact-renamed-{epoch}"))?;
         self.log()?.truncate()?;
         self.log_bytes = 0;
         self.untidy = false;
-        failpoints.check(&format!("stream-compact-reset-{epoch}"))?;
-        Ok(())
+        failpoints.check(&format!("stream-compact-reset-{}", ranker.epochs_done()))?;
+        remove_aside(&self.dir)
     }
 
     fn log(&mut self) -> Result<&mut AppendLog, StreamError> {

@@ -12,10 +12,12 @@
 //! * `stream-after-epoch-<n>` fires after the checkpoint — a resume
 //!   skips the completed epoch.
 //!
-//! A compaction adds two sites inside the boundary:
-//! `stream-compact-renamed-<n>` after the new snapshot is renamed into
-//! place but before the log is truncated (resume skips the stale
-//! records), and `stream-compact-reset-<n>` after the truncation.
+//! A compaction adds three sites inside the boundary:
+//! `stream-compact-aside-<n>` after the old snapshot is moved aside and
+//! before the new one is written (resume loads the aside and replays the
+//! log), `stream-compact-renamed-<n>` after the new snapshot is renamed
+//! onto the vacant name but before the log is truncated (resume skips the
+//! stale records), and `stream-compact-reset-<n>` after the truncation.
 //!
 //! The kill/resume sweeps in `tests/determinism.rs` iterate these site
 //! families and assert byte-identical rankings against an uninterrupted

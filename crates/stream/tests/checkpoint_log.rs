@@ -1,12 +1,18 @@
 //! The snapshot + delta-log checkpoint, end to end:
 //!
 //! 1. a full pass at the default epoch length writes at most 5× its final
-//!    snapshot, and a zero-epoch reopen writes nothing;
+//!    snapshot and leaves exactly `STREAM.ckpt` and an empty `STREAM.log`,
+//!    and a zero-epoch reopen writes nothing;
 //! 2. with `--features failpoints` (which is how the mid-run states below
 //!    are made), replaying the log reproduces the in-memory ranker, a
 //!    torn final record resumes byte-identically at every cut, a stale
 //!    log is skipped, and any other damage (a flipped byte in a complete
-//!    record or the snapshot, a missing record) is a typed refusal.
+//!    record or the snapshot, a missing record) is a typed refusal;
+//! 3. the old snapshot a compaction moves aside (`.STREAM.ckpt.prev`) is
+//!    read only when `STREAM.ckpt` is missing, never in place of a
+//!    damaged one, and is gone after the next compaction; on unix, the
+//!    aside is the very file `STREAM.ckpt` was, so no compaction replaces
+//!    a file by renaming over it.
 
 // Fixtures are staged and damaged with plain writes; the INC006 write
 // ban is for library code.
@@ -17,6 +23,23 @@ mod common;
 use common::{state_dir, Fixture};
 use incite_stream::state::{LOG_FILE, STATE_FILE};
 use incite_stream::{run_watch, CheckpointStats};
+use std::path::Path;
+
+/// The old snapshot's name while a compaction writes the new one.
+const ASIDE_FILE: &str = ".STREAM.ckpt.prev";
+
+/// The names in `dir`, sorted.
+fn listing(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("state dir")
+        .map(|entry| {
+            let entry = entry.expect("dir entry");
+            entry.file_name().to_string_lossy().into_owned()
+        })
+        .collect();
+    names.sort();
+    names
+}
 
 #[test]
 fn full_pass_writes_at_most_5x_its_snapshot_and_a_reopen_writes_nothing() {
@@ -33,6 +56,8 @@ fn full_pass_writes_at_most_5x_its_snapshot_and_a_reopen_writes_nothing() {
     let snapshot = std::fs::read(dir.join(STATE_FILE)).expect("snapshot");
     let log_len = || std::fs::metadata(dir.join(LOG_FILE)).expect("log").len();
     assert_eq!(log_len(), 0, "a clean exit leaves an empty log");
+    // No aside and no tmp file either.
+    assert_eq!(listing(&dir), [STATE_FILE, LOG_FILE]);
     let written = pass.checkpoint;
     assert!(
         written.snapshots >= 2 && written.deltas > written.snapshots,
@@ -56,12 +81,14 @@ fn full_pass_writes_at_most_5x_its_snapshot_and_a_reopen_writes_nothing() {
         snapshot
     );
     assert_eq!(log_len(), 0);
+    assert_eq!(listing(&dir), [STATE_FILE, LOG_FILE]);
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[cfg(feature = "failpoints")]
 mod damage {
     use super::common::{state_dir, Fixture};
+    use super::{listing, CheckpointStats, ASIDE_FILE};
     use incite_core::checkpoint::atomic_io;
     use incite_stream::state::{load_state, save_state, LOG_FILE, STATE_FILE};
     use incite_stream::{
@@ -201,17 +228,25 @@ mod damage {
             (outcome.rankings, snapshot)
         }
 
+        /// Runs the watch in `dir` with every site in `armed` armed;
+        /// returns the site that fired.
+        fn crash(&self, dir: &Path, armed: &[String]) -> String {
+            let mut config = self.config(dir);
+            for site in armed {
+                config.failpoints.arm(site);
+            }
+            match self.run(&config) {
+                Err(StreamError::Fault(fault)) => fault.site,
+                other => panic!("expected a fault at one of {armed:?}, got {other:?}"),
+            }
+        }
+
         /// The state files a watch killed right after epoch `epoch`'s
         /// checkpoint leaves: (snapshot, log).
         fn killed_after(&self, epoch: u64) -> (Vec<u8>, Vec<u8>) {
             let dir = self.dir(&format!("killed-{epoch}"));
-            let mut config = self.config(&dir);
             let site = format!("stream-after-epoch-{epoch}");
-            config.failpoints.arm(&site);
-            match self.run(&config) {
-                Err(StreamError::Fault(fault)) => assert_eq!(fault.site, site),
-                other => panic!("expected a fault at {site}, got {other:?}"),
-            }
+            assert_eq!(self.crash(&dir, std::slice::from_ref(&site)), site);
             (
                 std::fs::read(dir.join(STATE_FILE)).expect("snapshot"),
                 std::fs::read(dir.join(LOG_FILE)).expect("log"),
@@ -220,10 +255,16 @@ mod damage {
 
         /// Writes `snapshot` and `log` as fresh files into a fresh dir.
         fn plant(&self, tag: &str, snapshot: &[u8], log: &[u8]) -> PathBuf {
+            self.plant_files(tag, &[(STATE_FILE, snapshot), (LOG_FILE, log)])
+        }
+
+        /// Writes each `(name, bytes)` as a fresh file into a fresh dir.
+        fn plant_files(&self, tag: &str, files: &[(&str, &[u8])]) -> PathBuf {
             let dir = self.dir(tag);
             std::fs::create_dir_all(&dir).expect("state dir");
-            std::fs::write(dir.join(STATE_FILE), snapshot).expect("plant snapshot");
-            std::fs::write(dir.join(LOG_FILE), log).expect("plant log");
+            for (name, bytes) in files {
+                std::fs::write(dir.join(name), bytes).expect("plant state file");
+            }
             dir
         }
 
@@ -249,9 +290,20 @@ mod damage {
             (snapshot, log): (&[u8], &[u8]),
             expected: &(String, Vec<u8>),
         ) -> WatchOutcome {
-            let dir = self.plant(tag, snapshot, log);
+            self.assert_finishes(tag, &self.plant(tag, snapshot, log), expected)
+        }
+
+        /// Resumes `dir` to the end; the run must land on `expected`
+        /// (rankings, final snapshot) and leave only the snapshot and an
+        /// empty log.
+        fn assert_finishes(
+            &self,
+            tag: &str,
+            dir: &Path,
+            expected: &(String, Vec<u8>),
+        ) -> WatchOutcome {
             let outcome = self
-                .run(&self.config(&dir))
+                .run(&self.config(dir))
                 .unwrap_or_else(|e| panic!("{tag}: resume failed: {e}"));
             assert_eq!(outcome.rankings, expected.0, "{tag}: rankings diverged");
             assert_eq!(
@@ -264,6 +316,7 @@ mod damage {
                 0,
                 "{tag}: the log kept bytes past the clean exit"
             );
+            assert_eq!(listing(dir), [STATE_FILE, LOG_FILE], "{tag}");
             outcome
         }
 
@@ -419,5 +472,109 @@ mod damage {
                 other => panic!("{tag} record removed: expected StateMismatch, got {other}"),
             }
         }
+    }
+    #[test]
+    fn an_aside_without_a_snapshot_resumes_byte_identically() {
+        let short = Short::new("aside-only");
+        let (snapshot, log) = short.killed_after(short.epochs() - 2);
+        let live = short.plant("live", &snapshot, &log);
+        let expected = format!("{:?}", short.load(&live).expect("load"));
+
+        // What a kill after a compaction's set-aside leaves: the old
+        // snapshot under the aside name, and the log.
+        let files = [
+            (ASIDE_FILE, snapshot.as_slice()),
+            (LOG_FILE, log.as_slice()),
+        ];
+        let dir = short.plant_files("aside", &files);
+        assert_eq!(format!("{:?}", short.load(&dir).expect("load")), expected);
+
+        // The next save compacts onto `STREAM.ckpt` and drops the aside,
+        // though its epoch is not the last.
+        let next = format!("stream-after-epoch-{}", short.epochs() - 1);
+        assert_eq!(short.crash(&dir, std::slice::from_ref(&next)), next);
+        assert_eq!(listing(&dir), [STATE_FILE, LOG_FILE]);
+        assert_eq!(std::fs::metadata(dir.join(LOG_FILE)).expect("log").len(), 0);
+        short.assert_finishes("aside", &dir, &short.reference);
+    }
+
+    #[test]
+    fn a_damaged_snapshot_is_refused_even_with_a_valid_aside() {
+        let short = Short::new("aside-flip");
+        let (snapshot, log) = short.killed_after(short.epochs() - 1);
+        let mut flipped = snapshot.clone();
+        flipped[snapshot.len() / 2] ^= 0x01;
+        let dir = short.plant_files(
+            "flipped",
+            &[
+                (STATE_FILE, flipped.as_slice()),
+                (ASIDE_FILE, snapshot.as_slice()),
+                (LOG_FILE, log.as_slice()),
+            ],
+        );
+        match short.run(&short.config(&dir)) {
+            Err(StreamError::Checkpoint(_)) => {}
+            other => panic!("expected a checkpoint error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_leftover_aside_is_ignored_and_the_next_compaction_removes_it() {
+        let short = Short::new("aside-leftover");
+        // An older snapshot as the aside: were it read, the state would
+        // differ.
+        let (older, _) = short.killed_after(1);
+        let (snapshot, log) = short.killed_after(short.epochs() - 2);
+        let live = short.plant("live", &snapshot, &log);
+        let expected = format!("{:?}", short.load(&live).expect("load"));
+        let files = [
+            (STATE_FILE, snapshot.as_slice()),
+            (ASIDE_FILE, older.as_slice()),
+            (LOG_FILE, log.as_slice()),
+        ];
+        let dir = short.plant_files("leftover", &files);
+        assert_eq!(format!("{:?}", short.load(&dir).expect("load")), expected);
+
+        let mut reopen = short.config(&dir);
+        reopen.max_epochs = Some(0);
+        let outcome = short.run(&reopen).expect("reopen");
+        assert_eq!(outcome.checkpoint, CheckpointStats::default());
+        for (name, bytes) in files {
+            assert_eq!(
+                std::fs::read(dir.join(name)).expect("file"),
+                bytes,
+                "{name}"
+            );
+        }
+        assert_eq!(listing(&dir).len(), 3);
+
+        short.assert_finishes("leftover", &dir, &short.reference);
+    }
+
+    /// Modelled on the core manifest test `manifest_is_appended_in_place`:
+    /// the snapshot a compaction leaves is the very file the next
+    /// compaction moves aside, so no rename ever replaced `STREAM.ckpt`,
+    /// and the log keeps its inode through both.
+    #[cfg(unix)]
+    #[test]
+    fn no_state_file_is_replaced_by_a_rename() {
+        use std::os::unix::fs::MetadataExt;
+        let short = Short::new("inode");
+        let dir = short.dir("inode");
+        let inode = |name: &str| std::fs::metadata(dir.join(name)).expect(name).ino();
+
+        // The first save always compacts.
+        let reset = "stream-compact-reset-1".to_string();
+        assert_eq!(short.crash(&dir, std::slice::from_ref(&reset)), reset);
+        let (snapshot, log) = (inode(STATE_FILE), inode(LOG_FILE));
+
+        let armed: Vec<String> = (2..=short.epochs())
+            .map(|epoch| format!("stream-compact-aside-{epoch}"))
+            .collect();
+        let fired = short.crash(&dir, &armed);
+        assert!(!dir.join(STATE_FILE).exists(), "{fired}: STREAM.ckpt left");
+        assert_eq!(inode(ASIDE_FILE), snapshot, "{fired}");
+        assert_eq!(inode(LOG_FILE), log, "{fired}");
+        short.assert_finishes("inode", &dir, &short.reference);
     }
 }

@@ -8,10 +8,12 @@
 //!    (`stream-mid-epoch-N` before the save, `stream-after-epoch-N`
 //!    after it), resumes disarmed, and demands byte-identical rankings —
 //!    the same discipline as the core pipeline's crash-recovery sweep;
-//! 4. at the CLI default epoch length the sweep also crashes on both
-//!    sides of every log compaction (`stream-compact-renamed-N` between
-//!    the snapshot rename and the log truncation, `stream-compact-reset-N`
-//!    after it), the exit compaction included.
+//! 4. at the CLI default epoch length the sweep also crashes inside
+//!    every log compaction, the exit compaction included:
+//!    `stream-compact-aside-N` with the old snapshot moved aside and no
+//!    new one written, `stream-compact-renamed-N` between the snapshot
+//!    rename and the log truncation, and `stream-compact-reset-N` after
+//!    it.
 
 mod common;
 
@@ -105,8 +107,9 @@ fn crash_and_resume(
     config.failpoints = Default::default();
     let recovered = run_watch(&fx.stream, &doc_texts, &fx.classifier, &config)
         .unwrap_or_else(|e| panic!("site {site}: resume failed: {e}"));
-    // mid-epoch-1 dies before the first save: nothing to resume from.
-    if site != "stream-mid-epoch-1" {
+    // mid-epoch-1 dies before the first save, and compact-aside-1 before
+    // the first snapshot is written: nothing to resume from.
+    if site != "stream-mid-epoch-1" && site != "stream-compact-aside-1" {
         assert!(
             recovered.resumed_at.is_some(),
             "site {site}: expected a checkpoint to resume from"
@@ -157,9 +160,10 @@ fn kill_resume_sweep_is_byte_identical() {
 
 /// The sweep at the CLI default epoch length, where most epochs append a
 /// log record and a few compact. Besides the early boundary sites (all
-/// appends here), it crashes on both sides of every compaction of the
-/// run. Compactions are found by arming the rename site of every later
-/// epoch at once, so each crash names the next compaction.
+/// appends here), it crashes at each of the three sites of every
+/// compaction of the run. Compactions are found by arming the aside site
+/// of every later epoch at once, so each crash names the next compaction;
+/// its rename and reset sites are then armed one at a time.
 #[cfg(feature = "failpoints")]
 #[test]
 fn kill_resume_sweep_covers_appends_and_every_compaction() {
@@ -187,7 +191,7 @@ fn kill_resume_sweep_covers_appends_and_every_compaction() {
     while compactions.last() != Some(&epochs) {
         let after = compactions.last().copied().unwrap_or(0);
         let armed: Vec<String> = (after + 1..=epochs)
-            .map(|epoch| format!("stream-compact-renamed-{epoch}"))
+            .map(|epoch| format!("stream-compact-aside-{epoch}"))
             .collect();
         let fired = crash_and_resume(&fx, EPOCH_LEN, &armed, &reference.rankings)
             .expect("the last epoch always compacts");
@@ -197,14 +201,16 @@ fn kill_resume_sweep_covers_appends_and_every_compaction() {
             .and_then(|n| n.parse().ok())
             .expect("site names its epoch");
         compactions.push(epoch);
-        let reset = format!("stream-compact-reset-{epoch}");
-        let fired = crash_and_resume(
-            &fx,
-            EPOCH_LEN,
-            std::slice::from_ref(&reset),
-            &reference.rankings,
-        );
-        assert_eq!(fired, Some(reset));
+        for step in ["renamed", "reset"] {
+            let site = format!("stream-compact-{step}-{epoch}");
+            let fired = crash_and_resume(
+                &fx,
+                EPOCH_LEN,
+                std::slice::from_ref(&site),
+                &reference.rankings,
+            );
+            assert_eq!(fired, Some(site));
+        }
     }
     assert_eq!(compactions[0], 1, "the first save writes the snapshot");
     let in_run = compactions
