@@ -49,28 +49,12 @@ pub const EXPERIMENTS: &[(&str, &str)] = &[
         "Quality ablations for DESIGN.md \u{a7}5 design choices",
     ),
     (
-        "score_throughput",
-        "Featurize-once engine vs naive per-pass scoring (BENCH line)",
-    ),
-    (
         "checkpoint_overhead",
         "Plain vs checkpointed resumable pipeline (BENCH line)",
     ),
     (
-        "serve_latency",
-        "Online inference service loopback load test (BENCH line)",
-    ),
-    (
-        "featurize_throughput",
-        "Rolling n-gram hashing vs legacy string path (BENCH line)",
-    ),
-    (
         "swap_availability",
         "Hot model swap under serve load (BENCH line)",
-    ),
-    (
-        "stream_throughput",
-        "incite watch event loop: simulate + rank (BENCH line)",
     ),
     (
         "lint_throughput",
@@ -113,12 +97,8 @@ pub fn run_experiment(id: &str, ctx: &mut ReproContext) -> Option<String> {
         "sec7_3" => sec7_3(ctx),
         "sec7_4" => sec7_4(ctx),
         "ablations" => crate::ablations::run(ctx),
-        "score_throughput" => crate::throughput::run(ctx),
         "checkpoint_overhead" => crate::checkpoint_overhead::run(ctx),
-        "serve_latency" => crate::serve_latency::run(ctx),
-        "featurize_throughput" => crate::featurize_throughput::run(ctx),
         "swap_availability" => crate::swap_availability::run(ctx),
-        "stream_throughput" => crate::stream_throughput::run(ctx),
         "lint_throughput" => crate::lint_throughput::run(ctx),
         "extension_attack_types" => extension_attack_types(ctx),
         "extension_longitudinal" => extension_longitudinal(ctx),

@@ -2,9 +2,11 @@
 //!
 //! The reproduction harness: one regeneration entry point per table and
 //! figure in the paper (see DESIGN.md §4 for the experiment index), the
-//! DESIGN.md §5 ablations, and the performance experiments whose
-//! `BENCH {...}` lines `scripts/bench_ratchet` holds against the committed
-//! `BENCH_<experiment>.json` snapshots.
+//! DESIGN.md §5 ablations, and three experiments that print a
+//! `BENCH {...}` line: `checkpoint_overhead`, and `swap_availability` and
+//! `lint_throughput`, which `scripts/bench_ratchet` holds against their
+//! committed `BENCH_<experiment>.json` snapshots. Pipeline, serve and
+//! watch throughput are measured by perfbench (`perfbench/README.md`).
 //!
 //! ```text
 //! cargo run --release -p incite-bench --bin repro -- all --scale small
@@ -15,12 +17,8 @@ pub mod ablations;
 pub mod checkpoint_overhead;
 pub mod context;
 pub mod experiments;
-pub mod featurize_throughput;
 pub mod lint_throughput;
-pub mod serve_latency;
-pub mod stream_throughput;
 pub mod swap_availability;
-pub mod throughput;
 
 pub use context::{ReproContext, Scale};
 pub use experiments::{run_experiment, EXPERIMENTS};

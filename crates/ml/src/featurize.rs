@@ -321,8 +321,7 @@ impl Featurizer {
     }
 
     /// The original string-allocating featurize path, kept as the reference
-    /// implementation for the kernel's byte-identity tests and the
-    /// `featurize_throughput` before/after measurement.
+    /// implementation for the kernel's byte-identity tests.
     pub fn features_legacy(&self, text: &str) -> SparseVec {
         let norm = normalize(text);
         let doc_hash = fnv(norm.as_bytes());

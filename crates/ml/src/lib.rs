@@ -22,7 +22,6 @@
 //! * [`data`] — labeled datasets, stratified train/test splits, k-fold CV.
 //! * [`model`] — [`model::TextClassifier`], the end-to-end text-in,
 //!   probability-out API the pipeline uses.
-//! * [`grid`] — hyperparameter grid search (the Table 3 text-length sweep).
 
 // INC001 (DESIGN.md §10): library code returns typed errors, never panics.
 #![cfg_attr(
@@ -36,7 +35,6 @@ pub mod batch;
 pub mod data;
 pub mod featurize;
 pub mod fingerprint;
-pub mod grid;
 pub mod logreg;
 pub mod model;
 pub mod naive_bayes;
@@ -47,7 +45,6 @@ pub use batch::{FeatureCache, FeatureMatrix};
 pub use data::{kfold, train_test_split, Dataset, Example};
 pub use featurize::{FeatureMode, FeaturizeScratch, Featurizer, FeaturizerConfig};
 pub use fingerprint::{TopicFingerprint, FINGERPRINT_DIM};
-pub use grid::{grid_search, GridPoint, GridResult};
 pub use logreg::{LogisticRegression, TrainConfig};
 pub use model::TextClassifier;
 pub use naive_bayes::NaiveBayes;

@@ -4,9 +4,9 @@
 //! learning, and applies to the full corpus — the role the fine-tuned
 //! distilBERT plays in Figure 1.
 
-use crate::batch::{FeatureCache, FeatureMatrix};
+use crate::batch::FeatureCache;
 use crate::data::Dataset;
-use crate::featurize::{FeaturizeScratch, Featurizer, FeaturizerConfig};
+use crate::featurize::{Featurizer, FeaturizerConfig};
 use crate::logreg::{LogisticRegression, TrainConfig};
 use incite_stats::classify::{auc_roc, BinaryConfusion, MultiMetrics};
 
@@ -105,25 +105,6 @@ impl TextClassifier {
     /// Positive-class probability for a document.
     pub fn score(&self, text: &str) -> f32 {
         self.model.predict_proba(&self.featurizer.features(text))
-    }
-
-    /// Scores a batch through the featurize-once path: each text is
-    /// featurized exactly once into a CSR [`FeatureMatrix`], then scored as
-    /// sparse dot products. Bit-identical to per-text [`Self::score`].
-    pub fn score_batch<'a, I: IntoIterator<Item = &'a str>>(&self, texts: I) -> Vec<f32> {
-        self.features_matrix(texts).score_all(&self.model)
-    }
-
-    /// Featurizes a batch of texts (once each) into a CSR matrix whose row
-    /// order matches the input order.
-    pub fn features_matrix<'a, I: IntoIterator<Item = &'a str>>(&self, texts: I) -> FeatureMatrix {
-        let texts = texts.into_iter();
-        let mut scratch = FeaturizeScratch::for_docs(texts.size_hint().0);
-        let mut matrix = FeatureMatrix::new(self.featurizer.dimensions());
-        for text in texts {
-            matrix.push_row(self.featurizer.features_into(text, &mut scratch));
-        }
-        matrix
     }
 
     /// The fitted featurizer.
@@ -250,15 +231,6 @@ mod tests {
         );
         let after = clf.score("report him to the platform");
         assert!(after < before);
-    }
-
-    #[test]
-    fn batch_scoring_matches_single() {
-        let clf = TextClassifier::train(labeled_corpus(), quick_config(), TrainConfig::default());
-        let texts = ["report him", "nice weather"];
-        let batch = clf.score_batch(texts);
-        assert_eq!(batch[0], clf.score("report him"));
-        assert_eq!(batch[1], clf.score("nice weather"));
     }
 
     #[test]

@@ -6,10 +6,12 @@
 //! memo-less `features()` wrapper must produce exactly the rows of
 //! `features_legacy`, bit for bit, in every feature mode and span
 //! strategy. This sweep drives all three over (a) a fixed set of edge
-//! cases and (b) seeded pseudo-random documents: multi-span documents
+//! cases, (b) seeded pseudo-random documents: multi-span documents
 //! longer than `max_len`, non-ASCII text, words over 100 chars (which
-//! encode to `[UNK]`), punctuation-only and empty text.
+//! encode to `[UNK]`), punctuation-only and empty text, and (c) every
+//! document of a generated tiny corpus at the default configuration.
 
+use incite_corpus::{generate, CorpusConfig};
 use incite_ml::persist::save_model_bin;
 use incite_ml::{
     FeatureMatrix, FeatureMode, FeaturizeScratch, Featurizer, FeaturizerConfig, SparseVec,
@@ -100,20 +102,22 @@ fn matrix_row(m: &FeatureMatrix, i: usize) -> SparseVec {
 /// chunk scratch writing into a matrix all give the reference rows for
 /// `docs`.
 fn assert_agreement(f: &Featurizer, docs: &[String]) {
+    let references: Vec<_> = docs
+        .iter()
+        .map(|doc| bits(&f.features_legacy(doc)))
+        .collect();
     let mut plain = FeaturizeScratch::default();
     let mut memo = FeaturizeScratch::for_docs(docs.len());
     let mut matrix = FeatureMatrix::new(f.dimensions());
-    for doc in docs {
-        let reference = bits(&f.features_legacy(doc));
-        assert_eq!(bits(&f.features(doc)), reference, "features(): {doc:?}");
+    for (doc, reference) in docs.iter().zip(&references) {
+        assert_eq!(&bits(&f.features(doc)), reference, "features(): {doc:?}");
         let row = f.features_into(doc, &mut plain);
-        assert_eq!(bits(row), reference, "reused scratch: {doc:?}");
+        assert_eq!(&bits(row), reference, "reused scratch: {doc:?}");
         matrix.push_row(f.features_into(doc, &mut memo));
     }
     assert_eq!(matrix.len(), docs.len());
-    for (i, doc) in docs.iter().enumerate() {
-        let reference = bits(&f.features_legacy(doc));
-        assert_eq!(bits(&matrix_row(&matrix, i)), reference, "memo: {doc:?}");
+    for (i, (doc, reference)) in docs.iter().zip(&references).enumerate() {
+        assert_eq!(&bits(&matrix_row(&matrix, i)), reference, "memo: {doc:?}");
     }
 }
 
@@ -175,6 +179,23 @@ proptest! {
         for f in featurizers() {
             assert_agreement(f, &docs);
         }
+    }
+}
+
+/// Generator text at the default configuration (`max_len` 512, real
+/// vocabulary), which the short-window sweeps above never reach. The
+/// Subword vocabulary is fit on the first 512 documents.
+#[test]
+fn generated_corpus_documents_agree_at_the_default_config() {
+    let corpus = generate(&CorpusConfig::tiny(0x1c17e5));
+    let docs: Vec<String> = corpus.documents.into_iter().map(|d| d.text).collect();
+    for mode in [FeatureMode::Word, FeatureMode::Subword, FeatureMode::Char] {
+        let config = FeaturizerConfig {
+            mode,
+            ..Default::default()
+        };
+        let f = Featurizer::fit(config, docs.iter().take(512).map(String::as_str));
+        assert_agreement(&f, &docs);
     }
 }
 

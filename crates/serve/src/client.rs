@@ -1,5 +1,6 @@
 //! A minimal blocking HTTP/1.1 client over `TcpStream`, for the
-//! integration tests and the `serve_latency` load generator.
+//! integration tests and the load generators of `repro
+//! swap_availability` and perfbench's serve workloads.
 //!
 //! Living here (rather than in `incite-bench`) keeps lint rule INC007
 //! honest: `std::net` stays confined to `crates/serve` and the CLI, and

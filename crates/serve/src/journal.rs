@@ -146,11 +146,19 @@ mod tests {
         }
     }
 
+    /// An empty directory of the test's own: tests run in parallel, so a
+    /// shared one removed by one test could delete another's files mid-run.
+    fn test_dir(test: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("incite-journal-{test}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
     #[test]
     fn journal_roundtrips_records_in_order() {
-        let dir = std::env::temp_dir().join(format!("incite-journal-{}", std::process::id()));
+        let dir = test_dir("roundtrip");
         let path = dir.join("roundtrip.jsonl");
-        let _ = std::fs::remove_file(&path);
         let stats = Arc::new(JournalStats::default());
         let chaos = ChaosRegistry::default();
         let (tx, handle) = spawn(&path, Arc::clone(&stats), &chaos).expect("journal opens");
@@ -167,19 +175,18 @@ mod tests {
         for (seq, got) in records.iter().enumerate() {
             assert_eq!(*got, record(seq as u64), "record {seq} roundtrips exactly");
         }
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn verified_but_unparseable_record_is_a_typed_error() {
-        let dir = std::env::temp_dir().join(format!("incite-journal-{}", std::process::id()));
+        let dir = test_dir("unparseable");
         let path = dir.join("unparseable.jsonl");
-        let _ = std::fs::remove_file(&path);
         let mut log = AppendLog::open(&path).expect("log opens");
         log.append(b"{\"not\": \"a journal record\"}")
             .expect("append");
         let err = read_journal(&path).expect_err("parse failure is typed");
         assert!(matches!(err, CheckpointError::Corrupt { .. }));
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -7,9 +7,9 @@
 //! consistent-enough snapshot without stalling the request path. The
 //! histogram trades precision for footprint — bucket *i* counts latencies
 //! in `[2^i, 2^(i+1))` microseconds, so quantiles are upper bounds within
-//! a factor of two — which is plenty to spot a queue backing up. The
-//! `serve_latency` BENCH experiment measures exact client-side
-//! percentiles separately.
+//! a factor of two — which is plenty to spot a queue backing up.
+//! perfbench's serve workloads measure exact client-side percentiles
+//! separately.
 
 use crate::admission::TenantCounters;
 use std::fmt::Write as _;

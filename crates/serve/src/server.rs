@@ -51,7 +51,7 @@ pub const MAX_DOCS_PER_REQUEST: usize = 1024;
 /// The acceptor itself does NOT poll: it blocks in `accept` and is woken
 /// for drains by a loopback connection from [`ServerHandle::initiate_drain`].
 /// (A 25 ms accept-poll sleep here used to put a full tick on the p99 of
-/// every fresh connection; see BENCH_serve_latency.)
+/// every fresh connection; perfbench's `serve_single` latencies time it.)
 const POLL: Duration = Duration::from_millis(25);
 
 /// How long `join` waits for open connections to finish after a drain

@@ -93,51 +93,57 @@ fn served_scores_byte_identical_to_offline_engine_under_concurrent_clients() {
         .map(|s| s.to_bits())
         .collect();
 
-    let handle = Server::start(classifier, config_on_free_port()).expect("server starts");
-    let addr = handle.local_addr();
-
     const CLIENTS: usize = 8;
     const ROUNDS: usize = 6;
-    std::thread::scope(|scope| {
-        for c in 0..CLIENTS {
-            let texts = &texts;
-            let expected = &expected;
-            scope.spawn(move || {
-                let mut client = HttpClient::connect(addr).expect("connect");
-                for round in 0..ROUNDS {
-                    // Alternate single-document and batch requests, each
-                    // client starting at a different offset, so batching
-                    // and interleaving vary run to run.
-                    if (c + round) % 2 == 0 {
-                        let idx = (c * ROUNDS + round) % texts.len();
-                        let resp = client
-                            .post_json("/v1/score", &score_body(&[&texts[idx]]))
-                            .expect("score request");
-                        assert_eq!(resp.status, 200, "{}", resp.body);
-                        assert_eq!(bits_of(&resp.body), vec![expected[idx]], "doc {idx}");
-                    } else {
-                        let start = (c * 5 + round) % (texts.len() - 7);
-                        let batch: Vec<&str> =
-                            texts[start..start + 7].iter().map(String::as_str).collect();
-                        let resp = client
-                            .post_json("/v1/score", &score_body(&batch))
-                            .expect("batch request");
-                        assert_eq!(resp.status, 200, "{}", resp.body);
-                        assert_eq!(
-                            bits_of(&resp.body),
-                            expected[start..start + 7].to_vec(),
-                            "batch at {start}"
-                        );
+    // Each micro-batch is scored on one thread, then split across three.
+    for threads in [1, 3] {
+        let config = ServeConfig {
+            threads,
+            ..config_on_free_port()
+        };
+        let handle = Server::start(classifier.clone(), config).expect("server starts");
+        let addr = handle.local_addr();
+        std::thread::scope(|scope| {
+            for c in 0..CLIENTS {
+                let texts = &texts;
+                let expected = &expected;
+                scope.spawn(move || {
+                    let mut client = HttpClient::connect(addr).expect("connect");
+                    for round in 0..ROUNDS {
+                        // Alternate single-document and batch requests, each
+                        // client starting at a different offset, so batching
+                        // and interleaving vary run to run.
+                        if (c + round) % 2 == 0 {
+                            let idx = (c * ROUNDS + round) % texts.len();
+                            let resp = client
+                                .post_json("/v1/score", &score_body(&[&texts[idx]]))
+                                .expect("score request");
+                            assert_eq!(resp.status, 200, "{}", resp.body);
+                            assert_eq!(bits_of(&resp.body), vec![expected[idx]], "doc {idx}");
+                        } else {
+                            let start = (c * 5 + round) % (texts.len() - 7);
+                            let batch: Vec<&str> =
+                                texts[start..start + 7].iter().map(String::as_str).collect();
+                            let resp = client
+                                .post_json("/v1/score", &score_body(&batch))
+                                .expect("batch request");
+                            assert_eq!(resp.status, 200, "{}", resp.body);
+                            assert_eq!(
+                                bits_of(&resp.body),
+                                expected[start..start + 7].to_vec(),
+                                "batch at {start}"
+                            );
+                        }
                     }
-                }
-            });
-        }
-    });
+                });
+            }
+        });
 
-    let report = handle.join();
-    assert_eq!(report.panicked_threads, 0);
-    assert!(report.requests_total >= (CLIENTS * ROUNDS) as u64);
-    assert_eq!(report.rejected_overload, 0);
+        let report = handle.join();
+        assert_eq!(report.panicked_threads, 0, "threads {threads}");
+        assert!(report.requests_total >= (CLIENTS * ROUNDS) as u64);
+        assert_eq!(report.rejected_overload, 0, "threads {threads}");
+    }
 }
 
 #[test]
