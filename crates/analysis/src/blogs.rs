@@ -12,7 +12,7 @@ use incite_corpus::{Corpus, Document};
 use incite_taxonomy::{AttackType, Platform};
 
 /// The §8.1 keyword query.
-pub fn blog_keyword_query() -> Query {
+fn blog_keyword_query() -> Query {
     Query::any_of(["phone", "email", "dox", "dob:"])
 }
 
@@ -32,15 +32,6 @@ pub struct BlogRow {
 }
 
 impl BlogRow {
-    /// Dox yield among relevant posts.
-    pub fn dox_yield(&self) -> f64 {
-        if self.relevant == 0 {
-            0.0
-        } else {
-            self.actual_doxes as f64 / self.relevant as f64
-        }
-    }
-
     /// Keyword-query recall on planted doxes.
     pub fn query_recall(&self) -> f64 {
         let total = self.actual_doxes + self.missed_doxes;
@@ -174,7 +165,8 @@ mod tests {
         let torch = get("the_torch");
         let stormer = get("daily_stormer");
         assert!(torch.total_posts < stormer.total_posts);
-        assert!(torch.dox_yield() > stormer.dox_yield());
+        let dox_yield = |r: &BlogRow| r.actual_doxes as f64 / r.relevant.max(1) as f64;
+        assert!(dox_yield(torch) > dox_yield(stormer));
     }
 
     #[test]

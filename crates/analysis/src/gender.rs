@@ -54,20 +54,6 @@ pub fn tabulate_by_gender(docs: &[&Document]) -> Vec<GenderColumn> {
         .collect()
 }
 
-/// Accuracy of pronoun inference against the planted gender, over documents
-/// whose planted gender is known — the §5.6 94.3 % evaluation.
-pub fn inference_accuracy(docs: &[&Document]) -> (usize, usize) {
-    let known: Vec<&&Document> = docs
-        .iter()
-        .filter(|d| d.truth.gender != Gender::Unknown)
-        .collect();
-    let correct = known
-        .iter()
-        .filter(|d| infer_gender(&d.text) == d.truth.gender)
-        .count();
-    (correct, known.len())
-}
-
 /// The §6.2 headline gender test: private reputational harm is more common
 /// against female-labeled targets (7.5 % vs 2.98 %). Returns the 2×2
 /// chi-square over (gender × has-private-reputational-harm).
@@ -111,10 +97,16 @@ mod tests {
     #[test]
     fn inference_accuracy_meets_paper_bar() {
         let corpus = corpus();
-        let docs = cth_docs(&corpus);
-        let (correct, total) = inference_accuracy(&docs);
-        assert!(total > 100, "need a meaningful sample");
-        let acc = correct as f64 / total as f64;
+        let known: Vec<&Document> = cth_docs(&corpus)
+            .into_iter()
+            .filter(|d| d.truth.gender != Gender::Unknown)
+            .collect();
+        assert!(known.len() > 100, "need a meaningful sample");
+        let correct = known
+            .iter()
+            .filter(|d| infer_gender(&d.text) == d.truth.gender)
+            .count();
+        let acc = correct as f64 / known.len() as f64;
         // Paper: 94.3 %. The planted texts always use target pronouns, so
         // we should be at least in that band.
         assert!(acc > 0.85, "gender inference accuracy {acc}");
@@ -150,6 +142,5 @@ mod tests {
     fn empty_input_is_safe() {
         let cols = tabulate_by_gender(&[]);
         assert!(cols.iter().all(|c| c.size == 0));
-        assert_eq!(inference_accuracy(&[]), (0, 0));
     }
 }

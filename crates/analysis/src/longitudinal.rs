@@ -3,9 +3,9 @@
 //! "Longitudinal analysis of calls to harassment could provide insights
 //! into new attack types, and whether these online fringe communities are
 //! influenced by offline trends and events." This module provides the
-//! machinery: yearly incidence series for any document subset, positive
-//! *rate* per year (normalized by platform volume), and a growth test
-//! comparing the first and second halves of the observation window.
+//! machinery: positive *rate* per year (normalized by platform volume) for
+//! any document subset, and a growth test comparing the first and second
+//! halves of the observation window.
 
 use incite_corpus::Document;
 use incite_stats::chisq::{chi_square_2x2, ChiSquareResult};
@@ -14,17 +14,8 @@ use std::collections::BTreeMap;
 const SECONDS_PER_YEAR: u64 = 31_557_600;
 
 /// The UTC-ish year of a unix timestamp (sufficient for yearly bucketing).
-pub fn year_of(timestamp: u64) -> u32 {
+fn year_of(timestamp: u64) -> u32 {
     1970 + (timestamp / SECONDS_PER_YEAR) as u32
-}
-
-/// Documents per year, sorted ascending by year.
-pub fn yearly_counts(docs: &[&Document]) -> Vec<(u32, usize)> {
-    let mut map: BTreeMap<u32, usize> = BTreeMap::new();
-    for d in docs {
-        *map.entry(year_of(d.timestamp)).or_default() += 1;
-    }
-    map.into_iter().collect()
 }
 
 /// Positive incidence per year: `(year, positives, total, rate)`.
@@ -121,11 +112,11 @@ mod tests {
     fn yearly_counts_cover_the_observation_window() {
         let corpus = corpus();
         let boards: Vec<&Document> = corpus.by_platform(Platform::Boards).collect();
-        let counts = yearly_counts(&boards);
-        assert!(counts.len() > 10, "expected a multi-year window");
-        assert!(counts.first().unwrap().0 >= 2001);
-        assert!(counts.last().unwrap().0 <= 2020);
-        let total: usize = counts.iter().map(|(_, n)| n).sum();
+        let rates = yearly_rates(&boards, |_| true);
+        assert!(rates.len() > 10, "expected a multi-year window");
+        assert!(rates.first().unwrap().0 >= 2001);
+        assert!(rates.last().unwrap().0 <= 2020);
+        let total: usize = rates.iter().map(|(_, _, n, _)| n).sum();
         assert_eq!(total, boards.len());
     }
 
@@ -163,7 +154,7 @@ mod tests {
 
     #[test]
     fn empty_input_is_safe() {
-        assert!(yearly_counts(&[]).is_empty());
+        assert!(yearly_rates(&[], |_| true).is_empty());
         let g = growth_test(&[], |_| true);
         assert!(g.test.is_none());
         assert_eq!(g.early_total + g.late_total, 0);

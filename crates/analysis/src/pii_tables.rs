@@ -29,15 +29,6 @@ impl PiiColumn {
             100.0 * self.count(kind) as f64 / self.size as f64
         }
     }
-
-    /// Mean number of distinct PII kinds per dox.
-    pub fn mean_kinds(&self, per_doc: &[PiiSet]) -> f64 {
-        if per_doc.is_empty() {
-            0.0
-        } else {
-            per_doc.iter().map(|s| s.len()).sum::<usize>() as f64 / per_doc.len() as f64
-        }
-    }
 }
 
 /// Extracts PII for every document and tabulates Table 6 columns for the

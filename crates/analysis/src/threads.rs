@@ -1,6 +1,6 @@
 //! Board-thread analyses (§6.3 for CTH, §7.4 for doxes; Figures 5 and 6).
 
-use incite_corpus::{Corpus, DocId, Document};
+use incite_corpus::{Corpus, Document};
 use incite_stats::correction::benjamini_hochberg;
 use incite_stats::descriptive::{log_transform, summarize, Summary};
 use incite_stats::ecdf::Ecdf;
@@ -10,7 +10,6 @@ use incite_taxonomy::{AttackType, Platform};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::collections::HashSet;
 
 /// Position statistics for planted documents inside board threads.
 #[derive(Debug, Clone)]
@@ -220,15 +219,6 @@ pub fn figure6(cth_docs: &[&Document], baseline: &[&Document]) -> Vec<Figure6Row
         q3,
     });
     rows
-}
-
-/// Filters a resolved id set down to board documents.
-pub fn board_docs<'c>(corpus: &'c Corpus, ids: &[DocId]) -> Vec<&'c Document> {
-    let set: HashSet<DocId> = ids.iter().copied().collect();
-    corpus
-        .by_platform(Platform::Boards)
-        .filter(|d| set.contains(&d.id))
-        .collect()
 }
 
 #[cfg(test)]

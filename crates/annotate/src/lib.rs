@@ -6,16 +6,11 @@
 //!
 //! * [`annotator`] — noisy annotator models with calibrated accuracy
 //!   presets (crowd vs domain expert, per task).
-//! * [`qualification`] — the crowd-worker gate: ≥ 90 % on a 10-question
-//!   screening test to enter, retest every tenth document, removal below
-//!   85 %.
 //! * [`workflow`] — the two-annotator + tie-break consensus protocol, with
 //!   disagreement accounting and Cohen's kappa over the first two passes.
 
 pub mod annotator;
-pub mod qualification;
 pub mod workflow;
 
 pub use annotator::Annotator;
-pub use qualification::{Qualification, QualificationConfig};
 pub use workflow::{annotate_batch, BatchOutcome};

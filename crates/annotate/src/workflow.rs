@@ -69,58 +69,6 @@ pub fn annotate_batch(
     }
 }
 
-/// The final expert-review pass: one of the authors re-checks every
-/// *positive* consensus label (§5.3: "one of the authors reviewed all
-/// positive labeled annotations … after data set delivery"). Negatives are
-/// left untouched.
-pub fn expert_review(
-    truths: &[bool],
-    consensus: &mut [bool],
-    expert: &Annotator,
-    rng: &mut StdRng,
-) -> usize {
-    let mut flipped = 0;
-    for (label, &truth) in consensus.iter_mut().zip(truths) {
-        if *label {
-            let verdict = expert.annotate(truth, rng);
-            if verdict != *label {
-                *label = verdict;
-                flipped += 1;
-            }
-        }
-    }
-    flipped
-}
-
-/// The §5.3 spot-checking process: "reviewing random samples of annotations
-/// in order to keep track of poor annotator performance." An expert audits
-/// a random sample of one annotator's judgments against truth and returns
-/// the estimated accuracy (the signal used to drop weak annotators).
-pub fn spot_check(
-    truths: &[bool],
-    annotator: &Annotator,
-    sample_size: usize,
-    auditor: &Annotator,
-    rng: &mut StdRng,
-) -> f64 {
-    use rand::seq::SliceRandom;
-    let mut indices: Vec<usize> = (0..truths.len()).collect();
-    indices.shuffle(rng);
-    indices.truncate(sample_size.max(1).min(truths.len().max(1)));
-    if indices.is_empty() {
-        return 1.0;
-    }
-    let agreed = indices
-        .iter()
-        .filter(|&&i| {
-            let judgment = annotator.annotate(truths[i], rng);
-            let audit = auditor.annotate(truths[i], rng);
-            judgment == audit
-        })
-        .count();
-    agreed as f64 / indices.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,49 +136,6 @@ mod tests {
         // Paper: 0.519 (moderate agreement).
         assert!((0.4..0.7).contains(&kappa), "kappa = {kappa}");
         assert!((out.disagreement_rate() - 0.0394).abs() < 0.02);
-    }
-
-    #[test]
-    fn expert_review_only_touches_positives() {
-        let mut r = rng();
-        let t = vec![true, false, true, false];
-        let mut consensus = vec![true, false, false, true]; // one FP at 3, one FN at 2
-        let expert = Annotator::oracle("e");
-        let flipped = expert_review(&t, &mut consensus, &expert, &mut r);
-        // The FP at index 3 gets corrected; the FN at index 2 is not
-        // reviewed (it was labeled negative).
-        assert_eq!(flipped, 1);
-        assert_eq!(consensus, vec![true, false, false, false]);
-    }
-
-    #[test]
-    fn spot_check_separates_good_from_bad_annotators() {
-        let mut r = rng();
-        let t = truths(5_000, 5);
-        let auditor = Annotator::expert("auditor");
-        let good = Annotator::expert("good");
-        let bad = Annotator {
-            id: "bad".into(),
-            sensitivity: 0.5,
-            specificity: 0.6,
-        };
-        let good_score = spot_check(&t, &good, 500, &auditor, &mut r);
-        let bad_score = spot_check(&t, &bad, 500, &auditor, &mut r);
-        assert!(good_score > 0.9, "good {good_score}");
-        assert!(
-            bad_score < good_score - 0.1,
-            "bad {bad_score} vs good {good_score}"
-        );
-    }
-
-    #[test]
-    fn spot_check_handles_degenerate_inputs() {
-        let mut r = rng();
-        let auditor = Annotator::oracle("a");
-        assert_eq!(spot_check(&[], &auditor, 10, &auditor, &mut r), 1.0);
-        let one = [true];
-        let s = spot_check(&one, &auditor, 100, &auditor, &mut r);
-        assert_eq!(s, 1.0);
     }
 
     #[test]

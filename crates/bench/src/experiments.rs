@@ -49,16 +49,8 @@ pub const EXPERIMENTS: &[(&str, &str)] = &[
         "Quality ablations for DESIGN.md \u{a7}5 design choices",
     ),
     (
-        "checkpoint_overhead",
-        "Plain vs checkpointed resumable pipeline (BENCH line)",
-    ),
-    (
         "swap_availability",
         "Hot model swap under serve load (BENCH line)",
-    ),
-    (
-        "lint_throughput",
-        "incite-lint engine self-scan (BENCH line)",
     ),
     (
         "extension_attack_types",
@@ -97,9 +89,7 @@ pub fn run_experiment(id: &str, ctx: &mut ReproContext) -> Option<String> {
         "sec7_3" => sec7_3(ctx),
         "sec7_4" => sec7_4(ctx),
         "ablations" => crate::ablations::run(ctx),
-        "checkpoint_overhead" => crate::checkpoint_overhead::run(ctx),
         "swap_availability" => crate::swap_availability::run(ctx),
-        "lint_throughput" => crate::lint_throughput::run(ctx),
         "extension_attack_types" => extension_attack_types(ctx),
         "extension_longitudinal" => extension_longitudinal(ctx),
         _ => return None,

@@ -2,10 +2,9 @@
 //!
 //! The reproduction harness: one regeneration entry point per table and
 //! figure in the paper (see DESIGN.md §4 for the experiment index), the
-//! DESIGN.md §5 ablations, and three experiments that print a
-//! `BENCH {...}` line: `checkpoint_overhead`, and `swap_availability` and
-//! `lint_throughput`, which `scripts/bench_ratchet` holds against their
-//! committed `BENCH_<experiment>.json` snapshots. Pipeline, serve and
+//! DESIGN.md §5 ablations, and `swap_availability`, which prints a
+//! `BENCH {...}` line that `scripts/bench_ratchet` holds against the
+//! committed `BENCH_swap_availability.json` snapshot. Pipeline, serve and
 //! watch throughput are measured by perfbench (`perfbench/README.md`).
 //!
 //! ```text
@@ -14,10 +13,8 @@
 //! ```
 
 pub mod ablations;
-pub mod checkpoint_overhead;
 pub mod context;
 pub mod experiments;
-pub mod lint_throughput;
 pub mod swap_availability;
 
 pub use context::{ReproContext, Scale};

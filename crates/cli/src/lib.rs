@@ -120,7 +120,7 @@ commands:
 `--input` defaults to stdin.";
 
 /// Parsed options: flag name → value.
-pub fn parse_flags(args: &[String]) -> Result<std::collections::HashMap<String, String>, CliError> {
+fn parse_flags(args: &[String]) -> Result<std::collections::HashMap<String, String>, CliError> {
     let mut flags = std::collections::HashMap::new();
     let mut i = 0;
     while i < args.len() {
@@ -189,7 +189,7 @@ fn load_corpus_lines(
 /// Registries name runs sortably (`run-2026-08-09`, `v0007`, ...), so
 /// lexical order is deployment order; directories without a manifest
 /// (scratch space, half-copied runs) are skipped, not errors.
-pub fn newest_run_dir(registry: &Path) -> Result<PathBuf, CliError> {
+fn newest_run_dir(registry: &Path) -> Result<PathBuf, CliError> {
     let entries = std::fs::read_dir(registry)
         .map_err(|e| err(format!("read registry {}: {e}", registry.display())))?;
     let mut best: Option<PathBuf> = None;
@@ -1220,6 +1220,55 @@ mod tests {
         let text = String::from_utf8(out)?;
         assert!(text.contains("journal tail damaged"), "{text}");
         assert!(text.contains("4 matched, 0 mismatched"), "{text}");
+        std::fs::remove_dir_all(&dir).ok();
+        Ok(())
+    }
+
+    #[test]
+    #[allow(clippy::disallowed_methods)]
+    fn replay_refuses_a_damaged_complete_record() -> TestResult {
+        use incite_core::checkpoint::atomic_io::{framed_len, AppendLog};
+        use incite_serve::journal::JournalRecord;
+
+        let dir = std::env::temp_dir().join(format!("incite-cli-damaged-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let journal = dir.join("damaged.journal");
+        let lines: Vec<String> = (1..=2)
+            .map(|seq| {
+                serde_json::to_string(&JournalRecord {
+                    seq,
+                    generation: 1,
+                    model_hash: String::new(),
+                    run_dir: String::new(),
+                    tenant: "default".to_string(),
+                    texts: vec!["report him".to_string()],
+                    bits: vec![0x3f00_0000],
+                })
+            })
+            .collect::<Result<_, _>>()
+            .map_err(|e| err(e.to_string()))?;
+        {
+            let mut log = AppendLog::open(&journal).map_err(|e| err(e.to_string()))?;
+            for line in &lines {
+                log.append(line.as_bytes())
+                    .map_err(|e| err(e.to_string()))?;
+            }
+        }
+        // A flipped byte in the second, complete record: nonzero exit
+        // naming the record's offset, not a replay of the first alone.
+        let second = framed_len(lines[0].len());
+        let mut bytes = std::fs::read(&journal)?;
+        bytes[second as usize + 2] ^= 0x01;
+        std::fs::write(&journal, &bytes)?;
+        let mut out = Vec::new();
+        let Err(e) = run(
+            "replay",
+            &flags(&[("journal", path_str(&journal)?)]),
+            &mut out,
+        ) else {
+            return Err(err("a damaged journal record was replayed"));
+        };
+        assert!(e.0.contains(&format!("byte {second} is damaged")), "{e}");
         std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }

@@ -31,7 +31,7 @@ pub struct RoundStats {
 
 /// Samples `per_decile` document indices from each of the ten score
 /// deciles, skipping already-labeled documents.
-pub fn decile_sample(
+fn decile_sample(
     scores: &[(DocId, f32)],
     per_decile: usize,
     already_labeled: &BTreeSet<DocId>,

@@ -14,7 +14,7 @@ use incite_taxonomy::{AttackType, LabelSet};
 /// Minimum positive examples required to train a head for an attack type;
 /// rarer types (the paper's lockout/surveillance, 2 examples each in §6.3)
 /// are skipped rather than fit to noise.
-pub const MIN_POSITIVES: usize = 10;
+const MIN_POSITIVES: usize = 10;
 
 /// One trained head: the attack type, its binary classifier, and the
 /// F1-optimal decision threshold calibrated on training data (a fixed 0.5

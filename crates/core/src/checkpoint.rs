@@ -78,7 +78,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// Manifest schema version.
-pub const MANIFEST_VERSION: u32 = 1;
+const MANIFEST_VERSION: u32 = 1;
 
 /// Manifest file name inside a run directory.
 pub const MANIFEST_FILE: &str = "MANIFEST.ckpt";
@@ -631,7 +631,7 @@ mod section_codec {
     const LEDGER_MAGIC: &[u8; 8] = b"ILEDGER1";
     const SCORES_MAGIC: &[u8; 8] = b"ISCORES1";
 
-    pub fn encode_ledger(training: &[(DocId, String, bool)]) -> Vec<u8> {
+    pub(super) fn encode_ledger(training: &[(DocId, String, bool)]) -> Vec<u8> {
         let bytes: usize = training.iter().map(|(_, t, _)| t.len() + 13).sum();
         let mut out = Vec::with_capacity(16 + bytes);
         out.extend_from_slice(LEDGER_MAGIC);
@@ -645,7 +645,7 @@ mod section_codec {
         out
     }
 
-    pub fn decode_ledger(bytes: &[u8]) -> Result<Vec<(DocId, String, bool)>, String> {
+    pub(super) fn decode_ledger(bytes: &[u8]) -> Result<Vec<(DocId, String, bool)>, String> {
         let mut r = Reader::new(bytes, LEDGER_MAGIC, "ledger")?;
         let count = r.u64()?;
         let mut out = Vec::with_capacity(count.min(1 << 24) as usize);
@@ -665,7 +665,7 @@ mod section_codec {
         Ok(out)
     }
 
-    pub fn encode_scores(scores: &[(DocId, u32)]) -> Vec<u8> {
+    pub(super) fn encode_scores(scores: &[(DocId, u32)]) -> Vec<u8> {
         let mut out = Vec::with_capacity(16 + scores.len() * 12);
         out.extend_from_slice(SCORES_MAGIC);
         out.extend_from_slice(&(scores.len() as u64).to_le_bytes());
@@ -676,7 +676,7 @@ mod section_codec {
         out
     }
 
-    pub fn decode_scores(bytes: &[u8]) -> Result<Vec<(DocId, u32)>, String> {
+    pub(super) fn decode_scores(bytes: &[u8]) -> Result<Vec<(DocId, u32)>, String> {
         let mut r = Reader::new(bytes, SCORES_MAGIC, "scores")?;
         let count = r.u64()?;
         let mut out = Vec::with_capacity(count.min(1 << 24) as usize);

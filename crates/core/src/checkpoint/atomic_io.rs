@@ -16,8 +16,8 @@
 //! Durability model: rename atomicity is sufficient for the *process*
 //! crashes the failpoint harness injects — a killed process loses nothing
 //! `write(2)` already handed to the page cache, so no fsync is issued and
-//! the per-step checkpoint tax stays inside the `checkpoint_overhead`
-//! budget (< 10 % on quick corpora). Tearing from a power loss is
+//! the per-step checkpoint tax stays small (perfbench's `paper_pipeline`
+//! ops pay it in full). Tearing from a power loss is
 //! *detected* rather than prevented: the footer check refuses the file
 //! and `clear_run_dir` (the CLI's `--force`) recovers the directory, so
 //! damaged state is never resumed from either way.
@@ -50,7 +50,7 @@
 
 use super::CheckpointError;
 use std::fs;
-use std::io::Write;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// FNV-1a 64-bit content hash.
@@ -75,6 +75,19 @@ const FOOTER_PREFIX: &[u8] = b"\n#fnv64:";
 
 /// Footer bytes after the marker: 16 hex digits and a closing newline.
 const FOOTER_HASH_LEN: usize = 17;
+
+/// Whether `footer`, the bytes after the marker, has the strict footer
+/// shape: exactly 16 hex digits and a closing newline.
+fn footer_shaped(footer: &[u8]) -> bool {
+    footer.len() == FOOTER_HASH_LEN
+        && footer[16] == b'\n'
+        && footer[..16].iter().all(u8::is_ascii_hexdigit)
+}
+
+/// Bytes [`AppendLog::cut_torn_tail`] first reads from the end of a log;
+/// a window that holds no whole final record is read again four times
+/// larger.
+const TAIL_WINDOW: u64 = 4096;
 
 /// Bytes a [`write_hashed`] file or one [`AppendLog`] record takes on
 /// disk for a payload of `payload_len` bytes.
@@ -189,8 +202,7 @@ pub fn read_hashed(path: &Path) -> Result<Vec<u8>, CheckpointError> {
     let footer = &framed[footer_at + FOOTER_PREFIX.len()..];
     // Strict footer shape — exactly 16 hex digits and a closing newline —
     // so a flip of *any* byte, the terminator included, is corruption.
-    if footer.len() != 17 || footer[16] != b'\n' || !footer[..16].iter().all(u8::is_ascii_hexdigit)
-    {
+    if !footer_shaped(footer) {
         return Err(CheckpointError::Corrupt {
             path: path.to_path_buf(),
             detail: "malformed integrity footer".to_string(),
@@ -219,11 +231,11 @@ pub fn read_hashed(path: &Path) -> Result<Vec<u8>, CheckpointError> {
 ///
 /// Unlike the write-rename checkpoint files above, a journal must survive
 /// the *writer* dying mid-append: each record is one newline-free payload
-/// line followed by its own FNV footer line, so [`read_log`] can verify
-/// every complete record independently and classify a torn tail (the
-/// bytes after the last verified footer) as damage instead of silently
-/// trusting it. Lives in this module because INC006 forbids `OpenOptions`
-/// everywhere else.
+/// line followed by its own FNV footer line, so [`read_log_strict`] can
+/// verify every complete record independently and report a torn tail (the
+/// bytes after the last verified footer) instead of silently trusting it.
+/// Lives in this module because INC006 forbids `OpenOptions` everywhere
+/// else.
 #[derive(Debug)]
 pub struct AppendLog {
     file: fs::File,
@@ -253,7 +265,7 @@ impl AppendLog {
     /// relies on payloads never containing `\n`; JSON-encoded records
     /// satisfy this by construction). The record and its footer are
     /// written in one `write_all` so a torn append damages at most the
-    /// final record, which `read_log` then skips and reports.
+    /// final record, which `read_log_strict` then skips and reports.
     pub fn append(&mut self, payload: &[u8]) -> Result<(), CheckpointError> {
         if payload.contains(&b'\n') {
             return Err(CheckpointError::Corrupt {
@@ -285,26 +297,96 @@ impl AppendLog {
     pub fn cut_to(&mut self, len: u64) -> Result<(), CheckpointError> {
         self.file.set_len(len).map_err(|e| io_err(&self.path, e))
     }
+
+    /// Cuts a torn final record off the log, so the next append follows
+    /// the last intact one. Reads only the end of the file: the last
+    /// complete record must verify, and any bytes after it must be a torn
+    /// append (see [`read_log_strict`]). Returns the offset the log was
+    /// cut back to, or `None` when it already ended on a verified record.
+    /// Other damage at the end is a typed [`CheckpointError::Corrupt`]
+    /// naming the damaged record's offset.
+    pub fn cut_torn_tail(&mut self) -> Result<Option<u64>, CheckpointError> {
+        let mut file = fs::File::open(&self.path).map_err(|e| io_err(&self.path, e))?;
+        let len = file.metadata().map_err(|e| io_err(&self.path, e))?.len();
+        let mut window_len = TAIL_WINDOW;
+        loop {
+            let start = len.saturating_sub(window_len);
+            let mut window = Vec::new();
+            file.seek(SeekFrom::Start(start))
+                .and_then(|_| file.read_to_end(&mut window))
+                .map_err(|e| io_err(&self.path, e))?;
+            match log_end(&window, start == 0) {
+                LogEnd::Clean => return Ok(None),
+                LogEnd::Torn(at) => {
+                    let at = start + at as u64;
+                    self.cut_to(at)?;
+                    return Ok(Some(at));
+                }
+                LogEnd::Damaged(at) => {
+                    return Err(CheckpointError::Corrupt {
+                        path: self.path.clone(),
+                        detail: format!("log record at byte {} is damaged", start + at as u64),
+                    })
+                }
+                LogEnd::NeedMore => window_len = window_len.saturating_mul(4),
+            }
+        }
+    }
 }
 
-/// Reads an [`AppendLog`]: every record whose footer verifies, in append
-/// order, plus the byte offset where damage begins if the tail is torn
-/// (`None` when the whole file verifies). A missing or hash-mismatched
-/// footer anywhere before the end also counts as the start of damage —
-/// everything after the last clean record is untrusted.
-#[allow(clippy::type_complexity)]
-pub fn read_log(path: &Path) -> Result<(Vec<Vec<u8>>, Option<u64>), CheckpointError> {
-    let bytes = fs::read(path).map_err(|e| io_err(path, e))?;
-    let (records, damage) = parse_log(&bytes);
-    Ok((records, damage.map(|at| at as u64)))
+/// How a log ends, judged from a window of its last bytes.
+enum LogEnd {
+    /// On a verified record, or the log is empty.
+    Clean,
+    /// In a torn append starting at this window offset.
+    Torn(usize),
+    /// In a damaged record starting at this window offset.
+    Damaged(usize),
+    /// The window holds no whole final record.
+    NeedMore,
 }
 
-/// [`read_log`] for a log whose complete records must never be dropped
-/// silently. The one damage tolerated is a torn tail — a strict prefix of
-/// a single record after the last verified one, which is all a writer
-/// killed mid-append can leave — reported by its offset as `read_log`
-/// does. Damage to a complete record (a flipped byte, a mangled footer)
-/// is a typed [`CheckpointError::Corrupt`] naming the record's offset.
+/// Classifies the end of a log from `window`, its last bytes (all of
+/// them when `whole` is set).
+fn log_end(window: &[u8], whole: bool) -> LogEnd {
+    // A full footer line ends a complete record: a torn append holds at
+    // most part of one, and payloads never contain the marker.
+    let footer_len = FOOTER_PREFIX.len() + FOOTER_HASH_LEN;
+    let footer = window
+        .windows(footer_len)
+        .rposition(|w| w.starts_with(FOOTER_PREFIX) && footer_shaped(&w[FOOTER_PREFIX.len()..]));
+    let record_end = match footer {
+        // Payloads are newline-free, so the record starts after the
+        // previous record's closing newline.
+        Some(at) => {
+            let record_start = match window[..at].iter().rposition(|&b| b == b'\n') {
+                Some(newline) => newline + 1,
+                None if whole => 0,
+                None => return LogEnd::NeedMore,
+            };
+            let hash = &window[at + FOOTER_PREFIX.len()..at + footer_len - 1];
+            if hash != fnv64_hex(&window[record_start..at]).as_bytes() {
+                return LogEnd::Damaged(record_start);
+            }
+            at + footer_len
+        }
+        None if whole => 0,
+        None => return LogEnd::NeedMore,
+    };
+    match &window[record_end..] {
+        [] => LogEnd::Clean,
+        tail if is_torn_tail(tail) => LogEnd::Torn(record_end),
+        _ => LogEnd::Damaged(record_end),
+    }
+}
+
+/// Reads an [`AppendLog`] whose complete records must never be dropped
+/// silently: every record, in append order, plus the byte offset of a
+/// torn tail (`None` when the whole file verifies). The one damage
+/// tolerated is a torn tail — a strict prefix of a single record after the
+/// last verified one, which is all a writer killed mid-append can leave.
+/// Damage to a complete record (a flipped byte, a mangled footer) is a
+/// typed [`CheckpointError::Corrupt`] naming the record's offset.
 #[allow(clippy::type_complexity)]
 pub fn read_log_strict(path: &Path) -> Result<(Vec<Vec<u8>>, Option<u64>), CheckpointError> {
     let bytes = fs::read(path).map_err(|e| io_err(path, e))?;
@@ -339,9 +421,7 @@ fn parse_log(bytes: &[u8]) -> (Vec<Vec<u8>>, Option<usize>) {
             return (records, Some(cursor));
         }
         let footer = &bytes[footer_start..footer_end];
-        let clean = footer[16] == b'\n'
-            && footer[..16].iter().all(u8::is_ascii_hexdigit)
-            && footer[..16] == *fnv64_hex(payload).as_bytes();
+        let clean = footer_shaped(footer) && footer[..16] == *fnv64_hex(payload).as_bytes();
         if !clean {
             return (records, Some(cursor));
         }
@@ -489,7 +569,7 @@ mod tests {
         // Reopening appends after the existing records.
         let mut log = AppendLog::open(&path).expect("reopen");
         log.append(br#"{"seq":3}"#).expect("append 3");
-        let (records, damage) = read_log(&path).expect("read");
+        let (records, damage) = read_log_strict(&path).expect("read");
         assert_eq!(
             records,
             vec![
@@ -526,17 +606,20 @@ mod tests {
         let mut bytes = std::fs::read(&path).expect("read");
         bytes.extend_from_slice(b"record thr");
         std::fs::write(&path, &bytes).expect("tear");
-        let (records, damage) = read_log(&path).expect("read log");
+        let (records, damage) = read_log_strict(&path).expect("read log");
         assert_eq!(records.len(), 2);
         assert_eq!(damage, Some(clean_len));
 
-        // A flipped payload bit invalidates that record and the tail.
+        // A flipped payload bit in a complete record is refused, by offset.
         let mut bytes = std::fs::read(&path).expect("read");
         bytes[2] ^= 0x01;
         std::fs::write(&path, &bytes).expect("flip");
-        let (records, damage) = read_log(&path).expect("read log");
-        assert!(records.is_empty());
-        assert_eq!(damage, Some(0));
+        match read_log_strict(&path) {
+            Err(CheckpointError::Corrupt { detail, .. }) => {
+                assert!(detail.contains("byte 0"), "{detail}");
+            }
+            other => panic!("expected a damaged-record refusal, got {other:?}"),
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -597,6 +680,46 @@ mod tests {
                 }
             }
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn cut_torn_tail_cuts_a_torn_append_and_refuses_a_damaged_record() {
+        let dir = temp_dir("log-cut");
+        let path = dir.join("journal.log");
+        let empty = AppendLog::open(&path).expect("open").cut_torn_tail();
+        assert_eq!(empty.expect("empty log"), None);
+        // The final record is longer than one read window.
+        let long = vec![b'x'; 2 * TAIL_WINDOW as usize];
+        let records: [&[u8]; 3] = [b"one", b"two", &long];
+        let clean = write_records(&path, &records);
+        let mut log = AppendLog::open(&path).expect("open");
+        assert_eq!(log.cut_torn_tail().expect("clean log"), None);
+        let last_start = clean.len() - framed_len(long.len()) as usize;
+        let footer_start = clean.len() - framed_len(0) as usize;
+        for cut in [last_start + 1, last_start + 100, footer_start]
+            .into_iter()
+            .chain(footer_start + 1..clean.len())
+        {
+            std::fs::write(&path, &clean[..cut]).expect("tear");
+            let at = log.cut_torn_tail().expect("a torn tail is cut");
+            assert_eq!(at, Some(last_start as u64), "cut at {cut}");
+            assert!(std::fs::read(&path).expect("read") == clean[..last_start]);
+        }
+        // A flipped byte in the final complete record is not a torn append.
+        let mut flipped = clean.clone();
+        flipped[last_start + 7] ^= 0x01;
+        std::fs::write(&path, &flipped).expect("flip");
+        match log.cut_torn_tail() {
+            Err(CheckpointError::Corrupt { detail, .. }) => {
+                assert!(detail.contains(&format!("byte {last_start}")), "{detail}");
+            }
+            other => panic!("expected a damaged-record refusal, got {other:?}"),
+        }
+        assert!(
+            std::fs::read(&path).expect("read") == flipped,
+            "nothing is cut"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

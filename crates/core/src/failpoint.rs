@@ -74,16 +74,6 @@ impl FailpointRegistry {
         let _ = site;
     }
 
-    /// Whether any site is armed.
-    pub fn is_armed(&self) -> bool {
-        #[cfg(feature = "failpoints")]
-        {
-            !self.armed.is_empty()
-        }
-        #[cfg(not(feature = "failpoints"))]
-        false
-    }
-
     /// Fails with [`InjectedFault`] when `site` is armed; the release-mode
     /// hot path compiles to nothing.
     #[inline]
@@ -140,7 +130,6 @@ mod tests {
     #[test]
     fn unarmed_registry_never_fails() {
         let fp = FailpointRegistry::new();
-        assert!(!fp.is_armed());
         assert_eq!(fp.check("after-bootstrap"), Ok(()));
     }
 
@@ -180,7 +169,6 @@ mod tests {
         // never armed changes nothing and panics nowhere.
         let mut fp = FailpointRegistry::new();
         fp.disarm("never-armed");
-        assert!(!fp.is_armed());
         assert_eq!(fp.check("never-armed"), Ok(()));
     }
 
@@ -192,7 +180,6 @@ mod tests {
         assert_eq!(std::mem::size_of::<FailpointRegistry>(), 0);
         let mut fp = FailpointRegistry::new();
         fp.arm("after-eval");
-        assert!(!fp.is_armed());
         assert_eq!(fp.check("after-eval"), Ok(()));
     }
 
@@ -206,7 +193,6 @@ mod tests {
         fp.arm("after-eval");
         assert!(fp.check("after-eval").is_err());
         fp.disarm("after-eval");
-        assert!(!fp.is_armed());
         assert_eq!(fp.check("after-eval"), Ok(()));
     }
 
@@ -236,7 +222,6 @@ mod tests {
     fn armed_site_fails_until_disarmed() {
         let mut fp = FailpointRegistry::new();
         fp.arm("after-eval");
-        assert!(fp.is_armed());
         let err = fp.check("after-eval").unwrap_err();
         assert_eq!(err.site, "after-eval");
         assert!(err.to_string().contains("after-eval"));

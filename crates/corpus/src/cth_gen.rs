@@ -144,7 +144,7 @@ fn clause(sub: Subcategory, gender: Gender, rng: &mut StdRng) -> String {
 /// communities evade keyword filters with creative spellings and
 /// camouflage, which is exactly why the paper needed a trained classifier
 /// over a keyword query.
-pub const OBFUSCATION_RATE: f64 = 0.25;
+const OBFUSCATION_RATE: f64 = 0.25;
 
 /// Leetspeak / evasive-spelling substitutions applied to attack verbs.
 const LEET: &[(&str, &str)] = &[
@@ -200,7 +200,7 @@ fn obfuscate(text: String, rng: &mut StdRng) -> String {
 /// When `identity` is provided, the target's PII (one kind per listed
 /// [`PiiKind`]) is embedded — producing the CTH ∩ dox overlap documents.
 /// A quarter of calls are obfuscated (leetspeak, implicit phrasing, or
-/// camouflage) per [`OBFUSCATION_RATE`].
+/// camouflage) per `OBFUSCATION_RATE`.
 pub fn cth_text(
     labels: LabelSet,
     gender: Gender,

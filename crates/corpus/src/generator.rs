@@ -73,16 +73,6 @@ impl Corpus {
             .collect()
     }
 
-    /// Ground-truth positives for a task.
-    pub fn true_cth(&self) -> impl Iterator<Item = &Document> {
-        self.documents.iter().filter(|d| d.truth.is_cth)
-    }
-
-    /// Ground-truth doxes.
-    pub fn true_doxes(&self) -> impl Iterator<Item = &Document> {
-        self.documents.iter().filter(|d| d.truth.is_dox)
-    }
-
     /// Table 1-style summary (posts + date range per data set).
     pub fn summary(&self) -> Vec<SummaryRow> {
         DataSet::ALL
@@ -753,16 +743,24 @@ mod tests {
     fn positives_planted_at_configured_counts() {
         let config = CorpusConfig::small(7);
         let c = generate(&config);
-        let cth = c.true_cth().count();
+        let cth = c.documents.iter().filter(|d| d.truth.is_cth).count();
         let expected_cth: usize = Platform::ALL.iter().map(|p| config.cth_count(*p)).sum();
         // Blog Stormer doxes with overload calls add a few CTH beyond the quota.
         assert!(cth >= expected_cth, "cth {cth} < {expected_cth}");
         assert!(cth <= expected_cth + config.dox_count(Platform::Blogs));
 
-        let dox = c.true_doxes().count();
+        let dox = c.documents.iter().filter(|d| d.truth.is_dox).count();
         let expected_dox: usize = Platform::ALL.iter().map(|p| config.dox_count(*p)).sum();
         // Board CTH∩dox posts count toward doxes too.
         assert!(dox >= expected_dox, "dox {dox} < {expected_dox}");
+    }
+
+    #[test]
+    fn timestamps_fall_inside_platform_eras() {
+        for d in &tiny().documents {
+            let (lo, hi) = crate::platforms::time_range(d.platform);
+            assert!((lo..hi).contains(&d.timestamp), "{:?} out of era", d.id);
+        }
     }
 
     #[test]
@@ -797,7 +795,7 @@ mod tests {
     #[test]
     fn doxes_carry_pii_and_handles() {
         let c = tiny();
-        for d in c.true_doxes() {
+        for d in c.documents.iter().filter(|d| d.truth.is_dox) {
             assert!(d.truth.target_handle.is_some());
             // Discord "soft" doxes expose only non-extractable PII (§7.2);
             // every other dox carries at least one extractable kind.
@@ -827,7 +825,7 @@ mod tests {
     #[test]
     fn cth_carry_labels() {
         let c = tiny();
-        for d in c.true_cth() {
+        for d in c.documents.iter().filter(|d| d.truth.is_cth) {
             assert!(!d.truth.labels.is_empty(), "CTH without labels");
         }
     }
@@ -849,7 +847,7 @@ mod tests {
         let config = CorpusConfig::small(11);
         let c = generate(&config);
         let mut handle_counts: HashMap<&str, usize> = HashMap::new();
-        for d in c.true_doxes() {
+        for d in c.documents.iter().filter(|d| d.truth.is_dox) {
             if let Some(h) = &d.truth.target_handle {
                 *handle_counts.entry(h.as_str()).or_default() += 1;
             }

@@ -38,7 +38,7 @@ fn table11_weights(ds: DataSet) -> Vec<f64> {
 }
 
 /// Samples one subcategory from the Table 11 distribution for a data set.
-pub fn sample_subcategory(ds: DataSet, rng: &mut StdRng) -> Subcategory {
+fn sample_subcategory(ds: DataSet, rng: &mut StdRng) -> Subcategory {
     let weights = table11_weights(ds);
     calibration::TABLE11[weighted_index(&weights, rng)].subcategory
 }

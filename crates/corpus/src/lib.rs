@@ -20,7 +20,6 @@
 //!
 //! Modules:
 //! * [`document`] — the document model and planted ground truth.
-//! * [`error`] — typed structural errors ([`CorpusError`]).
 //! * [`config`] — generation parameters.
 //! * [`pii_gen`] — synthetic-PII factory.
 //! * [`textgen`] — benign platform chatter.
@@ -32,11 +31,9 @@
 //! * [`jsonl`] — JSONL import/export.
 
 pub mod config;
-pub mod crawl;
 pub mod cth_gen;
 pub mod document;
 pub mod dox_gen;
-pub mod error;
 pub mod generator;
 pub mod jsonl;
 pub mod labels;
@@ -48,7 +45,6 @@ pub mod textgen;
 
 pub use config::CorpusConfig;
 pub use document::{DocId, Document, GroundTruth, ThreadRef};
-pub use error::CorpusError;
 pub use generator::{generate, Corpus};
 pub use jsonl::{
     read_jsonl, read_jsonl_quarantine, redact_excerpt, write_jsonl, JsonlError, QuarantineStats,

@@ -51,7 +51,7 @@ impl Default for MarkovChain {
 
 impl MarkovChain {
     /// Trains a chain from sentences (whitespace-tokenized).
-    pub fn from_sentences<'a, I: IntoIterator<Item = &'a str>>(sentences: I) -> Self {
+    fn from_sentences<'a, I: IntoIterator<Item = &'a str>>(sentences: I) -> Self {
         let mut successors: HashMap<String, Vec<String>> = HashMap::new();
         let mut starters = Vec::new();
         for sentence in sentences {

@@ -139,7 +139,7 @@ impl Identity {
 }
 
 /// Computes the Luhn check digit for a digit string.
-pub fn luhn_check_digit(digits: &str) -> u8 {
+fn luhn_check_digit(digits: &str) -> u8 {
     let mut sum = 0u32;
     // Rightmost payload digit gets doubled (check digit will sit after it).
     for (i, ch) in digits.chars().rev().enumerate() {

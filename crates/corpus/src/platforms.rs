@@ -92,7 +92,7 @@ pub fn thread_len(mean: f64, rng: &mut StdRng) -> u32 {
 }
 
 /// Platform posting-era bounds (unix seconds), matching Table 1 date ranges.
-pub fn time_range(platform: Platform) -> (u64, u64) {
+pub(crate) fn time_range(platform: Platform) -> (u64, u64) {
     match platform {
         Platform::Boards => (992_476_800, 1_596_240_000), // 2001-06-14 .. 2020-08-01
         Platform::Blogs => (924_825_600, 1_597_363_200),  // 1999-04-23 .. 2020-08-14

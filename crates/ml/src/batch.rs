@@ -141,7 +141,7 @@ impl FeatureMatrix {
     /// spmv kernel, writing row `start + r`'s probability into `out[r]`.
     ///
     /// The kernel sweeps the tile's rows over ascending column blocks of
-    /// [`COL_BLOCK`] weights (128 KiB of f32 — sized to stay resident in
+    /// `COL_BLOCK` weights (128 KiB of f32 — sized to stay resident in
     /// L2), so one hot slice of the weight vector serves every row of the
     /// tile before the sweep moves on, instead of each row walking the full
     /// weight vector cold. Each row keeps ONE running accumulator carried
@@ -218,7 +218,7 @@ impl Default for FeatureMatrix {
 }
 
 /// Column-block width of the tiled spmv: 2^15 f32 weights = 128 KiB.
-pub const COL_BLOCK: usize = 1 << 15;
+const COL_BLOCK: usize = 1 << 15;
 
 /// Row-tile height: how many rows share one sweep over the weight blocks.
 /// Also the parallel work unit the scoring engine hands to `core::parallel`.
@@ -245,7 +245,6 @@ fn accumulate(sum: f32, weights: &[f32], index: u32, value: f32) -> f32 {
 #[derive(Debug, Clone, Default)]
 pub struct FeatureCache {
     map: HashMap<u64, SparseVec>,
-    fresh: usize,
     hits: usize,
 }
 
@@ -262,10 +261,7 @@ impl FeatureCache {
                 self.hits += 1;
                 e.into_mut()
             }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                self.fresh += 1;
-                e.insert(featurizer.features(text))
-            }
+            std::collections::hash_map::Entry::Vacant(e) => e.insert(featurizer.features(text)),
         }
     }
 
@@ -291,11 +287,6 @@ impl FeatureCache {
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-
-    /// How many texts were actually featurized (cache misses).
-    pub fn fresh_featurizations(&self) -> usize {
-        self.fresh
     }
 
     /// How many lookups were served from the cache.
@@ -476,7 +467,7 @@ mod tests {
         let first = cache.features(&f, 1, "report him").clone();
         let second = cache.features(&f, 1, "report him").clone();
         assert_eq!(first, second);
-        assert_eq!(cache.fresh_featurizations(), 1);
+        assert_eq!(cache.len(), 1);
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.len(), 1);
     }
@@ -498,7 +489,7 @@ mod tests {
         ];
         let data2 = cache.dataset(&f, more.iter().map(|(k, t, l)| (*k, *t, *l)));
         assert_eq!(data2.len(), 3);
-        assert_eq!(cache.fresh_featurizations(), 3);
+        assert_eq!(cache.len(), 3);
         assert_eq!(cache.hits(), 2);
     }
 }

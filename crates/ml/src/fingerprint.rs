@@ -49,16 +49,9 @@ impl TopicFingerprint {
         Self::default()
     }
 
-    /// Folds one document's sparse features into a fresh fingerprint.
-    pub fn from_features(features: &SparseVec) -> Self {
-        let mut fp = Self::new();
-        fp.fold(features);
-        fp
-    }
-
     /// Folds one CSR row (a [`crate::FeatureMatrix::row`]) into a fresh
-    /// fingerprint, entry by entry in the same order as
-    /// [`Self::from_features`] on the equivalent vector.
+    /// fingerprint, entry by entry in the same order as [`Self::fold`] on
+    /// the equivalent vector.
     pub fn from_row(indices: &[u32], values: &[f32]) -> Self {
         let mut fp = Self::new();
         fp.fold_entries(indices.iter().copied().zip(values.iter().copied()));
@@ -145,6 +138,12 @@ mod tests {
     use super::*;
     use crate::featurize::{Featurizer, FeaturizerConfig};
 
+    fn fingerprint(f: &Featurizer, text: &str) -> TopicFingerprint {
+        let mut fp = TopicFingerprint::new();
+        fp.fold(&f.features(text));
+        fp
+    }
+
     fn featurizer() -> Featurizer {
         Featurizer::fit(
             FeaturizerConfig::default(),
@@ -157,17 +156,17 @@ mod tests {
     #[test]
     fn identical_documents_overlap_fully() {
         let f = featurizer();
-        let a = TopicFingerprint::from_features(&f.features("post her address and workplace"));
-        let b = TopicFingerprint::from_features(&f.features("post her address and workplace"));
+        let a = fingerprint(&f, "post her address and workplace");
+        let b = fingerprint(&f, "post her address and workplace");
         assert!((a.overlap(&b) - 1.0).abs() < 1e-6);
     }
 
     #[test]
     fn disjoint_topics_overlap_less_than_same_topic() {
         let f = featurizer();
-        let doxing = TopicFingerprint::from_features(&f.features("post the address and phone"));
-        let doxing2 = TopicFingerprint::from_features(&f.features("address and phone leaked"));
-        let weather = TopicFingerprint::from_features(&f.features("lovely weather for a picnic"));
+        let doxing = fingerprint(&f, "post the address and phone");
+        let doxing2 = fingerprint(&f, "address and phone leaked");
+        let weather = fingerprint(&f, "lovely weather for a picnic");
         assert!(doxing.overlap(&doxing2) > doxing.overlap(&weather));
     }
 
@@ -175,7 +174,7 @@ mod tests {
     fn empty_profiles_score_zero() {
         let f = featurizer();
         let a = TopicFingerprint::new();
-        let b = TopicFingerprint::from_features(&f.features("anything at all"));
+        let b = fingerprint(&f, "anything at all");
         assert_eq!(a.overlap(&b), 0.0);
         assert_eq!(a.overlap(&a), 0.0);
         assert!(a.is_empty());
@@ -211,7 +210,7 @@ mod tests {
         for (i, text) in texts.iter().enumerate() {
             let (indices, values) = matrix.row(i);
             let by_row = TopicFingerprint::from_row(indices, values);
-            let by_vec = TopicFingerprint::from_features(&f.features(text));
+            let by_vec = fingerprint(&f, text);
             let bits = |fp: &TopicFingerprint| fp.slots().map(f32::to_bits);
             assert_eq!(bits(&by_row), bits(&by_vec), "{text:?}");
         }
@@ -220,7 +219,7 @@ mod tests {
     #[test]
     fn slots_roundtrip() {
         let f = featurizer();
-        let fp = TopicFingerprint::from_features(&f.features("post the dox"));
+        let fp = fingerprint(&f, "post the dox");
         let back = TopicFingerprint::from_slots(fp.slots().as_slice());
         assert_eq!(back, Some(fp));
         assert_eq!(TopicFingerprint::from_slots(&[1.0, 2.0]), None);
@@ -237,8 +236,8 @@ mod tests {
         ];
         for a in &texts {
             for b in &texts {
-                let fa = TopicFingerprint::from_features(&f.features(a));
-                let fb = TopicFingerprint::from_features(&f.features(b));
+                let fa = fingerprint(&f, a);
+                let fb = fingerprint(&f, b);
                 let o = fa.overlap(&fb);
                 assert!((0.0..=1.0).contains(&o), "overlap {o} out of range");
             }

@@ -47,7 +47,7 @@ impl From<std::io::Error> for PersistError {
 }
 
 /// Current artifact schema version.
-pub const MODEL_VERSION: u32 = 1;
+const MODEL_VERSION: u32 = 1;
 
 #[derive(serde::Serialize, serde::Deserialize)]
 struct Artifact {

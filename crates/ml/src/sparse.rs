@@ -2,7 +2,7 @@
 //!
 //! A feature vector is a sorted list of `(index, value)` pairs produced by
 //! the feature hasher. Indices are unique and strictly increasing, which
-//! the dot/axpy kernels rely on.
+//! the dot and merge kernels rely on.
 
 /// A sparse vector: sorted, de-duplicated `(index, value)` pairs.
 pub type SparseVec = Vec<(u32, f32)>;
@@ -18,15 +18,6 @@ pub fn dot(sparse: &SparseVec, dense: &[f32]) -> f32 {
         }
     }
     sum
-}
-
-/// `dense[i] += scale * v` for each sparse component.
-pub fn axpy(dense: &mut [f32], sparse: &SparseVec, scale: f32) {
-    for &(i, v) in sparse {
-        if let Some(w) = dense.get_mut(i as usize) {
-            *w += scale * v;
-        }
-    }
 }
 
 /// L2 norm of a sparse vector.
@@ -88,14 +79,6 @@ mod tests {
         let s: SparseVec = vec![(100, 5.0)];
         let d = vec![1.0; 3];
         assert_eq!(dot(&s, &d), 0.0);
-    }
-
-    #[test]
-    fn axpy_updates_in_place() {
-        let s: SparseVec = vec![(1, 2.0)];
-        let mut d = vec![0.0; 3];
-        axpy(&mut d, &s, 0.5);
-        assert_eq!(d, vec![0.0, 1.0, 0.0]);
     }
 
     #[test]

@@ -150,19 +150,19 @@ fn edge_cases_agree_in_every_mode_and_strategy() {
 /// drawn from the pool with occasional over-long words, up to several
 /// `max_len` windows long.
 fn seeded_doc(rng: &mut SplitMix64) -> String {
-    match rng.next_below(10) {
+    match rng.range(0, 10) {
         0 => String::new(),
         1 => "!?.,;:—@#".chars().take(rng.range(1, 10)).collect(),
         _ => {
             let words = rng.range(1, 41);
             let mut doc = String::new();
             for _ in 0..words {
-                if rng.next_below(25) == 0 {
+                if rng.range(0, 25) == 0 {
                     doc.push_str(&"x".repeat(rng.range(95, 110)));
                 } else {
                     doc.push_str(WORDS[rng.range(0, WORDS.len())]);
                 }
-                doc.push_str(if rng.next_below(8) == 0 { "\n" } else { " " });
+                doc.push_str(if rng.range(0, 8) == 0 { "\n" } else { " " });
             }
             doc
         }

@@ -2,7 +2,7 @@
 
 use incite_ml::logreg::{LogisticRegression, TrainConfig};
 use incite_ml::naive_bayes::NaiveBayes;
-use incite_ml::sparse::{axpy, dot, merge, norm, SparseVec};
+use incite_ml::sparse::{merge, SparseVec};
 use incite_ml::Dataset;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -23,17 +23,6 @@ proptest! {
         model.retain(|_, v| *v != 0.0);
         let expected: SparseVec = model.into_iter().collect();
         prop_assert_eq!(merged, expected);
-    }
-
-    #[test]
-    fn dot_is_linear_in_axpy(a in arb_sparse(32, 10), scale in -5.0f32..5.0) {
-        let mut dense = vec![0.0f32; 32];
-        axpy(&mut dense, &a, scale);
-        // dense now equals scale * a; dot(a, dense) == scale * |a|^2.
-        let expected = scale * norm(&a) * norm(&a);
-        let got = dot(&a, &dense);
-        prop_assert!((got - expected).abs() <= 1e-3 * (1.0 + expected.abs()),
-            "got {got}, expected {expected}");
     }
 
     #[test]

@@ -11,7 +11,7 @@ const MASCULINE: [&str; 3] = ["he", "him", "his"];
 const FEMININE: [&str; 3] = ["she", "her", "hers"];
 
 /// Counts pronoun-group occurrences as standalone lowercase word tokens.
-pub fn pronoun_counts(text: &str) -> (usize, usize) {
+fn pronoun_counts(text: &str) -> (usize, usize) {
     let mut masculine = 0;
     let mut feminine = 0;
     let mut word = String::new();

@@ -11,7 +11,9 @@ fn extractors_meet_paper_accuracy_on_planted_doxes() {
     let corpus = generate(&CorpusConfig::tiny(77));
     let extractor = PiiExtractor::new();
     let sample: Vec<(&str, PiiSet)> = corpus
-        .true_doxes()
+        .documents
+        .iter()
+        .filter(|d| d.truth.is_dox)
         .map(|d| (d.text.as_str(), d.truth.pii))
         .collect();
     assert!(

@@ -157,11 +157,6 @@ impl Regex {
         &self.pattern
     }
 
-    /// Number of capture groups, including group 0.
-    pub fn group_count(&self) -> usize {
-        self.program.n_groups
-    }
-
     /// Whether the pattern matches anywhere in `text`.
     ///
     /// Existence needs no span, so the DFA prefilter can answer both ways
@@ -241,34 +236,6 @@ impl Regex {
             text,
             pos: 0,
         }
-    }
-
-    /// Replaces every non-overlapping match using a callback.
-    ///
-    /// ```
-    /// use incite_regex::Regex;
-    ///
-    /// let re = Regex::new(r"\d+").unwrap();
-    /// let out = re.replace_all("a1 b22 c333", |m| format!("<{}>", m.as_str().len()));
-    /// assert_eq!(out, "a<1> b<2> c<3>");
-    /// ```
-    pub fn replace_all<F>(&self, text: &str, mut replacement: F) -> String
-    where
-        F: FnMut(&Match<'_>) -> String,
-    {
-        let mut out = String::with_capacity(text.len());
-        let mut cursor = 0;
-        for m in self.find_iter(text) {
-            // Skip empty matches that would not advance past the cursor.
-            if m.end <= cursor && m.start < cursor {
-                continue;
-            }
-            out.push_str(&text[cursor..m.start]);
-            out.push_str(&replacement(&m));
-            cursor = m.end.max(cursor);
-        }
-        out.push_str(&text[cursor..]);
-        out
     }
 }
 
@@ -528,51 +495,5 @@ mod tests {
             .collect();
         assert_eq!(pairs.len(), 3);
         assert_eq!(pairs[2], ("c".to_string(), "333".to_string()));
-    }
-}
-
-#[cfg(test)]
-mod replace_tests {
-    use super::*;
-
-    #[test]
-    fn replace_all_basic() {
-        let re = Regex::new(r"\d+").unwrap();
-        let out = re.replace_all("a 12 b 345", |_| "N".to_string());
-        assert_eq!(out, "a N b N");
-    }
-
-    #[test]
-    fn replace_all_with_no_matches_is_identity() {
-        let re = Regex::new("zzz").unwrap();
-        assert_eq!(re.replace_all("hello world", |_| "!".into()), "hello world");
-    }
-
-    #[test]
-    fn replace_all_handles_empty_matches() {
-        let re = Regex::new("x*").unwrap();
-        // Empty matches at each position must terminate and preserve text.
-        let out = re.replace_all("ab", |m| {
-            if m.is_empty() {
-                String::new()
-            } else {
-                "X".into()
-            }
-        });
-        assert_eq!(out, "ab");
-    }
-
-    #[test]
-    fn replace_all_callback_sees_match_text() {
-        let re = Regex::new(r"[a-z]+").unwrap();
-        let out = re.replace_all("ab 12 cd", |m| m.as_str().to_uppercase());
-        assert_eq!(out, "AB 12 CD");
-    }
-
-    #[test]
-    fn replace_all_unicode_boundaries() {
-        let re = Regex::new("é").unwrap();
-        let out = re.replace_all("café déjà", |_| "e".into());
-        assert_eq!(out, "cafe dejà"); // only 'é' is replaced, 'à' stays
     }
 }

@@ -71,7 +71,7 @@ fn assert_agreement(re: &Regex, prog: &Program, text: &str) {
     match (&re_caps, &vm_caps) {
         (None, None) => {}
         (Some(got), Some(want)) => {
-            for g in 0..re.group_count() {
+            for g in 0..prog.n_groups {
                 let got_span = got.get(g).map(|m| (m.start, m.end));
                 let want_span = want
                     .get(2 * g)

@@ -116,11 +116,6 @@ impl AdmissionControl {
         }
     }
 
-    /// Whether any tenant quotas are configured.
-    pub fn enforcing(&self) -> bool {
-        !self.tenants.is_empty()
-    }
-
     /// Decides admission for a request presenting `api_key`, charging one
     /// token on grant. Deterministic given `now`: the same key, bucket
     /// state, and instant always produce the same decision and hint.
@@ -265,7 +260,6 @@ mod tests {
     #[test]
     fn open_mode_admits_everything_under_default() {
         let ac = AdmissionControl::new(Vec::new(), Instant::now());
-        assert!(!ac.enforcing());
         let now = Instant::now();
         for _ in 0..100 {
             assert_eq!(
@@ -285,7 +279,6 @@ mod tests {
     fn bucket_drains_then_rejects_with_exact_hint() {
         let boot = Instant::now();
         let ac = AdmissionControl::new(quotas(), boot);
-        assert!(ac.enforcing());
         // Capacity 2: two grants, then a rejection at the same instant.
         for _ in 0..2 {
             assert!(matches!(

@@ -28,15 +28,6 @@ pub const MID_SWAP: &str = "serve-mid-swap";
 /// unwritable — the server must refuse to start, not drop records later.
 pub const JOURNAL_OPEN: &str = "serve-journal-open";
 
-/// Every serve chaos site, for sweep loops.
-pub const SERVE_SITES: &[&str] = &[
-    SOCKET_RESET,
-    SHORT_WRITE,
-    WORKER_FAULT,
-    MID_SWAP,
-    JOURNAL_OPEN,
-];
-
 /// One-shot wrapper over the core registry for the serve request path.
 #[derive(Debug, Default)]
 pub struct ChaosRegistry {
@@ -89,7 +80,13 @@ mod tests {
     #[test]
     fn untripped_registry_never_fires() {
         let chaos = ChaosRegistry::default();
-        for site in SERVE_SITES {
+        for site in [
+            SOCKET_RESET,
+            SHORT_WRITE,
+            WORKER_FAULT,
+            MID_SWAP,
+            JOURNAL_OPEN,
+        ] {
             assert!(!chaos.trip(site));
         }
     }

@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 /// Hard cap on request line + headers, bytes.
 const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Hard cap on a request body, bytes.
-pub const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
+const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
 /// How long a request already in flight may continue after a drain began.
 const DRAIN_GRACE: Duration = Duration::from_secs(2);
 

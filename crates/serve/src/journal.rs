@@ -10,7 +10,9 @@
 //! `run_dir`, `tenant`), and the produced score bits, which is everything
 //! `incite replay` needs to re-score the inputs offline and compare
 //! f32 bit patterns. A torn tail (crash mid-append) is detected by the
-//! per-record FNV-64 footer and reported, never silently trusted.
+//! per-record FNV-64 footer and never silently trusted: a restart on the
+//! same journal cuts it off before its first append, and [`read_journal`]
+//! refuses damage to any complete record.
 //!
 //! Shutdown is by channel disconnect: when every worker's sender drops,
 //! the journal thread drains the remaining buffered records in FIFO order
@@ -60,7 +62,9 @@ pub struct JournalStats {
 /// thread down after a FIFO drain) and the join handle. Opening eagerly
 /// means an unwritable journal path fails server boot, not the first
 /// request — the [`chaos::JOURNAL_OPEN`] failpoint injects exactly that
-/// boot failure, which is what makes this open sweepable (INC014).
+/// boot failure, which is what makes this open sweepable (INC014). A torn
+/// final record left by a crash is cut off first, so this server's records
+/// follow the last intact one; other damage at the end refuses the boot.
 pub(crate) fn spawn(
     path: &Path,
     stats: Arc<JournalStats>,
@@ -73,6 +77,7 @@ pub(crate) fn spawn(
         });
     }
     let mut log = AppendLog::open(path)?;
+    log.cut_torn_tail()?;
     let (tx, rx) = mpsc::channel::<JournalRecord>();
     let handle = thread::Builder::new()
         .name("incite-journal".to_string())
@@ -103,14 +108,14 @@ pub(crate) fn spawn(
     Ok((tx, handle))
 }
 
-/// Reads a journal back: the intact records in append order, plus the
-/// byte offset of a torn or damaged tail if one was detected.
+/// Reads a journal back: the records in append order, plus the byte offset
+/// of a torn tail if one was detected.
 ///
-/// A record whose hash footer verifies but whose payload fails to parse
-/// is corruption-by-construction (the server only appends valid JSON), so
-/// it is a typed error rather than a silent skip.
+/// A damaged complete record is a typed error naming its offset, as is a
+/// record whose hash footer verifies but whose payload fails to parse
+/// (the server only appends valid JSON): never a silent skip.
 pub fn read_journal(path: &Path) -> Result<(Vec<JournalRecord>, Option<u64>), CheckpointError> {
-    let (payloads, damage) = atomic_io::read_log(path)?;
+    let (payloads, damage) = atomic_io::read_log_strict(path)?;
     let mut records = Vec::with_capacity(payloads.len());
     for payload in &payloads {
         let text = std::str::from_utf8(payload).map_err(|_| CheckpointError::Corrupt {
@@ -174,6 +179,60 @@ mod tests {
         assert_eq!(records.len(), 5);
         for (seq, got) in records.iter().enumerate() {
             assert_eq!(*got, record(seq as u64), "record {seq} roundtrips exactly");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn write_records(path: &Path, seqs: std::ops::Range<u64>) {
+        let stats = Arc::new(JournalStats::default());
+        let (tx, handle) =
+            spawn(path, Arc::clone(&stats), &ChaosRegistry::default()).expect("journal opens");
+        for seq in seqs {
+            tx.send(record(seq)).expect("send");
+        }
+        drop(tx);
+        handle.join().expect("journal thread exits");
+        assert_eq!(stats.errors.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn restart_cuts_a_torn_tail_so_later_records_replay() {
+        let dir = test_dir("torn-restart");
+        let path = dir.join("torn.jsonl");
+        write_records(&path, 0..2);
+        // A crash mid-append: part of a third record.
+        let mut log = AppendLog::open(&path).expect("log opens");
+        let line = serde_json::to_string(&record(2)).expect("serialize");
+        log.append(line.as_bytes()).expect("append");
+        let full = std::fs::metadata(&path).expect("meta").len();
+        log.cut_to(full - 9).expect("tear");
+        drop(log);
+        // The restarted server appends after the last intact record.
+        write_records(&path, 2..4);
+        let (records, damage) = read_journal(&path).expect("journal reads back");
+        assert_eq!(damage, None);
+        let want: Vec<JournalRecord> = (0..4).map(record).collect();
+        assert_eq!(records, want);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    // Planting the damage needs a raw write past the INC006 funnel.
+    #[allow(clippy::disallowed_methods)]
+    fn damaged_complete_record_is_refused_by_offset() {
+        let dir = test_dir("damaged");
+        let path = dir.join("damaged.jsonl");
+        write_records(&path, 0..3);
+        let first = serde_json::to_string(&record(0)).expect("serialize");
+        let second = atomic_io::framed_len(first.len());
+        let mut bytes = std::fs::read(&path).expect("read");
+        bytes[second as usize + 3] ^= 0x01;
+        std::fs::write(&path, &bytes).expect("flip");
+        match read_journal(&path) {
+            Err(CheckpointError::Corrupt { detail, .. }) => {
+                assert!(detail.contains(&format!("byte {second}")), "{detail}");
+            }
+            other => panic!("expected a damaged-record refusal, got {other:?}"),
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

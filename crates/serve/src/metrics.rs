@@ -20,7 +20,7 @@ const BUCKETS: usize = 40;
 
 /// A log₂-bucketed latency histogram over microseconds.
 #[derive(Debug)]
-pub struct LatencyHistogram {
+pub(crate) struct LatencyHistogram {
     buckets: [AtomicU64; BUCKETS],
     count: AtomicU64,
     sum_us: AtomicU64,
@@ -50,7 +50,7 @@ impl LatencyHistogram {
 
     /// Upper bound of the bucket containing quantile `q` (0..=1), in µs.
     /// Returns 0 with no observations.
-    pub fn quantile_upper_us(&self, q: f64) -> u64 {
+    fn quantile_upper_us(&self, q: f64) -> u64 {
         let total = self.count();
         if total == 0 {
             return 0;
@@ -66,7 +66,7 @@ impl LatencyHistogram {
         1u64 << (BUCKETS - 1)
     }
 
-    pub fn sum_us(&self) -> u64 {
+    fn sum_us(&self) -> u64 {
         self.sum_us.load(Ordering::Relaxed)
     }
 }
@@ -117,7 +117,7 @@ pub struct Metrics {
     /// Largest micro-batch seen (documents).
     pub max_batch_docs: AtomicU64,
     /// End-to-end request latency (parse start → response written).
-    pub latency: LatencyHistogram,
+    pub(crate) latency: LatencyHistogram,
 }
 
 impl Metrics {

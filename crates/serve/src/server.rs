@@ -12,7 +12,8 @@
 //!                                           (map_indexed, `threads` wide)
 //! ```
 //!
-//! Drain protocol on [`ServerHandle::initiate_drain`] (SIGTERM path):
+//! Drain protocol on [`ServerHandle::join`] (the SIGTERM path reaches it
+//! through [`ServerHandle::run_until`]):
 //! 1. the draining flag flips — `/healthz` turns 503, new `/v1/score`
 //!    requests are refused with 503;
 //! 2. the acceptor stops accepting and exits;
@@ -44,12 +45,12 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Maximum documents in one `/v1/score` or `/v1/redact` request.
-pub const MAX_DOCS_PER_REQUEST: usize = 1024;
+const MAX_DOCS_PER_REQUEST: usize = 1024;
 
 /// Connection read timeout and drain/metrics poll tick.
 ///
 /// The acceptor itself does NOT poll: it blocks in `accept` and is woken
-/// for drains by a loopback connection from [`ServerHandle::initiate_drain`].
+/// for drains by a loopback connection from `ServerHandle::initiate_drain`.
 /// (A 25 ms accept-poll sleep here used to put a full tick on the p99 of
 /// every fresh connection; perfbench's `serve_single` latencies time it.)
 const POLL: Duration = Duration::from_millis(25);
@@ -264,7 +265,7 @@ impl ServerHandle {
 
     /// Flips the draining flag: `/healthz` goes 503, new scoring work is
     /// refused, the acceptor winds down. Idempotent; does not block.
-    pub fn initiate_drain(&self) {
+    fn initiate_drain(&self) {
         self.state.draining.store(true, Ordering::Release);
         // The acceptor blocks in `accept` (no poll tick); a loopback
         // connection wakes it so it can observe the flag and exit. The

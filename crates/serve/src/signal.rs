@@ -16,11 +16,6 @@ pub fn shutdown_flag() -> &'static AtomicBool {
     &SHUTDOWN
 }
 
-/// Resets the flag; only tests that simulate repeated shutdowns need it.
-pub fn reset_for_test() {
-    SHUTDOWN.store(false, Ordering::SeqCst);
-}
-
 /// Installs SIGTERM and SIGINT handlers that flip [`shutdown_flag`].
 /// Best-effort and idempotent; on non-unix targets it is a no-op (the
 /// drain can still be driven through [`crate::ServerHandle::join`]).
@@ -52,11 +47,11 @@ mod tests {
 
     #[test]
     fn flag_flips_and_resets() {
-        reset_for_test();
+        SHUTDOWN.store(false, Ordering::SeqCst);
         assert!(!shutdown_flag().load(Ordering::SeqCst));
         shutdown_flag().store(true, Ordering::SeqCst);
         assert!(shutdown_flag().load(Ordering::SeqCst));
-        reset_for_test();
+        SHUTDOWN.store(false, Ordering::SeqCst);
         assert!(!shutdown_flag().load(Ordering::SeqCst));
     }
 

@@ -188,11 +188,14 @@ fn graceful_drain_answers_accepted_requests_and_joins_clean() {
     let addr = handle.local_addr();
 
     let stop = std::sync::atomic::AtomicBool::new(false);
-    let outcomes: Vec<(usize, usize)> = std::thread::scope(|scope| {
+    let sigterm = std::sync::atomic::AtomicBool::new(false);
+    let (outcomes, report) = std::thread::scope(|scope| {
+        let server = scope.spawn(|| handle.run_until(&sigterm));
         let workers: Vec<_> = (0..4)
             .map(|c| {
                 let texts = &texts;
                 let stop = &stop;
+                let sigterm = &sigterm;
                 scope.spawn(move || {
                     let mut ok = 0usize;
                     let mut refused = 0usize;
@@ -220,7 +223,7 @@ fn graceful_drain_answers_accepted_requests_and_joins_clean() {
                             // between requests once draining has begun.
                             Err(e) => {
                                 assert!(
-                                    stop.load(std::sync::atomic::Ordering::Acquire),
+                                    sigterm.load(std::sync::atomic::Ordering::Acquire),
                                     "connection error before drain: {e}"
                                 );
                                 break;
@@ -235,18 +238,20 @@ fn graceful_drain_answers_accepted_requests_and_joins_clean() {
         // Let the clients build up in-flight traffic, then pull the plug
         // the way the SIGTERM handler does.
         std::thread::sleep(Duration::from_millis(150));
-        handle.initiate_drain();
+        sigterm.store(true, std::sync::atomic::Ordering::Release);
+        // `run_until` polls every 25 ms: keep the load on while it drains.
+        std::thread::sleep(Duration::from_millis(100));
         stop.store(true, std::sync::atomic::Ordering::Release);
-        workers
+        let outcomes: Vec<(usize, usize)> = workers
             .into_iter()
             .map(|w| w.join().expect("client thread"))
-            .collect()
+            .collect();
+        (outcomes, server.join().expect("server thread"))
     });
 
     let total_ok: usize = outcomes.iter().map(|(ok, _)| ok).sum();
     assert!(total_ok > 0, "no requests completed before the drain");
 
-    let report = handle.join();
     assert_eq!(report.panicked_threads, 0);
     assert_eq!(report.stuck_connections, 0, "drain left connections behind");
     assert!(report.requests_total >= total_ok as u64);

@@ -1,4 +1,4 @@
-//! Classifier evaluation: confusion matrices, precision/recall/F1 and ROC.
+//! Classifier evaluation: confusion matrices, precision/recall/F1 and AUC.
 //!
 //! Table 3 reports per-label F1/precision/recall plus weighted and macro
 //! averages; §5.4 tunes hyperparameters "for better AUC-ROC scores". Both
@@ -36,15 +36,6 @@ impl BinaryConfusion {
         }
     }
 
-    /// Builds a confusion matrix from parallel label/prediction slices.
-    pub fn from_pairs(actual: &[bool], predicted: &[bool]) -> BinaryConfusion {
-        let mut c = BinaryConfusion::default();
-        for (&a, &p) in actual.iter().zip(predicted) {
-            c.record(a, p);
-        }
-        c
-    }
-
     /// Total observations.
     pub fn total(&self) -> u64 {
         self.true_positive + self.false_positive + self.true_negative + self.false_negative
@@ -65,7 +56,7 @@ impl BinaryConfusion {
     }
 
     /// Scores for the negative label (treating "negative" as the target).
-    pub fn negative_scores(&self) -> PrfScores {
+    fn negative_scores(&self) -> PrfScores {
         prf(self.true_negative, self.false_negative, self.false_positive)
     }
 
@@ -177,55 +168,6 @@ pub fn auc_roc(scores: &[f64], labels: &[bool]) -> Option<f64> {
     Some(u / (n_pos as f64 * n_neg as f64))
 }
 
-/// One point of a ROC curve.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RocPoint {
-    pub threshold: f64,
-    pub true_positive_rate: f64,
-    pub false_positive_rate: f64,
-}
-
-/// The full ROC curve, one point per distinct score threshold (descending).
-pub fn roc_curve(scores: &[f64], labels: &[bool]) -> Vec<RocPoint> {
-    let pos_count = labels.iter().filter(|&&l| l).count();
-    let neg_count = labels.len() - pos_count;
-    if pos_count == 0 || neg_count == 0 {
-        return Vec::new();
-    }
-    let n_pos = pos_count as f64;
-    let n_neg = neg_count as f64;
-    let mut order: Vec<usize> = (0..scores.len()).collect();
-    order.sort_by(|&i, &j| {
-        scores[j]
-            .partial_cmp(&scores[i])
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let mut points = Vec::new();
-    let mut tp = 0.0;
-    let mut fp = 0.0;
-    let mut i = 0;
-    while i < order.len() {
-        let threshold = scores[order[i]];
-        // Exact ties are intended: one point per distinct score, so an
-        // epsilon would merge thresholds that classify differently.
-        #[allow(clippy::float_cmp)]
-        while i < order.len() && scores[order[i]] == threshold {
-            if labels[order[i]] {
-                tp += 1.0;
-            } else {
-                fp += 1.0;
-            }
-            i += 1;
-        }
-        points.push(RocPoint {
-            threshold,
-            true_positive_rate: tp / n_pos,
-            false_positive_rate: fp / n_neg,
-        });
-    }
-    points
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,7 +176,10 @@ mod tests {
     fn confusion_accumulates() {
         let actual = [true, true, false, false, true];
         let pred = [true, false, false, true, true];
-        let c = BinaryConfusion::from_pairs(&actual, &pred);
+        let mut c = BinaryConfusion::default();
+        for (&a, &p) in actual.iter().zip(&pred) {
+            c.record(a, p);
+        }
         assert_eq!(c.true_positive, 2);
         assert_eq!(c.false_negative, 1);
         assert_eq!(c.false_positive, 1);
@@ -322,30 +267,5 @@ mod tests {
         let scores = [0.1, 0.4, 0.35, 0.8];
         let labels = [false, false, true, true];
         assert!((auc_roc(&scores, &labels).unwrap() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn roc_curve_is_monotone() {
-        let scores = [0.9, 0.7, 0.7, 0.4, 0.2, 0.1];
-        let labels = [true, true, false, true, false, false];
-        let curve = roc_curve(&scores, &labels);
-        assert!(!curve.is_empty());
-        for w in curve.windows(2) {
-            assert!(w[0].true_positive_rate <= w[1].true_positive_rate);
-            assert!(w[0].false_positive_rate <= w[1].false_positive_rate);
-            assert!(w[0].threshold >= w[1].threshold);
-        }
-        let last = curve.last().unwrap();
-        assert_eq!(last.true_positive_rate, 1.0);
-        assert_eq!(last.false_positive_rate, 1.0);
-        // One point per distinct score: the exact 0.7 tie shares a point,
-        // while a score one ULP above 0.7 gets its own threshold.
-        assert_eq!(curve.len(), 5);
-        let up = f64::from_bits(0.7f64.to_bits() + 1);
-        let curve = roc_curve(&[0.9, up, 0.7, 0.4], &[true, true, false, false]);
-        assert_eq!(curve.len(), 4);
-        assert_eq!(curve[1].threshold.to_bits(), up.to_bits());
-        assert_eq!(curve[1].true_positive_rate, 1.0);
-        assert_eq!(curve[1].false_positive_rate, 0.0);
     }
 }

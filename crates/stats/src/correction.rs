@@ -42,35 +42,6 @@ pub fn benjamini_hochberg(p_values: &[f64], q: f64) -> Vec<bool> {
     rejected
 }
 
-/// Benjamini–Hochberg adjusted p-values (step-up, monotone).
-pub fn bh_adjusted(p_values: &[f64]) -> Vec<f64> {
-    let m = p_values.len();
-    if m == 0 {
-        return Vec::new();
-    }
-    let mut order: Vec<usize> = (0..m).collect();
-    order.sort_by(|&i, &j| {
-        p_values[i]
-            .partial_cmp(&p_values[j])
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let mut adjusted = vec![0.0; m];
-    let mut running_min = f64::INFINITY;
-    for rank in (0..m).rev() {
-        let idx = order[rank];
-        let adj = (p_values[idx] * m as f64 / (rank + 1) as f64).min(1.0);
-        running_min = running_min.min(adj);
-        adjusted[idx] = running_min;
-    }
-    adjusted
-}
-
-/// Bonferroni correction: rejects where `p <= alpha / m`.
-pub fn bonferroni(p_values: &[f64], alpha: f64) -> Vec<bool> {
-    let m = p_values.len().max(1) as f64;
-    p_values.iter().map(|&p| p <= alpha / m).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,29 +81,5 @@ mod tests {
     #[test]
     fn bh_empty_input() {
         assert!(benjamini_hochberg(&[], 0.1).is_empty());
-        assert!(bh_adjusted(&[]).is_empty());
-    }
-
-    #[test]
-    fn adjusted_pvalues_are_monotone_in_rank() {
-        let p = [0.01, 0.04, 0.03, 0.005, 0.55];
-        let adj = bh_adjusted(&p);
-        // Adjusted values, when sorted by raw p, must be non-decreasing.
-        let mut order: Vec<usize> = (0..p.len()).collect();
-        order.sort_by(|&i, &j| p[i].partial_cmp(&p[j]).unwrap());
-        for w in order.windows(2) {
-            assert!(adj[w[0]] <= adj[w[1]] + 1e-12);
-        }
-        // And consistent with the rejection set at q=0.05.
-        let rej = benjamini_hochberg(&p, 0.05);
-        for i in 0..p.len() {
-            assert_eq!(adj[i] <= 0.05, rej[i], "index {i}");
-        }
-    }
-
-    #[test]
-    fn bonferroni_divides_alpha() {
-        let p = [0.01, 0.02, 0.001];
-        assert_eq!(bonferroni(&p, 0.05), vec![true, false, true]);
     }
 }

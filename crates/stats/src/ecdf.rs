@@ -1,4 +1,4 @@
-//! Empirical CDFs and histograms (Figures 5 and 6).
+//! Empirical CDFs (Figures 5 and 6).
 
 /// An empirical cumulative distribution function over a sample.
 #[derive(Debug, Clone)]
@@ -68,54 +68,6 @@ impl Ecdf {
     }
 }
 
-/// A fixed-width histogram.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    /// Inclusive lower edge of the first bin.
-    pub min: f64,
-    /// Bin width.
-    pub width: f64,
-    /// Counts per bin.
-    pub counts: Vec<u64>,
-    /// Observations below `min` / at-or-above the last edge.
-    pub underflow: u64,
-    pub overflow: u64,
-}
-
-impl Histogram {
-    /// Builds a histogram with `bins` equal-width bins over `[min, max)`.
-    pub fn new(data: &[f64], min: f64, max: f64, bins: usize) -> Self {
-        let bins = bins.max(1);
-        let width = (max - min) / bins as f64;
-        let mut h = Histogram {
-            min,
-            width,
-            counts: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-        };
-        for &x in data {
-            if x.is_nan() {
-                continue;
-            }
-            if x < min {
-                h.underflow += 1;
-            } else if x >= max {
-                h.overflow += 1;
-            } else {
-                let b = ((x - min) / width) as usize;
-                h.counts[b.min(bins - 1)] += 1;
-            }
-        }
-        h
-    }
-
-    /// Total in-range count.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,18 +125,5 @@ mod tests {
         let curve = e.curve(&[1.0, 10.0, 100.0]);
         assert_eq!(curve[0].1, e.eval(1.0));
         assert_eq!(curve[2].1, 1.0);
-    }
-
-    #[test]
-    fn histogram_bins_and_flows() {
-        let data = [0.5, 1.5, 2.5, 9.5, -1.0, 10.0, 11.0];
-        let h = Histogram::new(&data, 0.0, 10.0, 10);
-        assert_eq!(h.counts[0], 1);
-        assert_eq!(h.counts[1], 1);
-        assert_eq!(h.counts[2], 1);
-        assert_eq!(h.counts[9], 1);
-        assert_eq!(h.underflow, 1);
-        assert_eq!(h.overflow, 2);
-        assert_eq!(h.total(), 4);
     }
 }

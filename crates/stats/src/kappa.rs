@@ -62,19 +62,6 @@ pub fn cohen_kappa_from_labels<T: Eq + std::hash::Hash + Clone>(a: &[T], b: &[T]
     cohen_kappa(&counts)
 }
 
-/// The qualitative band for a kappa value, following the convention the
-/// paper uses (Landis & Koch): fair / moderate / strong, etc.
-pub fn kappa_band(kappa: f64) -> &'static str {
-    match kappa {
-        k if k < 0.0 => "poor",
-        k if k < 0.20 => "slight",
-        k if k < 0.40 => "fair",
-        k if k < 0.60 => "moderate",
-        k if k < 0.80 => "substantial",
-        _ => "strong",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,14 +116,6 @@ mod tests {
     fn constant_identical_annotators() {
         let a = vec!["x"; 10];
         assert_eq!(cohen_kappa_from_labels(&a, &a), Some(1.0));
-    }
-
-    #[test]
-    fn bands_match_paper_language() {
-        assert_eq!(kappa_band(0.519), "moderate"); // dox crowd agreement
-        assert_eq!(kappa_band(0.350), "fair"); // CTH crowd agreement
-        assert_eq!(kappa_band(0.893), "strong"); // dox expert agreement
-        assert_eq!(kappa_band(0.845), "strong"); // CTH expert agreement
     }
 
     #[test]

@@ -7,7 +7,7 @@
 /// Natural log of the gamma function (Lanczos approximation, g=7, n=9).
 ///
 /// Accurate to ~1e-13 for positive arguments.
-pub fn ln_gamma(x: f64) -> f64 {
+fn ln_gamma(x: f64) -> f64 {
     const COEFFS: [f64; 9] = [
         0.999_999_999_999_809_9,
         676.520_368_121_885_1,
@@ -33,20 +33,8 @@ pub fn ln_gamma(x: f64) -> f64 {
     }
 }
 
-/// Regularized lower incomplete gamma `P(a, x)`.
-pub fn gamma_p(a: f64, x: f64) -> f64 {
-    if x <= 0.0 || a <= 0.0 {
-        return if x <= 0.0 { 0.0 } else { 1.0 };
-    }
-    if x < a + 1.0 {
-        gamma_p_series(a, x)
-    } else {
-        1.0 - gamma_q_cf(a, x)
-    }
-}
-
-/// Regularized upper incomplete gamma `Q(a, x) = 1 - P(a, x)`.
-pub fn gamma_q(a: f64, x: f64) -> f64 {
+/// Regularized upper incomplete gamma `Q(a, x)`.
+fn gamma_q(a: f64, x: f64) -> f64 {
     if x <= 0.0 || a <= 0.0 {
         return if x <= 0.0 { 1.0 } else { 0.0 };
     }
@@ -102,7 +90,7 @@ fn gamma_q_cf(a: f64, x: f64) -> f64 {
 }
 
 /// Regularized incomplete beta function `I_x(a, b)`.
-pub fn beta_inc(a: f64, b: f64, x: f64) -> f64 {
+fn beta_inc(a: f64, b: f64, x: f64) -> f64 {
     if x <= 0.0 {
         return 0.0;
     }
@@ -191,7 +179,7 @@ pub fn normal_cdf(z: f64) -> f64 {
 }
 
 /// Complementary error function (via regularized incomplete gamma).
-pub fn erfc(x: f64) -> f64 {
+fn erfc(x: f64) -> f64 {
     if x >= 0.0 {
         gamma_q(0.5, x * x)
     } else {
@@ -216,17 +204,11 @@ mod tests {
     }
 
     #[test]
-    fn gamma_p_q_complementary() {
-        for (a, x) in [(1.0, 0.5), (2.5, 3.0), (10.0, 8.0), (0.5, 0.1)] {
-            close(gamma_p(a, x) + gamma_q(a, x), 1.0, 1e-12);
-        }
-    }
-
-    #[test]
-    fn gamma_p_exponential_special_case() {
-        // P(1, x) = 1 - e^{-x}.
+    fn gamma_q_exponential_special_case() {
+        // Q(1, x) = e^{-x}, through the series (x < 2) and the continued
+        // fraction (x >= 2).
         for x in [0.1, 1.0, 2.0, 5.0] {
-            close(gamma_p(1.0, x), 1.0 - (-x).exp(), 1e-12);
+            close(gamma_q(1.0, x), (-x).exp(), 1e-12);
         }
     }
 

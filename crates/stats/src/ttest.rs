@@ -2,9 +2,8 @@
 //!
 //! §6.3: "We ran a pairwise t-test on the log of the size of the threads in
 //! order to ensure symmetric distribution" — each attack-type group is
-//! compared against the 5,000-post random baseline. We provide Welch's
-//! unequal-variance t-test (the robust default) and the pooled Student
-//! variant; the thread analysis uses Welch on log-transformed sizes.
+//! compared against the 5,000-post random baseline. The thread analysis
+//! uses Welch's unequal-variance t-test on log-transformed sizes.
 
 use crate::descriptive::{mean, variance};
 use crate::special::student_t_two_sided;
@@ -58,29 +57,6 @@ pub fn welch_t_test(a: &[f64], b: &[f64]) -> Option<TTestResult> {
     })
 }
 
-/// Pooled-variance Student two-sample t-test (assumes equal variances).
-pub fn student_t_test(a: &[f64], b: &[f64]) -> Option<TTestResult> {
-    if a.len() < 2 || b.len() < 2 {
-        return None;
-    }
-    let (ma, mb) = (mean(a), mean(b));
-    let (va, vb) = (variance(a), variance(b));
-    let (na, nb) = (a.len() as f64, b.len() as f64);
-    let df = na + nb - 2.0;
-    let pooled = ((na - 1.0) * va + (nb - 1.0) * vb) / df;
-    let se = (pooled * (1.0 / na + 1.0 / nb)).sqrt();
-    if se <= 0.0 {
-        return None;
-    }
-    let t = (ma - mb) / se;
-    Some(TTestResult {
-        t,
-        df,
-        p_value: student_t_two_sided(t, df),
-        mean_difference: ma - mb,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,18 +94,9 @@ mod tests {
     }
 
     #[test]
-    fn student_reference_value() {
-        let a = [30.02, 29.99, 30.11, 29.97, 30.01, 29.99];
-        let b = [29.89, 29.93, 29.72, 29.98, 30.02, 29.98];
-        let r = student_t_test(&a, &b).unwrap();
-        assert!((r.t - 1.959).abs() < 5e-3, "t = {}", r.t);
-        assert_eq!(r.df, 10.0);
-    }
-
-    #[test]
     fn too_small_samples_return_none() {
         assert!(welch_t_test(&[1.0], &[1.0, 2.0]).is_none());
-        assert!(student_t_test(&[], &[]).is_none());
+        assert!(welch_t_test(&[], &[]).is_none());
     }
 
     #[test]

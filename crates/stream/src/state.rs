@@ -91,7 +91,7 @@ use std::path::{Path, PathBuf};
 pub const STATE_FILE: &str = "STREAM.ckpt";
 
 /// Delta log file name inside the state directory.
-pub const LOG_FILE: &str = "STREAM.log";
+const LOG_FILE: &str = "STREAM.log";
 
 const STATE_VERSION: u32 = 1;
 
@@ -497,7 +497,7 @@ pub fn load_state(
 
 /// Whether a state checkpoint exists in `state_dir`: `STREAM.ckpt`, or
 /// the old snapshot a compaction interrupted after its set-aside left.
-pub fn has_state(state_dir: &Path) -> bool {
+fn has_state(state_dir: &Path) -> bool {
     let path = state_dir.join(STATE_FILE);
     path.is_file() || atomic_io::aside_path(&path).is_ok_and(|aside| aside.is_file())
 }

@@ -21,11 +21,15 @@
 mod common;
 
 use common::{state_dir, Fixture};
-use incite_stream::state::{LOG_FILE, STATE_FILE};
+use incite_stream::state::STATE_FILE;
 use incite_stream::{run_watch, CheckpointStats};
 use std::path::Path;
 
+/// The delta log beside the snapshot.
+const LOG_FILE: &str = "STREAM.log";
+
 /// The old snapshot's name while a compaction writes the new one.
+#[cfg(feature = "failpoints")]
 const ASIDE_FILE: &str = ".STREAM.ckpt.prev";
 
 /// The names in `dir`, sorted.
@@ -88,9 +92,9 @@ fn full_pass_writes_at_most_5x_its_snapshot_and_a_reopen_writes_nothing() {
 #[cfg(feature = "failpoints")]
 mod damage {
     use super::common::{state_dir, Fixture};
-    use super::{listing, CheckpointStats, ASIDE_FILE};
+    use super::{listing, CheckpointStats, ASIDE_FILE, LOG_FILE};
     use incite_core::checkpoint::atomic_io;
-    use incite_stream::state::{load_state, save_state, LOG_FILE, STATE_FILE};
+    use incite_stream::state::{load_state, save_state, STATE_FILE};
     use incite_stream::{
         run_watch, ActorId, EventKind, EventStream, StreamError, StreamEvent, ThreatRanker,
         WatchConfig, WatchOutcome,

@@ -216,11 +216,6 @@ impl Subcategory {
         self as usize
     }
 
-    /// Inverse of [`Subcategory::index`]; `None` for out-of-range indices.
-    pub fn from_index(index: usize) -> Option<Subcategory> {
-        Self::ALL.get(index).copied()
-    }
-
     /// The parent attack type.
     pub fn parent(self) -> AttackType {
         use Subcategory::*;
@@ -404,9 +399,8 @@ mod tests {
     fn index_roundtrip() {
         for (i, sub) in Subcategory::ALL.iter().enumerate() {
             assert_eq!(sub.index(), i);
-            assert_eq!(Subcategory::from_index(i), Some(*sub));
+            assert_eq!(Subcategory::ALL[sub.index()], *sub);
         }
-        assert_eq!(Subcategory::from_index(Subcategory::COUNT), None);
     }
 
     #[test]

@@ -63,80 +63,6 @@ pub const TABLE1: [RawDataSet; 5] = [
     },
 ];
 
-/// Table 2: final annotated training-set sizes (positive, negative) per task.
-#[derive(Debug, Clone, Copy)]
-pub struct TrainingSizes {
-    pub data_set: DataSet,
-    pub dox_positive: u32,
-    pub dox_negative: u32,
-    /// `None` where the task does not apply (pastes for CTH).
-    pub cth_positive: Option<u32>,
-    pub cth_negative: Option<u32>,
-}
-
-/// Table 2 rows.
-pub const TABLE2: [TrainingSizes; 4] = [
-    TrainingSizes {
-        data_set: DataSet::Boards,
-        dox_positive: 163,
-        dox_negative: 797,
-        cth_positive: Some(967),
-        cth_negative: Some(8_751),
-    },
-    TrainingSizes {
-        data_set: DataSet::Chat,
-        dox_positive: 536,
-        dox_negative: 19_943,
-        cth_positive: Some(401),
-        cth_negative: Some(8_314),
-    },
-    TrainingSizes {
-        data_set: DataSet::Gab,
-        dox_positive: 216,
-        dox_negative: 35_166,
-        cth_positive: Some(356),
-        cth_negative: Some(7_564),
-    },
-    TrainingSizes {
-        data_set: DataSet::Pastes,
-        dox_positive: 2_955,
-        dox_negative: 19_598,
-        cth_positive: None,
-        cth_negative: None,
-    },
-];
-
-/// Table 3: best-classifier performance per task (macro-averaged row).
-#[derive(Debug, Clone, Copy)]
-pub struct ClassifierPerformance {
-    /// Hyperparameter-optimized max text length, in characters.
-    pub text_length: usize,
-    /// Positive-class F1 / precision / recall.
-    pub positive_f1: f64,
-    pub positive_precision: f64,
-    pub positive_recall: f64,
-    /// Macro-averaged F1.
-    pub macro_f1: f64,
-}
-
-/// Table 3, doxing task.
-pub const TABLE3_DOX: ClassifierPerformance = ClassifierPerformance {
-    text_length: 512,
-    positive_f1: 0.76,
-    positive_precision: 0.77,
-    positive_recall: 0.75,
-    macro_f1: 0.88,
-};
-
-/// Table 3, call-to-harassment task.
-pub const TABLE3_CTH: ClassifierPerformance = ClassifierPerformance {
-    text_length: 128,
-    positive_f1: 0.63,
-    positive_precision: 0.63,
-    positive_recall: 0.63,
-    macro_f1: 0.80,
-};
-
 /// Table 4: threshold-selection outcomes per platform per task.
 #[derive(Debug, Clone, Copy)]
 pub struct ThresholdRow {
@@ -229,12 +155,6 @@ pub const TABLE4_CTH: [ThresholdRow; 4] = [
         exhaustive: true,
     },
 ];
-
-/// Total annotated true positives: 8,425 doxes + 6,254 calls to harassment.
-pub const TOTAL_TRUE_DOXES: u32 = 8_425;
-pub const TOTAL_TRUE_CTH: u32 = 6_254;
-/// Headline figure from the abstract: 14,679 detected incitement documents.
-pub const TOTAL_DETECTED: u32 = TOTAL_TRUE_DOXES + TOTAL_TRUE_CTH;
 
 /// Annotated CTH sizes per data set used by Tables 5 and 11
 /// (boards 2,045; chat 2,874 = Discord 510 + Telegram 2,364; Gab 1,335).
@@ -471,13 +391,6 @@ impl Table10Row {
         }
     }
 }
-
-/// Gender column totals of Table 10 (unknown 2,711; female 1,160; male 2,383).
-pub const GENDER_SIZE: [(Gender, u32); 3] = [
-    (Gender::Unknown, 2_711),
-    (Gender::Female, 1_160),
-    (Gender::Male, 2_383),
-];
 
 /// Table 10: complete subcategory taxonomy counts per inferred gender.
 pub const TABLE10: [Table10Row; 29] = [
@@ -755,77 +668,6 @@ pub mod annotation {
     /// Cohen's kappa over initial crowd annotations.
     pub const DOX_CROWD_KAPPA: f64 = 0.519;
     pub const CTH_CROWD_KAPPA: f64 = 0.350;
-    /// Cohen's kappa over domain-expert annotations (1,000 docs per task).
-    pub const DOX_EXPERT_KAPPA: f64 = 0.893;
-    pub const CTH_EXPERT_KAPPA: f64 = 0.845;
-    /// Qualification gate: ≥ 90 % on 10 screening posts to enter, removal
-    /// below 85 %, retest every 10th document.
-    pub const ENTRY_SCORE: f64 = 0.90;
-    pub const RETENTION_SCORE: f64 = 0.85;
-    pub const RETEST_EVERY: usize = 10;
-    /// Over 100,000 crowd annotations: > 79 K dox task, > 25 K CTH task.
-    pub const DOX_TASK_DOCS: u32 = 79_374;
-    pub const CTH_TASK_DOCS: u32 = 26_353;
-}
-
-/// §6.3 / §7.4 thread-analysis statistics (boards only).
-pub mod threads {
-    /// CTH appears as the first post in 3.7 % (75) of threads, last in 2.7 % (55).
-    pub const CTH_FIRST_POST_FRAC: f64 = 0.037;
-    pub const CTH_LAST_POST_FRAC: f64 = 0.027;
-    /// CTH thread-position median / mean / standard deviation.
-    pub const CTH_POSITION_MEDIAN: f64 = 70.0;
-    pub const CTH_POSITION_MEAN: f64 = 145.0;
-    pub const CTH_POSITION_STD: f64 = 263.0;
-    /// Dox position statistics (§7.4).
-    pub const DOX_FIRST_POST_FRAC: f64 = 0.097;
-    pub const DOX_LAST_POST_FRAC: f64 = 0.027;
-    pub const DOX_POSITION_MEDIAN: f64 = 142.0;
-    pub const DOX_POSITION_MEAN: f64 = 59.0;
-    pub const DOX_POSITION_STD: f64 = 236.0;
-    /// Thread overlap: 8.53 % of above-threshold CTH share a thread with an
-    /// above-threshold dox; 17.85 % of dox threads contain a CTH.
-    pub const CTH_WITH_DOX_FRAC: f64 = 0.0853;
-    pub const DOX_WITH_CTH_FRAC: f64 = 0.1785;
-    /// Chance rates of a CTH / dox appearing in a random thread.
-    pub const CTH_BASE_RATE: f64 = 0.0020;
-    pub const DOX_BASE_RATE: f64 = 0.0010;
-    /// Random boards baseline sample size.
-    pub const BASELINE_SAMPLE: usize = 5_000;
-    /// Only "toxic content" threads showed significantly larger responses
-    /// (t = 2.8477, p < 0.01).
-    pub const TOXIC_T_STATISTIC: f64 = 2.8477;
-}
-
-/// §6.2 co-occurrence statistics.
-pub mod cooccurrence {
-    /// 831 of 6,254 annotated CTH carried more than one attack type.
-    pub const MULTI_LABEL: u32 = 831;
-    pub const TWO_LABELS: u32 = 767;
-    pub const THREE_LABELS: u32 = 54;
-    pub const FOUR_PLUS_LABELS: u32 = 10;
-    /// 64 % of surveillance CTH were also content leakage.
-    pub const SURVEILLANCE_AND_LEAKAGE: f64 = 0.64;
-    /// 30 % of impersonation CTH were also public-opinion manipulation.
-    pub const IMPERSONATION_AND_POM: f64 = 0.30;
-}
-
-/// §7.3 repeated-dox statistics.
-pub mod repeats {
-    /// Full above-threshold dox set size used for linking.
-    pub const ABOVE_THRESHOLD_DOXES: u32 = 70_820;
-    /// 14,587 (20.1 %) share OSN handles with another dox.
-    pub const REPEATED: u32 = 14_587;
-    /// 98 % reposted to the same data set; 250 cross-posted.
-    pub const SAME_DATASET_FRAC: f64 = 0.98;
-    pub const CROSS_POSTED: u32 = 250;
-    /// Per-platform split of repeated doxes.
-    pub const ON_PASTES: u32 = 13_076;
-    pub const ON_BOARDS: u32 = 1_402;
-    pub const ON_CHATS: u32 = 62;
-    pub const ON_GAB: u32 = 47;
-    /// Duplicates found inside the small annotated set (936, 11.12 %).
-    pub const ANNOTATED_DUPLICATES: u32 = 936;
 }
 
 /// §8 blog-analysis statistics (Table 8).
@@ -856,26 +698,6 @@ pub mod blogs {
             actual_doxes: 23,
         },
     ];
-    /// Keyword query on The Torch missed 10 of 33 doxes.
-    pub const TORCH_QUERY_MISSED: u32 = 10;
-    pub const TORCH_QUERY_TOTAL: u32 = 33;
-    /// 60 % (54) of relevant Daily Stormer doxes include a call to overload;
-    /// 26 more include a contact handle but no explicit raid call.
-    pub const STORMER_OVERLOAD_DOXES: u32 = 54;
-    pub const STORMER_CONTACT_ONLY: u32 = 26;
-}
-
-/// §5.6 extraction-evaluation statistics.
-pub mod extraction {
-    /// All PII regexes scored ≥ 95 % accuracy on 98 true-positive pastes doxes.
-    pub const MIN_ACCURACY: f64 = 0.95;
-    pub const EVAL_SAMPLE: usize = 98;
-    /// Seven of the extractors scored 100 %.
-    pub const PERFECT_EXTRACTORS: usize = 7;
-    /// Pronoun-based gender inference agreed with the target 94.3 % of the
-    /// time on a 123-dox sample.
-    pub const GENDER_ACCURACY: f64 = 0.943;
-    pub const GENDER_EVAL_SAMPLE: usize = 123;
 }
 
 /// Sums a Table 11 column; used to sanity-check transcription against the
@@ -901,49 +723,41 @@ mod tests {
     }
 
     #[test]
-    fn table2_totals_match_paper() {
-        let dox_pos: u32 = TABLE2.iter().map(|r| r.dox_positive).sum();
-        let dox_neg: u32 = TABLE2.iter().map(|r| r.dox_negative).sum();
-        let cth_pos: u32 = TABLE2.iter().filter_map(|r| r.cth_positive).sum();
-        let cth_neg: u32 = TABLE2.iter().filter_map(|r| r.cth_negative).sum();
-        assert_eq!(dox_pos, 3_870);
-        assert_eq!(dox_neg, 75_504);
-        assert_eq!(cth_pos, 1_724);
-        assert_eq!(cth_neg, 24_629);
-    }
-
-    #[test]
     fn table4_totals_match_paper() {
         let dox_above: u32 = TABLE4_DOX.iter().map(|r| r.above_threshold).sum();
         let dox_ann: u32 = TABLE4_DOX.iter().map(|r| r.annotated).sum();
         let dox_tp: u32 = TABLE4_DOX.iter().map(|r| r.true_positive).sum();
         assert_eq!(dox_above, 70_820); // paper prints 70,823 in Fig 1 and 70,820 in §7.3
         assert_eq!(dox_ann, 9_837);
-        assert_eq!(dox_tp, TOTAL_TRUE_DOXES);
+        assert_eq!(dox_tp, 8_425);
 
         let cth_above: u32 = TABLE4_CTH.iter().map(|r| r.above_threshold).sum();
         let cth_ann: u32 = TABLE4_CTH.iter().map(|r| r.annotated).sum();
         let cth_tp: u32 = TABLE4_CTH.iter().map(|r| r.true_positive).sum();
         assert_eq!(cth_above, 38_085);
         assert_eq!(cth_ann, 10_416);
-        assert_eq!(cth_tp, TOTAL_TRUE_CTH);
+        assert_eq!(cth_tp, 6_254);
     }
 
     #[test]
     fn headline_total() {
-        assert_eq!(TOTAL_DETECTED, 14_679);
+        // Abstract: 14,679 detected incitement documents, the annotated
+        // CTH and dox sizes together.
+        let cth: u32 = CTH_SIZE.iter().map(|(_, n)| n).sum();
+        let dox: u32 = DOX_SIZE.iter().map(|(_, n)| n).sum();
+        assert_eq!(cth + dox, 14_679);
     }
 
     #[test]
     fn cth_sizes_sum_to_true_positives() {
         let total: u32 = CTH_SIZE.iter().map(|(_, n)| n).sum();
-        assert_eq!(total, TOTAL_TRUE_CTH);
+        assert_eq!(total, 6_254);
     }
 
     #[test]
     fn dox_sizes_sum_to_true_positives() {
         let total: u32 = DOX_SIZE.iter().map(|(_, n)| n).sum();
-        assert_eq!(total, TOTAL_TRUE_DOXES);
+        assert_eq!(total, 8_425);
     }
 
     #[test]
@@ -1006,7 +820,7 @@ mod tests {
             .iter()
             .map(|ds| table11_parent_total(*ds, AttackType::Reporting))
             .sum();
-        assert!(reporting * 2 > TOTAL_TRUE_CTH, "reporting = {reporting}");
+        assert!(reporting * 2 > 6_254, "reporting = {reporting}");
     }
 
     #[test]
@@ -1018,12 +832,6 @@ mod tests {
     }
 
     #[test]
-    fn gender_sizes_sum_to_true_cth() {
-        let total: u32 = GENDER_SIZE.iter().map(|(_, n)| n).sum();
-        assert_eq!(total, TOTAL_TRUE_CTH);
-    }
-
-    #[test]
     fn table6_counts_bounded_by_sizes() {
         for row in TABLE6 {
             for (ds, size) in DOX_SIZE {
@@ -1031,14 +839,6 @@ mod tests {
                 assert!(count <= size, "{:?} {} exceeds data-set size", row.kind, ds);
             }
         }
-    }
-
-    #[test]
-    fn repeated_dox_fraction() {
-        let frac = repeats::REPEATED as f64 / repeats::ABOVE_THRESHOLD_DOXES as f64;
-        assert!((frac - 0.201).abs() < 0.01, "frac = {frac}");
-        let split = repeats::ON_PASTES + repeats::ON_BOARDS + repeats::ON_CHATS + repeats::ON_GAB;
-        assert_eq!(split, repeats::REPEATED);
     }
 
     #[test]

@@ -101,11 +101,6 @@ impl LabelSet {
         LabelSet(self.0 | other.0)
     }
 
-    /// Set intersection.
-    pub fn intersection(self, other: LabelSet) -> LabelSet {
-        LabelSet(self.0 & other.0)
-    }
-
     /// Set difference (`self - other`).
     pub fn difference(self, other: LabelSet) -> LabelSet {
         LabelSet(self.0 & !other.0)
@@ -199,7 +194,6 @@ mod tests {
         let a = LabelSet::from_iter([Doxing, Raiding]);
         let b = LabelSet::from_iter([Raiding, MassFlagging]);
         assert_eq!(a.union(b).len(), 3);
-        assert_eq!(a.intersection(b), LabelSet::single(Raiding));
         assert_eq!(a.difference(b), LabelSet::single(Doxing));
         assert!(a.intersects(b));
         assert!(!a.difference(b).intersects(b));

@@ -68,7 +68,7 @@ impl PiiKind {
     }
 
     /// Table 6 row label.
-    pub fn table_label(self) -> &'static str {
+    fn table_label(self) -> &'static str {
         match self {
             PiiKind::Address => "Addresses",
             PiiKind::CreditCard => "Cards",
@@ -144,12 +144,6 @@ impl PiiSet {
     pub fn intersects(self, other: PiiSet) -> bool {
         self.0 & other.0 != 0
     }
-
-    /// Whether any OSN profile kind is present (used for repeated-dox
-    /// linking, §7.3).
-    pub fn has_osn_profile(self) -> bool {
-        self.iter().any(|k| k.is_osn_profile())
-    }
 }
 
 impl FromIterator<PiiKind> for PiiSet {
@@ -215,9 +209,6 @@ mod tests {
         assert!(set.contains(PiiKind::Email));
         assert!(!set.contains(PiiKind::Phone));
         assert_eq!(set.len(), 1);
-        assert!(!set.has_osn_profile());
-        set.insert(PiiKind::Twitter);
-        assert!(set.has_osn_profile());
     }
 
     #[test]

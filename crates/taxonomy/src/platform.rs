@@ -50,13 +50,6 @@ impl Platform {
         }
     }
 
-    /// Whether the platform organizes posts into reply threads whose ordering
-    /// is observable. Thread analyses (§6.3, §7.4) are restricted to boards
-    /// because "thread post ordering was not available" elsewhere.
-    pub fn has_ordered_threads(self) -> bool {
-        matches!(self, Platform::Boards)
-    }
-
     /// Whether the call-to-harassment task applies. Pastes are excluded
     /// (Table 2): "pastes do not enable this interactivity". Blogs are
     /// handled qualitatively (§8) rather than by the classifier.
@@ -200,15 +193,6 @@ mod tests {
         );
         assert_eq!(Platform::Discord.data_set(), DataSet::Chat);
         assert_eq!(Platform::Telegram.data_set(), DataSet::Chat);
-    }
-
-    #[test]
-    fn only_boards_have_ordered_threads() {
-        let with_threads: Vec<_> = Platform::ALL
-            .iter()
-            .filter(|p| p.has_ordered_threads())
-            .collect();
-        assert_eq!(with_threads, vec![&Platform::Boards]);
     }
 
     #[test]

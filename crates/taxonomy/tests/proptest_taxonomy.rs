@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use std::collections::HashSet;
 
 fn arb_subcategory() -> impl Strategy<Value = Subcategory> {
-    (0..Subcategory::COUNT).prop_map(|i| Subcategory::from_index(i).unwrap())
+    (0..Subcategory::COUNT).prop_map(|i| Subcategory::ALL[i])
 }
 
 fn arb_pii_kind() -> impl Strategy<Value = PiiKind> {
@@ -49,10 +49,6 @@ proptest! {
             ma.union(&mb).copied().collect::<HashSet<_>>()
         );
         prop_assert_eq!(
-            sa.intersection(sb).iter().collect::<HashSet<_>>(),
-            ma.intersection(&mb).copied().collect::<HashSet<_>>()
-        );
-        prop_assert_eq!(
             sa.difference(sb).iter().collect::<HashSet<_>>(),
             ma.difference(&mb).copied().collect::<HashSet<_>>()
         );
@@ -80,10 +76,6 @@ proptest! {
         let model: HashSet<PiiKind> = kinds.into_iter().collect();
         prop_assert_eq!(set.len(), model.len());
         prop_assert_eq!(set.iter().collect::<HashSet<_>>(), model);
-        prop_assert_eq!(
-            set.has_osn_profile(),
-            set.iter().any(|k| k.is_osn_profile())
-        );
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub struct RollingSlot {
 impl RollingSlot {
     /// Starts both states and absorbs a feature prefix (e.g. `b"1|"`).
     #[inline]
-    pub fn with_prefix(prefix: &[u8]) -> Self {
+    fn with_prefix(prefix: &[u8]) -> Self {
         let mut slot = RollingSlot {
             index_state: FNV_OFFSET,
             sign_state: FNV_OFFSET ^ SIGN_SEED,
@@ -206,11 +206,7 @@ impl FeatureHasher {
 
     /// Shared tail of every hashing path: sort by index, merge duplicates by
     /// summing signed counts, drop exact zeros, optionally L2-normalize.
-    pub fn finalize_hashed(
-        &self,
-        mut pairs: Vec<(u32, f32)>,
-        l2_normalize: bool,
-    ) -> Vec<(u32, f32)> {
+    fn finalize_hashed(&self, mut pairs: Vec<(u32, f32)>, l2_normalize: bool) -> Vec<(u32, f32)> {
         pairs.sort_unstable_by_key(|(i, _)| *i);
         let mut out: Vec<(u32, f32)> = Vec::with_capacity(pairs.len());
         for (i, v) in pairs {

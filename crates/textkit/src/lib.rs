@@ -14,7 +14,7 @@
 //!   non-overlapping spans (the paper's winner), head+tail spans,
 //!   overlapping spans, and random-length spans, all against a fixed
 //!   max-sequence budget.
-//! * [`ngram`] — word and character n-gram extraction.
+//! * [`ngram`] — character n-gram extraction.
 //! * [`hash`] — feature hashing into a fixed-dimensional sparse space.
 //! * [`rng`] — a tiny deterministic SplitMix64 PRNG so span sampling is
 //!   reproducible without external dependencies.
@@ -28,7 +28,7 @@ pub mod tokenize;
 pub mod wordpiece;
 
 pub use hash::{fnv1a, FeatureHasher, RollingSlot, UnitGrams};
-pub use ngram::{char_ngrams, word_ngrams};
+pub use ngram::char_ngrams;
 pub use normalize::{normalize, normalize_into};
 pub use rng::SplitMix64;
 pub use span::{fits_whole, sample_spans, SpanStrategy};

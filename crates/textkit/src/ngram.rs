@@ -1,20 +1,10 @@
-//! Word and character n-gram extraction.
+//! Character n-gram extraction.
 //!
 //! The linear classifier substitutes distilBERT's learned representations
-//! with hashed n-gram features (see DESIGN.md §2). Word n-grams capture
-//! mobilizing phrases ("we need to", "mass report"); character n-grams give
+//! with hashed n-gram features (see DESIGN.md §2). Character n-grams give
 //! subword robustness against the creative spellings common in harassment
-//! communities.
-
-/// Yields contiguous word n-grams joined with `' '`.
-///
-/// `n == 0` or a window longer than the token list yields nothing.
-pub fn word_ngrams(tokens: &[String], n: usize) -> Vec<String> {
-    if n == 0 || tokens.len() < n {
-        return Vec::new();
-    }
-    tokens.windows(n).map(|w| w.join(" ")).collect()
-}
+//! communities. The featurizer hashes them in place (`hash`); these string
+//! grams are the reference that path is checked against.
 
 /// Yields contiguous character n-grams of a string (over `char`s, not
 /// bytes). Whitespace participates, which lets grams span word boundaries.
@@ -29,45 +19,9 @@ pub fn char_ngrams(text: &str, n: usize) -> Vec<String> {
     chars.windows(n).map(|w| w.iter().collect()).collect()
 }
 
-/// Convenience: all word n-grams for n in `1..=max_n`, each prefixed with
-/// its order (`"2|we need"`), so unigram and bigram features never collide
-/// in the hashed space.
-pub fn word_ngrams_upto(tokens: &[String], max_n: usize) -> Vec<String> {
-    let mut out = Vec::new();
-    for n in 1..=max_n {
-        for gram in word_ngrams(tokens, n) {
-            out.push(format!("{n}|{gram}"));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn toks(words: &[&str]) -> Vec<String> {
-        words.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn unigrams_are_tokens() {
-        let t = toks(&["we", "need", "to"]);
-        assert_eq!(word_ngrams(&t, 1), vec!["we", "need", "to"]);
-    }
-
-    #[test]
-    fn bigrams_join_with_space() {
-        let t = toks(&["mass", "report", "him"]);
-        assert_eq!(word_ngrams(&t, 2), vec!["mass report", "report him"]);
-    }
-
-    #[test]
-    fn window_longer_than_input_is_empty() {
-        let t = toks(&["one"]);
-        assert!(word_ngrams(&t, 2).is_empty());
-        assert!(word_ngrams(&t, 0).is_empty());
-    }
 
     #[test]
     fn char_ngrams_over_chars_not_bytes() {
@@ -86,12 +40,5 @@ mod tests {
         assert!(char_ngrams("", 3).is_empty());
         assert!(char_ngrams("ab", 3).is_empty());
         assert!(char_ngrams("ab", 0).is_empty());
-    }
-
-    #[test]
-    fn upto_prefixes_orders() {
-        let t = toks(&["we", "raid"]);
-        let grams = word_ngrams_upto(&t, 2);
-        assert_eq!(grams, vec!["1|we", "1|raid", "2|we raid"]);
     }
 }

@@ -55,25 +55,6 @@ pub fn normalize_into(text: &str, out: &mut String) {
     }
 }
 
-/// Lowercases without altering whitespace — used where byte offsets must be
-/// preserved (PII extraction reports match spans against the original text).
-pub fn lowercase_preserving_layout(text: &str) -> String {
-    // `char::to_lowercase` can expand some characters (e.g. 'İ'); for
-    // offset-preserving use we only fold characters whose lowercase form has
-    // the same UTF-8 length, leaving the rest untouched.
-    let mut out = String::with_capacity(text.len());
-    for ch in text.chars() {
-        let mut lower = ch.to_lowercase();
-        let lc = lower.next().unwrap_or(ch);
-        if lower.next().is_none() && lc.len_utf8() == ch.len_utf8() {
-            out.push(lc);
-        } else {
-            out.push(ch);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,22 +82,5 @@ mod tests {
     #[test]
     fn unicode_lowercase() {
         assert_eq!(normalize("ÜBER Österreich"), "über österreich");
-    }
-
-    #[test]
-    fn layout_preserving_keeps_length() {
-        let input = "Call 555-0001 NOW\nplease";
-        let out = lowercase_preserving_layout(input);
-        assert_eq!(out.len(), input.len());
-        assert_eq!(out, "call 555-0001 now\nplease");
-    }
-
-    #[test]
-    fn layout_preserving_skips_expanding_chars() {
-        // 'İ' lowercases to "i̇" (two chars); it must be left as-is.
-        let input = "İstanbul";
-        let out = lowercase_preserving_layout(input);
-        assert_eq!(out.len(), input.len());
-        assert!(out.starts_with('İ'));
     }
 }

@@ -19,7 +19,7 @@ impl SplitMix64 {
     }
 
     /// Next 64 uniformly distributed bits.
-    pub fn next_u64(&mut self) -> u64 {
+    fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -30,7 +30,7 @@ impl SplitMix64 {
     /// Uniform integer in `[0, bound)`. Returns 0 when `bound == 0`.
     ///
     /// Uses Lemire's multiply-shift rejection method to avoid modulo bias.
-    pub fn next_below(&mut self, bound: u64) -> u64 {
+    fn next_below(&mut self, bound: u64) -> u64 {
         if bound == 0 {
             return 0;
         }
@@ -42,11 +42,6 @@ impl SplitMix64 {
                 return (m >> 64) as u64;
             }
         }
-    }
-
-    /// Uniform `f64` in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Uniform usize in `[lo, hi)`; `lo` when the range is empty.
@@ -63,12 +58,6 @@ impl SplitMix64 {
             let j = self.next_below(i as u64 + 1) as usize;
             slice.swap(i, j);
         }
-    }
-
-    /// Forks an independent generator (for parallel subtasks) by hashing the
-    /// current state with a stream id.
-    pub fn fork(&mut self, stream: u64) -> SplitMix64 {
-        SplitMix64::new(self.next_u64() ^ stream.wrapping_mul(0x9e37_79b9_7f4a_7c15))
     }
 }
 
@@ -126,15 +115,6 @@ mod tests {
     }
 
     #[test]
-    fn next_f64_in_unit_interval() {
-        let mut rng = SplitMix64::new(5);
-        for _ in 0..1000 {
-            let x = rng.next_f64();
-            assert!((0.0..1.0).contains(&x));
-        }
-    }
-
-    #[test]
     fn shuffle_is_permutation() {
         let mut rng = SplitMix64::new(11);
         let mut v: Vec<u32> = (0..50).collect();
@@ -154,14 +134,5 @@ mod tests {
             let x = rng.range(10, 20);
             assert!((10..20).contains(&x));
         }
-    }
-
-    #[test]
-    fn forks_are_independent() {
-        let mut root = SplitMix64::new(42);
-        let mut f1 = root.fork(1);
-        let mut f2 = root.fork(2);
-        let same = (0..64).filter(|_| f1.next_u64() == f2.next_u64()).count();
-        assert_eq!(same, 0);
     }
 }

@@ -14,9 +14,9 @@
 use std::collections::HashMap;
 
 /// Id of the unknown token, always present at index 0.
-pub const UNK_ID: u32 = 0;
+const UNK_ID: u32 = 0;
 /// Text of the unknown token.
-pub const UNK_TOKEN: &str = "[UNK]";
+const UNK_TOKEN: &str = "[UNK]";
 
 /// A learned subword vocabulary.
 ///
@@ -39,7 +39,7 @@ pub struct WordPieceVocab {
 impl WordPieceVocab {
     /// Builds a vocabulary from a piece list. `[UNK]` is inserted at id 0 if
     /// absent. Duplicate pieces keep their first id.
-    pub fn from_pieces<I: IntoIterator<Item = String>>(iter: I) -> Self {
+    fn from_pieces<I: IntoIterator<Item = String>>(iter: I) -> Self {
         let mut pieces = Vec::new();
         let mut index = HashMap::new();
         let mut continuations = HashMap::new();
@@ -83,7 +83,7 @@ impl WordPieceVocab {
     /// Looks up a continuation piece by its text without the `##` prefix:
     /// `id_continuation("port") == id("##port")`, with no string assembly
     /// on the caller's side.
-    pub fn id_continuation(&self, core: &str) -> Option<u32> {
+    fn id_continuation(&self, core: &str) -> Option<u32> {
         self.continuations.get(core).copied()
     }
 
@@ -227,7 +227,7 @@ impl From<WordPieceVocab> for Vec<String> {
     }
 }
 
-/// Reusable working storage for [`WordPieceEncoder::encode_word_into`].
+/// Reusable working storage for `WordPieceEncoder::encode_word_into`.
 #[derive(Debug, Default)]
 pub struct EncodeScratch {
     /// Byte offsets of the word's char starts, plus an end sentinel —
@@ -272,7 +272,7 @@ impl WordPieceEncoder {
     /// the featurizer so a corpus sweep does zero per-word allocation.
     /// Candidates are probed as plain slices of `word` (continuations via
     /// [`WordPieceVocab::id_continuation`]), never assembled into strings.
-    pub fn encode_word_into(&self, word: &str, ids: &mut Vec<u32>, scratch: &mut EncodeScratch) {
+    fn encode_word_into(&self, word: &str, ids: &mut Vec<u32>, scratch: &mut EncodeScratch) {
         let offsets = &mut scratch.offsets;
         offsets.clear();
         offsets.extend(word.char_indices().map(|(i, _)| i));
@@ -348,17 +348,6 @@ pub struct MemoStats {
     pub hits: u64,
 }
 
-impl MemoStats {
-    /// `hits / word_tokens`, or 0 when nothing was encoded.
-    pub fn hit_rate(&self) -> f64 {
-        if self.word_tokens == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.word_tokens as f64
-        }
-    }
-}
-
 impl std::ops::Add for MemoStats {
     type Output = MemoStats;
 
@@ -371,7 +360,7 @@ impl std::ops::Add for MemoStats {
 }
 
 /// A word → piece-ids memo in front of
-/// [`WordPieceEncoder::encode_word_into`].
+/// `WordPieceEncoder::encode_word_into`.
 ///
 /// FNV-1a open addressing with linear probing over a power-of-two slot
 /// table, kept at most half full. (A `HashMap` would put `RandomState`
@@ -417,7 +406,7 @@ impl WordMemo {
     }
 
     /// Appends `word`'s piece ids to `ids`, exactly as
-    /// [`WordPieceEncoder::encode_word_into`] would.
+    /// `WordPieceEncoder::encode_word_into` would.
     pub fn encode(
         &mut self,
         encoder: &WordPieceEncoder,
