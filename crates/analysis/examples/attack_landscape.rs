@@ -8,13 +8,13 @@
 //! cargo run --release --example attack_landscape
 //! ```
 
-use incite::analysis::{attack_types, gender, overlap, render, threads};
-use incite::corpus::{generate, CorpusConfig};
-use incite::taxonomy::{AttackType, DataSet, Gender, Platform, Subcategory};
+use incite_analysis::{attack_types, gender, overlap, render, threads};
+use incite_corpus::{generate, CorpusConfig};
+use incite_taxonomy::{AttackType, DataSet, Gender, Platform, Subcategory};
 
 fn main() {
     let corpus = generate(&CorpusConfig::small(808));
-    let cth: Vec<&incite::corpus::Document> =
+    let cth: Vec<&incite_corpus::Document> =
         corpus.documents.iter().filter(|d| d.truth.is_cth).collect();
     println!("Annotated calls to harassment: {}\n", cth.len());
 
@@ -69,7 +69,7 @@ fn main() {
     );
 
     // Thread behaviour (§6.3) on boards ground truth.
-    let board_cth: Vec<&incite::corpus::Document> = corpus
+    let board_cth: Vec<&incite_corpus::Document> = corpus
         .by_platform(Platform::Boards)
         .filter(|d| d.truth.is_cth)
         .collect();

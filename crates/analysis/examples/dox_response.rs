@@ -10,18 +10,18 @@
 //! cargo run --release --example dox_response
 //! ```
 
-use incite::analysis::repeats::repeated_doxes;
-use incite::corpus::{generate, CorpusConfig};
-use incite::pii::{infer_gender, PiiExtractor};
-use incite::taxonomy::harm::{HarmRisk, RiskSet};
+use incite_analysis::repeats::repeated_doxes;
+use incite_corpus::{generate, CorpusConfig};
+use incite_pii::{infer_gender, PiiExtractor};
+use incite_taxonomy::harm::{HarmRisk, RiskSet};
 
 fn main() {
     let corpus = generate(&CorpusConfig::small(31337));
     let extractor = PiiExtractor::new();
 
     // The "incoming batch": detected doxes from the pastes platform.
-    let batch: Vec<&incite::corpus::Document> = corpus
-        .by_platform(incite::taxonomy::Platform::Pastes)
+    let batch: Vec<&incite_corpus::Document> = corpus
+        .by_platform(incite_taxonomy::Platform::Pastes)
         .filter(|d| d.truth.is_dox)
         .take(8)
         .collect();
@@ -64,7 +64,7 @@ fn main() {
     }
 
     // Repeated-target check across the whole detected set.
-    let all_doxes: Vec<&incite::corpus::Document> =
+    let all_doxes: Vec<&incite_corpus::Document> =
         corpus.documents.iter().filter(|d| d.truth.is_dox).collect();
     let stats = repeated_doxes(&extractor, &all_doxes);
     println!("Repeated-target scan over {} doxes:", stats.total);

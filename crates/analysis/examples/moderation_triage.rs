@@ -11,9 +11,9 @@
 //! cargo run --release --example moderation_triage
 //! ```
 
-use incite::corpus::{generate, CorpusConfig};
-use incite::ml::{FeatureMode, FeaturizerConfig, TextClassifier, TrainConfig};
-use incite::taxonomy::Platform;
+use incite_corpus::{generate, CorpusConfig};
+use incite_ml::{FeatureMode, FeaturizerConfig, TextClassifier, TrainConfig};
+use incite_taxonomy::Platform;
 
 fn main() {
     // Yesterday's labeled moderation decisions = training data.
@@ -39,9 +39,9 @@ fn main() {
     );
 
     // Today's stream = a different platform slice (cross-channel drift).
-    let stream: Vec<&incite::corpus::Document> = corpus.by_platform(Platform::Discord).collect();
+    let stream: Vec<&incite_corpus::Document> = corpus.by_platform(Platform::Discord).collect();
     println!("Scoring {} incoming messages ...\n", stream.len());
-    let mut scored: Vec<(f32, &incite::corpus::Document)> =
+    let mut scored: Vec<(f32, &incite_corpus::Document)> =
         stream.iter().map(|d| (clf.score(&d.text), *d)).collect();
     scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
 

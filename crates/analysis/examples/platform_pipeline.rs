@@ -7,11 +7,11 @@
 //! cargo run --release --example platform_pipeline
 //! ```
 
-use incite::core::attack_classifier::{default_featurizer, AttackTypeClassifier};
-use incite::corpus::{generate, CorpusConfig};
-use incite::ml::{save_model, FeatureMode, FeaturizerConfig, TextClassifier, TrainConfig};
-use incite::pii::{redact, PiiExtractor};
-use incite::taxonomy::{AttackType, LabelSet, Platform};
+use incite_core::attack_classifier::{default_featurizer, AttackTypeClassifier};
+use incite_corpus::{generate, CorpusConfig};
+use incite_ml::{save_model, FeatureMode, FeaturizerConfig, TextClassifier, TrainConfig};
+use incite_pii::{redact, PiiExtractor};
+use incite_taxonomy::{AttackType, LabelSet, Platform};
 
 fn main() {
     let corpus = generate(&CorpusConfig::small(0xfeed));
@@ -65,7 +65,7 @@ fn main() {
 
     // ---- Stage 3: run the incoming stream through the full loop ---------
     let extractor = PiiExtractor::new();
-    let stream: Vec<&incite::corpus::Document> = corpus.by_platform(Platform::Discord).collect();
+    let stream: Vec<&incite_corpus::Document> = corpus.by_platform(Platform::Discord).collect();
     println!("\nStage 3: moderating {} incoming messages\n", stream.len());
 
     let mut flagged = 0;

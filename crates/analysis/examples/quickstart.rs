@@ -6,9 +6,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use incite::analysis::render;
-use incite::core::{run_pipeline, PipelineConfig, Task};
-use incite::corpus::{generate, CorpusConfig};
+use incite_analysis::render;
+use incite_core::{run_pipeline, PipelineConfig, Task};
+use incite_corpus::{generate, CorpusConfig};
 
 fn main() {
     // A small, seeded corpus: ~1/10,000 of the paper's volume with

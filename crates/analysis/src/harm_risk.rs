@@ -32,11 +32,6 @@ impl Figure2 {
     pub fn all_four(&self) -> usize {
         self.combination_counts[15]
     }
-
-    /// Doxes with no risk indicator.
-    pub fn none(&self) -> usize {
-        self.combination_counts[0]
-    }
 }
 
 /// Assigns risks to every dox (real extraction + the planted reputation

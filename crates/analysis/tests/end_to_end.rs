@@ -1,11 +1,11 @@
 //! End-to-end integration: corpus generation → both filtering pipelines →
 //! empirical characterization, asserting the paper's headline *shapes*.
 
-use incite::analysis::{attack_types, harm_risk, overlap, pii_tables, repeats, threads};
-use incite::core::{run_pipeline, PipelineConfig, Task};
-use incite::corpus::{generate, Corpus, CorpusConfig, Document};
-use incite::pii::PiiExtractor;
-use incite::taxonomy::{AttackType, HarmRisk, Platform};
+use incite_analysis::{attack_types, harm_risk, overlap, pii_tables, repeats, threads};
+use incite_core::{run_pipeline, PipelineConfig, Task};
+use incite_corpus::{generate, Corpus, CorpusConfig, Document};
+use incite_pii::PiiExtractor;
+use incite_taxonomy::{AttackType, HarmRisk, Platform};
 
 fn corpus() -> Corpus {
     generate(&CorpusConfig::small(0xE2E))
@@ -32,7 +32,7 @@ fn full_study_reproduces_headline_shapes() {
 
     // --- characterization over the annotated sets -------------------------
     let cth_docs: Vec<&Document> =
-        incite::analysis::resolve(&corpus, &cth_out.annotated_positive_ids())
+        incite_analysis::resolve(&corpus, &cth_out.annotated_positive_ids())
             .into_iter()
             .filter(|d| d.truth.is_cth) // expert noise may admit a few FPs
             .collect();
@@ -68,7 +68,7 @@ fn full_study_reproduces_headline_shapes() {
 
     // --- dox side ----------------------------------------------------------
     let dox_docs: Vec<&Document> =
-        incite::analysis::resolve(&corpus, &dox_out.annotated_positive_ids())
+        incite_analysis::resolve(&corpus, &dox_out.annotated_positive_ids())
             .into_iter()
             .filter(|d| d.truth.is_dox)
             .collect();
@@ -79,7 +79,7 @@ fn full_study_reproduces_headline_shapes() {
     // Pastes column exists and carries rich PII.
     let pastes = pii_cols
         .iter()
-        .find(|c| c.data_set == incite::taxonomy::DataSet::Pastes)
+        .find(|c| c.data_set == incite_taxonomy::DataSet::Pastes)
         .unwrap();
     assert!(pastes.size > 50);
 

@@ -5,8 +5,6 @@
 //! over `LOWER(body)`. This module provides the same clause algebra as a
 //! small composable tree plus [`figure4_query`], a faithful transcription.
 
-use incite_corpus::Document;
-
 /// A boolean query over lowercased document bodies.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Query {
@@ -48,14 +46,6 @@ impl Query {
             Query::Or(qs) => qs.iter().any(|q| q.matches_lower(lower)),
             Query::Not(q) => !q.matches_lower(lower),
         }
-    }
-
-    /// Runs the query over documents, yielding matching references.
-    pub fn filter<'a, I>(&self, docs: I) -> Vec<&'a Document>
-    where
-        I: IntoIterator<Item = &'a Document>,
-    {
-        docs.into_iter().filter(|d| self.matches(&d.text)).collect()
     }
 }
 

@@ -1,7 +1,7 @@
 //! Reproducibility: every stage is a pure function of its seed.
 
-use incite::core::{run_pipeline, PipelineConfig, Task};
-use incite::corpus::{generate, CorpusConfig};
+use incite_core::{run_pipeline, PipelineConfig, Task};
+use incite_corpus::{generate, CorpusConfig};
 
 #[test]
 fn corpus_generation_is_seed_deterministic() {

@@ -1,8 +1,8 @@
 //! Failure-injection tests: the pipeline must degrade gracefully, never
 //! panic, on degenerate corpora.
 
-use incite::core::{run_pipeline, PipelineConfig, Task};
-use incite::corpus::{generate, CorpusConfig};
+use incite_core::{run_pipeline, PipelineConfig, Task};
+use incite_corpus::{generate, CorpusConfig};
 
 #[test]
 fn pipeline_survives_a_corpus_with_no_positives() {

@@ -84,18 +84,6 @@ pub struct Document {
     pub truth: GroundTruth,
 }
 
-impl Document {
-    /// Shorthand: true positive for the CTH task.
-    pub fn is_cth(&self) -> bool {
-        self.truth.is_cth
-    }
-
-    /// Shorthand: true positive for the dox task.
-    pub fn is_dox(&self) -> bool {
-        self.truth.is_dox
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -72,11 +72,6 @@ impl MarkovChain {
         }
     }
 
-    /// Number of distinct context words.
-    pub fn contexts(&self) -> usize {
-        self.successors.len()
-    }
-
     /// Generates one sentence of at most `max_words` words.
     pub fn sentence(&self, max_words: usize, rng: &mut StdRng) -> String {
         if self.starters.is_empty() {
@@ -110,7 +105,8 @@ mod tests {
     #[test]
     fn default_chain_has_vocabulary() {
         let chain = MarkovChain::default();
-        assert!(chain.contexts() > 100, "contexts {}", chain.contexts());
+        let contexts = chain.successors.len();
+        assert!(contexts > 100, "contexts {contexts}");
     }
 
     #[test]

@@ -155,16 +155,6 @@ fn luhn_check_digit(digits: &str) -> u8 {
     ((10 - (sum % 10)) % 10) as u8
 }
 
-/// Validates a full number against Luhn.
-pub fn luhn_valid(number: &str) -> bool {
-    let digits: String = number.chars().filter(|c| c.is_ascii_digit()).collect();
-    if digits.len() < 2 {
-        return false;
-    }
-    let (payload, check) = digits.split_at(digits.len() - 1);
-    luhn_check_digit(payload) == check.chars().next().unwrap().to_digit(10).unwrap() as u8
-}
-
 /// Generates a fresh synthetic identity.
 pub fn identity(rng: &mut StdRng) -> Identity {
     let first = FIRST_NAMES[rng.gen_range(0..FIRST_NAMES.len())].to_string();
@@ -219,6 +209,16 @@ pub fn identity(rng: &mut StdRng) -> Identity {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    /// Validates a full number against Luhn.
+    fn luhn_valid(number: &str) -> bool {
+        let digits: String = number.chars().filter(|c| c.is_ascii_digit()).collect();
+        if digits.len() < 2 {
+            return false;
+        }
+        let (payload, check) = digits.split_at(digits.len() - 1);
+        luhn_check_digit(payload) == check.chars().next().unwrap().to_digit(10).unwrap() as u8
+    }
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(99)

@@ -41,15 +41,6 @@ pub enum Blog {
 impl Blog {
     pub const ALL: [Blog; 3] = [Blog::DailyStormer, Blog::NoBlogs, Blog::Torch];
 
-    /// Display name matching Table 8.
-    pub fn name(self) -> &'static str {
-        match self {
-            Blog::DailyStormer => "Daily Stormer",
-            Blog::NoBlogs => "NoBlogs",
-            Blog::Torch => "The Torch",
-        }
-    }
-
     /// Channel slug used on documents.
     pub fn slug(self) -> &'static str {
         match self {

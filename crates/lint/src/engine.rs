@@ -30,6 +30,7 @@ use std::path::{Path, PathBuf};
 pub const FUEL_BUDGET: u64 = 8_000_000;
 
 /// A full lint run over one workspace root.
+#[derive(Debug, PartialEq, Eq)]
 pub struct Report {
     /// Every current finding, sorted by (file, line, rule).
     pub findings: Vec<Finding>,
@@ -37,6 +38,25 @@ pub struct Report {
     pub files_scanned: usize,
     /// Deterministic work performed, in fuel units (see [`FUEL_BUDGET`]).
     pub fuel: u64,
+}
+
+impl Report {
+    /// The report exactly as `check` prints it to stderr: each finding
+    /// (with its trace notes) followed by a blank line, then the summary
+    /// line.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        for f in &self.findings {
+            out.push_str(&f.render());
+            out.push_str("\n\n");
+        }
+        out.push_str(&format!(
+            "incite-lint: {} file(s), {} finding(s)\n",
+            self.files_scanned,
+            self.findings.len()
+        ));
+        out
+    }
 }
 
 /// Collects the repo-relative paths of all `.rs` files under `crates/*/src`,
@@ -82,13 +102,13 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// Runs the whole catalog against `root`, sequentially. Equivalent to
+/// Runs every rule against `root`, sequentially. Equivalent to
 /// [`run_with`] at one thread; the CLI uses [`run_with`] directly.
 pub fn run(root: &Path) -> io::Result<Report> {
     run_with(root, 1)
 }
 
-/// Runs the whole catalog against `root`, fanning the per-file stage out
+/// Runs every rule against `root`, fanning the per-file stage out
 /// over `threads` workers. Any thread count produces byte-identical
 /// findings; `1` is fully sequential.
 pub fn run_with(root: &Path, threads: usize) -> io::Result<Report> {
@@ -147,52 +167,6 @@ pub fn run_with(root: &Path, threads: usize) -> io::Result<Report> {
     })
 }
 
-/// Renders the machine-readable JSON report (deterministic field order).
-pub fn report_json(report: &Report) -> String {
-    let mut out = String::from("{\n  \"findings\": [\n");
-    for (i, f) in report.findings.iter().enumerate() {
-        let trace = f
-            .trace
-            .iter()
-            .map(|t| format!("\"{}\"", escape(t)))
-            .collect::<Vec<_>>()
-            .join(", ");
-        out.push_str(&format!(
-            "    {{\"rule\": \"{}\", \"severity\": \"error\", \"file\": \"{}\", \
-             \"line\": {}, \"message\": \"{}\", \"trace\": [{}]}}{}\n",
-            f.rule,
-            escape(&f.file),
-            f.line,
-            escape(&f.message),
-            trace,
-            if i + 1 == report.findings.len() {
-                ""
-            } else {
-                ","
-            }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"files_scanned\": {},\n  \"total\": {},\n  \"fuel\": {}\n}}\n",
-        report.files_scanned,
-        report.findings.len(),
-        report.fuel,
-    ));
-    out
-}
-
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,17 +201,6 @@ mod tests {
             "lint violations:\n{}",
             rendered.join("\n")
         );
-    }
-
-    #[test]
-    fn report_json_is_valid_shape() {
-        let root = repo_root();
-        let report = run(&root).unwrap();
-        let json = report_json(&report);
-        assert!(json.starts_with("{\n"));
-        assert!(json.contains("\"files_scanned\""));
-        assert!(json.contains("\"fuel\""));
-        assert!(json.trim_end().ends_with('}'));
     }
 
     /// The performance contract for the full run, stated in deterministic

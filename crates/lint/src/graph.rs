@@ -14,7 +14,10 @@
 //! temporary to the end of its statement. The known false-negative
 //! classes are listed in DESIGN.md §14.
 
-use crate::items::{self, contains_word, is_ident_byte, lock_kind_in, FileItems, LockKind, Span};
+use crate::items::{
+    self, contains_word, is_ident_byte, line_starts, lock_kind_in, skip_ws, FileItems, LockKind,
+    Span,
+};
 use crate::lexer::MaskedFile;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -497,16 +500,6 @@ fn lock_params_of(sig: &str) -> Vec<String> {
         }
     }
     out
-}
-
-fn line_starts(bytes: &[u8]) -> Vec<usize> {
-    let mut starts = vec![0usize];
-    for (i, &b) in bytes.iter().enumerate() {
-        if b == b'\n' {
-            starts.push(i + 1);
-        }
-    }
-    starts
 }
 
 /// What a call event means for the concurrency model.
@@ -1092,13 +1085,6 @@ fn ident_end(bytes: &[u8], from: usize, end: usize) -> usize {
         j += 1;
     }
     j
-}
-
-fn skip_ws(bytes: &[u8], mut i: usize, end: usize) -> usize {
-    while i < end && bytes[i].is_ascii_whitespace() {
-        i += 1;
-    }
-    i
 }
 
 /// Reads `ident(::ident|.ident)*` starting at an ident; returns the

@@ -23,7 +23,7 @@
 //! fuel budget keeps holding.
 
 use crate::graph::{CallEvent, Event, Workspace};
-use crate::items;
+use crate::items::{self, contains_word};
 use crate::rules::Finding;
 use std::collections::BTreeSet;
 
@@ -163,20 +163,6 @@ const WIRE_SOURCES: &[&str] = &[
 
 /// Cast targets narrow enough that an unbounded wire value truncates.
 const NARROW_CASTS: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32"];
-
-fn contains_word(text: &str, word: &str) -> bool {
-    let mut from = 0;
-    while let Some(rel) = text[from..].find(word) {
-        let at = from + rel;
-        from = at + word.len();
-        let left = at == 0 || !items::is_ident_byte(text.as_bytes()[at - 1]);
-        let right = from >= text.len() || !items::is_ident_byte(text.as_bytes()[from]);
-        if left && right {
-            return true;
-        }
-    }
-    false
-}
 
 /// The ident token ending immediately before byte `pos` (skipping back
 /// over whitespace), or `None` if the preceding token is not an ident.

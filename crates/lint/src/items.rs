@@ -116,7 +116,7 @@ pub fn parse(file: &MaskedFile) -> FileItems {
 }
 
 /// Byte offsets where each line starts; index = line - 1.
-fn line_starts(bytes: &[u8]) -> Vec<usize> {
+pub(crate) fn line_starts(bytes: &[u8]) -> Vec<usize> {
     let mut starts = vec![0usize];
     for (i, &b) in bytes.iter().enumerate() {
         if b == b'\n' {
@@ -136,6 +136,15 @@ pub(crate) fn line_at(lines: &[usize], at: usize) -> usize {
 
 pub(crate) fn is_ident_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
+}
+
+/// First offset at or after `i` (and before `end`) that is not ASCII
+/// whitespace.
+pub(crate) fn skip_ws(bytes: &[u8], mut i: usize, end: usize) -> usize {
+    while i < end && bytes[i].is_ascii_whitespace() {
+        i += 1;
+    }
+    i
 }
 
 struct Parser<'a> {
@@ -180,15 +189,8 @@ impl Parser<'_> {
         }
     }
 
-    fn skip_ws(&self, mut i: usize, to: usize) -> usize {
-        while i < to && self.bytes[i].is_ascii_whitespace() {
-            i += 1;
-        }
-        i
-    }
-
     fn read_ident(&self, i: usize, to: usize) -> Option<(String, usize)> {
-        let i = self.skip_ws(i, to);
+        let i = skip_ws(self.bytes, i, to);
         if i >= to || !is_ident_byte(self.bytes[i]) || self.bytes[i].is_ascii_digit() {
             return None;
         }
@@ -201,7 +203,7 @@ impl Parser<'_> {
 
     /// Advances past a balanced `<...>` group if one starts at `i`.
     fn skip_generics(&self, i: usize, to: usize) -> usize {
-        let i = self.skip_ws(i, to);
+        let i = skip_ws(self.bytes, i, to);
         if i >= to || self.bytes[i] != b'<' {
             return i;
         }
@@ -252,7 +254,7 @@ impl Parser<'_> {
             return i;
         };
         let after_generics = self.skip_generics(after_name, to);
-        let params_open = self.skip_ws(after_generics, to);
+        let params_open = skip_ws(self.bytes, after_generics, to);
         if params_open >= to || self.bytes[params_open] != b'(' {
             return after_name;
         }
@@ -313,7 +315,7 @@ impl Parser<'_> {
         let Some((_, after_name)) = self.read_ident(i, to) else {
             return i;
         };
-        let j = self.skip_ws(after_name, to);
+        let j = skip_ws(self.bytes, after_name, to);
         if j < to && self.bytes[j] == b'{' {
             let close = matching_brace(self.bytes, j).unwrap_or(to);
             // Inline modules reset the impl context.
@@ -355,7 +357,7 @@ impl Parser<'_> {
             return i;
         };
         let after_generics = self.skip_generics(after_name, to);
-        let j = self.skip_ws(after_generics, to);
+        let j = skip_ws(self.bytes, after_generics, to);
         if j >= to {
             return to;
         }
@@ -376,7 +378,7 @@ impl Parser<'_> {
             return i;
         };
         let after_generics = self.skip_generics(after_name, to);
-        let j = self.skip_ws(after_generics, to);
+        let j = skip_ws(self.bytes, after_generics, to);
         if j >= to || self.bytes[j] != b'{' {
             return self.skip_braced_body(j, to);
         }
@@ -447,7 +449,7 @@ impl Parser<'_> {
             Some(pair) => pair,
             None => return i,
         };
-        let mut j = self.skip_ws(after, to);
+        let mut j = skip_ws(self.bytes, after, to);
         if j >= to || self.bytes[j] != b':' {
             return after;
         }

@@ -48,6 +48,12 @@
 //! `incite_core::parallel` with a deterministic sequential merge, so
 //! findings are byte-identical at any thread count.
 //!
+//! `check` prints one rustc-style report to stderr
+//! ([`engine::Report::render`]): each finding with its dataflow trace as
+//! `= note:` lines, then a summary line. Each rule's contract, example
+//! and fix are in DESIGN.md §14 (INC008–INC010), §15 (INC011–INC013) and
+//! §19 (INC014, INC016).
+//!
 //! Any finding fails `check`. Suppress a single site with
 //! `// incite-lint: allow(INC0xx)` on (or directly above) the line.
 //!
@@ -62,5 +68,4 @@ pub mod invariants;
 pub mod items;
 pub mod lexer;
 pub mod rules;
-pub mod sarif;
 pub mod taint;

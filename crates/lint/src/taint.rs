@@ -34,7 +34,7 @@
 //! speculatively.
 
 use crate::graph::{matching_paren, Event, FnNode, Workspace};
-use crate::items::{line_at, FnItem};
+use crate::items::{contains_word, is_ident_byte, line_at, FnItem};
 use crate::lexer::matching_brace;
 use crate::rules::Finding;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -352,11 +352,6 @@ fn split_param(piece: &str) -> Option<(&str, &str)> {
         }
     }
     None
-}
-
-/// Word-bounded containment (local copy of the items helper, on &str).
-fn contains_word(hay: &str, word: &str) -> bool {
-    crate::items::contains_word(hay, word)
 }
 
 /// What the final replay does when a tainted value hits a sink. The
@@ -734,10 +729,6 @@ fn scrub_sanitizers(text: &str) -> String {
         }
     }
     String::from_utf8(out).unwrap_or_default()
-}
-
-fn is_ident_byte(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'_'
 }
 
 /// Evaluates the taint of a masked-text span. Indicators, in order:

@@ -138,11 +138,6 @@ impl LogisticRegression {
     pub fn decision(&self, features: &SparseVec) -> f32 {
         dot(features, &self.weights) + self.bias
     }
-
-    /// Model dimensionality.
-    pub fn dimensions(&self) -> usize {
-        self.weights.len()
-    }
 }
 
 #[cfg(test)]

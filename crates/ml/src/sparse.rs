@@ -20,11 +20,6 @@ pub fn dot(sparse: &SparseVec, dense: &[f32]) -> f32 {
     sum
 }
 
-/// L2 norm of a sparse vector.
-pub fn norm(sparse: &SparseVec) -> f32 {
-    sparse.iter().map(|(_, v)| v * v).sum::<f32>().sqrt()
-}
-
 /// Merges two sparse vectors by summing coincident indices.
 pub fn merge(a: &SparseVec, b: &SparseVec) -> SparseVec {
     let mut out = SparseVec::with_capacity(a.len() + b.len());
@@ -54,13 +49,6 @@ pub fn merge(a: &SparseVec, b: &SparseVec) -> SparseVec {
     out.extend_from_slice(&a[i..]);
     out.extend_from_slice(&b[j..]);
     out
-}
-
-/// Scales a sparse vector in place.
-pub fn scale(sparse: &mut SparseVec, factor: f32) {
-    for (_, v) in sparse.iter_mut() {
-        *v *= factor;
-    }
 }
 
 #[cfg(test)]
@@ -93,13 +81,5 @@ mod tests {
         let a: SparseVec = vec![(1, 1.0)];
         let b: SparseVec = vec![(1, -1.0)];
         assert!(merge(&a, &b).is_empty());
-    }
-
-    #[test]
-    fn norm_and_scale() {
-        let mut s: SparseVec = vec![(0, 3.0), (1, 4.0)];
-        assert_eq!(norm(&s), 5.0);
-        scale(&mut s, 2.0);
-        assert_eq!(norm(&s), 10.0);
     }
 }

@@ -206,13 +206,6 @@ impl ThreatRanker {
         self.epochs_done
     }
 
-    /// Ranked entries per target id (best first).
-    pub fn rankings(&self) -> impl Iterator<Item = (u32, &[ThreatEntry])> {
-        self.targets
-            .iter()
-            .map(|(id, state)| (*id, state.entries.as_slice()))
-    }
-
     /// Consumes the next epoch of events. Returns the number of events
     /// processed; zero means the stream is exhausted.
     pub fn process_epoch(
@@ -551,8 +544,8 @@ mod tests {
             "no targets ranked:\n{rendered}"
         );
         let mut saw_entries = false;
-        for (_, entries) in ranker.rankings() {
-            for entry in entries {
+        for state in ranker.targets.values() {
+            for entry in &state.entries {
                 saw_entries = true;
                 assert!(entry.threat() > 0.0);
                 assert!(entry.overlap() > 0.0);

@@ -14,7 +14,6 @@
 //! and a count we store the count.
 
 use crate::attack::Subcategory;
-use crate::gender::Gender;
 use crate::pii_kind::PiiKind;
 use crate::platform::DataSet;
 
@@ -379,17 +378,6 @@ pub struct Table10Row {
     pub unknown: u32,
     pub female: u32,
     pub male: u32,
-}
-
-impl Table10Row {
-    /// Count for a gender column.
-    pub fn count(&self, gender: Gender) -> u32 {
-        match gender {
-            Gender::Unknown => self.unknown,
-            Gender::Female => self.female,
-            Gender::Male => self.male,
-        }
-    }
 }
 
 /// Table 10: complete subcategory taxonomy counts per inferred gender.

@@ -96,21 +96,6 @@ impl LabelSet {
         self.parents().count()
     }
 
-    /// Set union.
-    pub fn union(self, other: LabelSet) -> LabelSet {
-        LabelSet(self.0 | other.0)
-    }
-
-    /// Set difference (`self - other`).
-    pub fn difference(self, other: LabelSet) -> LabelSet {
-        LabelSet(self.0 & !other.0)
-    }
-
-    /// Whether the two sets share any label.
-    pub fn intersects(self, other: LabelSet) -> bool {
-        self.0 & other.0 != 0
-    }
-
     /// Raw bit representation (for hashing/serialization diagnostics).
     pub fn bits(self) -> u32 {
         self.0
@@ -187,16 +172,6 @@ mod tests {
         let set = LabelSet::single(HateSpeech);
         assert!(set.contains_parent(AttackType::ToxicContent));
         assert!(!set.contains_parent(AttackType::Reporting));
-    }
-
-    #[test]
-    fn set_algebra() {
-        let a = LabelSet::from_iter([Doxing, Raiding]);
-        let b = LabelSet::from_iter([Raiding, MassFlagging]);
-        assert_eq!(a.union(b).len(), 3);
-        assert_eq!(a.difference(b), LabelSet::single(Doxing));
-        assert!(a.intersects(b));
-        assert!(!a.difference(b).intersects(b));
     }
 
     #[test]

@@ -134,16 +134,6 @@ impl PiiSet {
     pub fn iter(self) -> impl Iterator<Item = PiiKind> {
         PiiKind::ALL.into_iter().filter(move |k| self.contains(*k))
     }
-
-    /// Set union.
-    pub fn union(self, other: PiiSet) -> PiiSet {
-        PiiSet(self.0 | other.0)
-    }
-
-    /// Whether the two sets share any kind.
-    pub fn intersects(self, other: PiiSet) -> bool {
-        self.0 & other.0 != 0
-    }
 }
 
 impl FromIterator<PiiKind> for PiiSet {
@@ -209,16 +199,6 @@ mod tests {
         assert!(set.contains(PiiKind::Email));
         assert!(!set.contains(PiiKind::Phone));
         assert_eq!(set.len(), 1);
-    }
-
-    #[test]
-    fn union_and_intersects() {
-        let a: PiiSet = [PiiKind::Email, PiiKind::Phone].into_iter().collect();
-        let b: PiiSet = [PiiKind::Phone, PiiKind::Ssn].into_iter().collect();
-        assert_eq!(a.union(b).len(), 3);
-        assert!(a.intersects(b));
-        let c: PiiSet = [PiiKind::Address].into_iter().collect();
-        assert!(!a.intersects(c));
     }
 
     #[test]

@@ -36,26 +36,6 @@ proptest! {
     }
 
     #[test]
-    fn labelset_algebra_matches_hashset(
-        a in prop::collection::vec(arb_subcategory(), 0..20),
-        b in prop::collection::vec(arb_subcategory(), 0..20),
-    ) {
-        let sa: LabelSet = a.iter().copied().collect();
-        let sb: LabelSet = b.iter().copied().collect();
-        let ma: HashSet<Subcategory> = a.into_iter().collect();
-        let mb: HashSet<Subcategory> = b.into_iter().collect();
-        prop_assert_eq!(
-            sa.union(sb).iter().collect::<HashSet<_>>(),
-            ma.union(&mb).copied().collect::<HashSet<_>>()
-        );
-        prop_assert_eq!(
-            sa.difference(sb).iter().collect::<HashSet<_>>(),
-            ma.difference(&mb).copied().collect::<HashSet<_>>()
-        );
-        prop_assert_eq!(sa.intersects(sb), !ma.is_disjoint(&mb));
-    }
-
-    #[test]
     fn labelset_bits_roundtrip(subs in prop::collection::vec(arb_subcategory(), 0..29)) {
         let set: LabelSet = subs.into_iter().collect();
         prop_assert_eq!(LabelSet::from_bits(set.bits()), set);

@@ -145,16 +145,6 @@ impl<'a> Iterator for Tokens<'a> {
     }
 }
 
-/// Convenience: tokenized text as owned lowercase strings (words and numbers
-/// only), the form consumed by n-gram featurizers.
-pub fn word_tokens(text: &str) -> Vec<String> {
-    tokenize(text)
-        .into_iter()
-        .filter(|t| t.kind != TokenKind::Punct)
-        .map(|t| t.text.to_lowercase())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,13 +202,5 @@ mod tests {
         assert_eq!(texts(&toks), vec!["a", "@", "b", "#", "tag"]);
         assert_eq!(toks[1].kind, TokenKind::Punct);
         assert_eq!(toks[3].kind, TokenKind::Punct);
-    }
-
-    #[test]
-    fn word_tokens_drops_punct_and_lowercases() {
-        assert_eq!(
-            word_tokens("Report HIM, now!"),
-            vec!["report", "him", "now"]
-        );
     }
 }

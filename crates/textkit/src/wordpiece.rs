@@ -125,8 +125,8 @@ impl WordPieceTrainer {
         }
     }
 
-    /// Trains a vocabulary from an iterator of words (typically the output
-    /// of [`crate::tokenize::word_tokens`] over the corpus).
+    /// Trains a vocabulary from an iterator of words (typically the
+    /// non-punctuation tokens of the normalized corpus).
     pub fn train<'a, I: IntoIterator<Item = &'a str>>(&self, words: I) -> WordPieceVocab {
         // Count word frequencies.
         let mut word_freq: HashMap<&str, usize> = HashMap::new();
