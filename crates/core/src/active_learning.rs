@@ -10,7 +10,7 @@
 use crate::failpoint::{FailpointRegistry, InjectedFault};
 use crate::task::Task;
 use incite_annotate::{annotate_batch, Annotator};
-use incite_corpus::{Corpus, DocId, Document};
+use incite_corpus::{DocId, Document};
 use incite_ml::{FeatureCache, TextClassifier};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -29,21 +29,21 @@ pub struct RoundStats {
     pub positives_added: usize,
 }
 
-/// Samples `per_decile` document indices from each of the ten score
-/// deciles, skipping already-labeled documents.
+/// Samples `per_decile` positions into `scores` from each of the ten
+/// score deciles, skipping already-labeled documents.
 fn decile_sample(
     scores: &[(DocId, f32)],
     per_decile: usize,
     already_labeled: &BTreeSet<DocId>,
     rng: &mut StdRng,
-) -> Vec<DocId> {
-    let mut buckets: Vec<Vec<DocId>> = vec![Vec::new(); 10];
-    for &(id, score) in scores {
+) -> Vec<usize> {
+    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); 10];
+    for (pos, &(id, score)) in scores.iter().enumerate() {
         if already_labeled.contains(&id) {
             continue;
         }
         let bucket = ((score.clamp(0.0, 1.0) * 10.0) as usize).min(9);
-        buckets[bucket].push(id);
+        buckets[bucket].push(pos);
     }
     let mut sampled = Vec::new();
     for bucket in &mut buckets {
@@ -54,7 +54,8 @@ fn decile_sample(
 }
 
 /// Runs one active-learning round: score → decile-sample → crowd-annotate →
-/// extend training set → retrain.
+/// extend training set → retrain. `scores[i]` is the score of `docs[i]`,
+/// as a scoring-engine pass over `docs` returns them.
 ///
 /// Retraining goes through `cache`: only the documents added this round
 /// are featurized; everything already in the round set is reused.
@@ -66,7 +67,7 @@ fn decile_sample(
 /// from the previous boundary.
 #[allow(clippy::too_many_arguments)]
 pub fn active_learning_round(
-    corpus: &Corpus,
+    docs: &[&Document],
     task: Task,
     classifier: &mut TextClassifier,
     cache: &mut FeatureCache,
@@ -79,14 +80,9 @@ pub fn active_learning_round(
     rng: &mut StdRng,
 ) -> Result<RoundStats, InjectedFault> {
     let labeled: BTreeSet<DocId> = training.iter().map(|(id, _, _)| *id).collect();
-    let sampled_ids = decile_sample(scores, per_decile, &labeled, rng);
-
-    // Look up the sampled documents.
-    let by_id: std::collections::BTreeMap<DocId, &Document> =
-        corpus.documents.iter().map(|d| (d.id, d)).collect();
-    let sampled_docs: Vec<&Document> = sampled_ids
-        .iter()
-        .filter_map(|id| by_id.get(id).copied())
+    let sampled_docs: Vec<&Document> = decile_sample(scores, per_decile, &labeled, rng)
+        .into_iter()
+        .filter_map(|pos| docs.get(pos).copied())
         .collect();
 
     // Crowd annotation with the two + tie-break protocol.
@@ -135,8 +131,8 @@ mod tests {
         let s = scores(1000);
         let sampled = decile_sample(&s, 5, &BTreeSet::new(), &mut rng);
         assert_eq!(sampled.len(), 50);
-        // Every decile contributes: ids 0..100 → decile 0, 900..1000 → 9.
-        let mut deciles: BTreeSet<usize> = sampled.iter().map(|id| (id.0 / 100) as usize).collect();
+        // Every decile contributes: positions 0..100 → decile 0, 900..1000 → 9.
+        let mut deciles: BTreeSet<usize> = sampled.iter().map(|pos| pos / 100).collect();
         deciles.remove(&10); // score exactly 1.0 edge
         assert_eq!(deciles.len(), 10, "{deciles:?}");
     }
@@ -147,7 +143,7 @@ mod tests {
         let s = scores(100);
         let labeled: BTreeSet<DocId> = (0..50).map(DocId).collect();
         let sampled = decile_sample(&s, 10, &labeled, &mut rng);
-        assert!(sampled.iter().all(|id| id.0 >= 50));
+        assert!(sampled.iter().all(|&pos| s[pos].0 >= DocId(50)));
     }
 
     #[test]

@@ -118,14 +118,6 @@ impl AttackTypeClassifier {
             .map(|h| h.threshold)
     }
 
-    /// Per-type probabilities for one document.
-    pub fn predict(&self, text: &str) -> Vec<(AttackType, f32)> {
-        self.heads
-            .iter()
-            .map(|h| (h.attack, h.classifier.score(text)))
-            .collect()
-    }
-
     /// Hard multi-label prediction using each head's calibrated threshold.
     /// Falls back to the relatively-highest-scoring type when nothing
     /// clears its threshold (a call to harassment always incites
@@ -249,11 +241,10 @@ mod tests {
         let reporting_text = "we need to mass report his twitter until the account is gone";
         let raiding_text = "everyone raid his stream tonight, brigade the comments, bring everyone";
         let score_of = |text: &str, attack: AttackType| {
-            clf.predict(text)
-                .into_iter()
-                .find(|(a, _)| *a == attack)
-                .map(|(_, s)| s)
-                .unwrap_or(0.0)
+            clf.heads
+                .iter()
+                .find(|h| h.attack == attack)
+                .map_or(0.0, |h| h.classifier.score(text))
         };
         assert!(
             score_of(raiding_text, AttackType::Overloading)

@@ -2,13 +2,17 @@
 //!
 //! At paper scale the pipeline is a multi-round loop over 560 M documents
 //! with paid crowd annotation in the middle — exactly the job where a
-//! crash after round *k* must not discard rounds `0..k`. This module
-//! persists the full pipeline state at every step boundary into a **run
-//! directory**, so [`run_pipeline_resumable`](crate::run_pipeline_resumable)
-//! can be killed at any boundary and resumed to a `PipelineOutcome`
-//! byte-identical to an uninterrupted run (DESIGN.md §12).
+//! crash after round *k* must not discard rounds `0..k`. The pipeline
+//! keeps one run state (`pipeline::RunState`) and mutates it in place; this
+//! module records a view of that state at every step boundary into a
+//! **run directory**, so
+//! [`run_pipeline_resumable`](crate::run_pipeline_resumable) can be killed
+//! at any boundary and resumed to a `PipelineOutcome` byte-identical to an
+//! uninterrupted run (DESIGN.md §12). Recording borrows the state and
+//! copies only its small core, into the manifest record; loading rebuilds
+//! the state from the latest record and its section files.
 //!
-//! Layout of a run directory:
+//! Layout of a run directory after one active-learning round:
 //!
 //! ```text
 //! run_dir/
@@ -16,20 +20,19 @@
 //!   step-00-bootstrap.ledger.ckpt      # annotation ledger section
 //!   step-01-featurize.model.ckpt       # incite-ml persist artifact, framed
 //!   step-02-round-0.ledger.ckpt
-//!   step-02-round-0.model.ckpt
-//!   step-03-eval.model.ckpt
+//!   step-02-round-0.model.ckpt         # eval's weights hash the same: reused
 //!   step-04-score.scores.ckpt          # full-corpus score section
 //! ```
 //!
-//! The snapshot is persisted in **sections**: a small core (RNG words,
-//! counters, rounds, thresholds, eval, engine stats) embedded directly
-//! in the manifest's step record, plus content-addressed section files
-//! for the bulky parts — the annotation ledger, the full-corpus scores,
-//! and the model weights. A step whose section is unchanged records the
-//! *previous* step's file in its step record instead of rewriting the
-//! payload; since the ledger is append-only and the scores are
-//! write-once (see [`PipelineSnapshot`]), most boundaries write no
-//! section file and cost one append to the manifest.
+//! The state is persisted in **sections**: a small [`SnapshotCore`] (RNG
+//! words, counters, rounds, thresholds, eval, engine stats) embedded
+//! directly in the manifest's step record, plus content-addressed section
+//! files for the bulky parts — the annotation ledger, the full-corpus
+//! scores, and the model weights. A step whose section is unchanged
+//! records the *previous* step's file in its step record instead of
+//! rewriting the payload; since the ledger is append-only and the scores
+//! are write-once (the run state's section contract), most boundaries
+//! write no section file and cost one append to the manifest.
 //!
 //! The manifest is an [`atomic_io::AppendLog`]. Record 0 is the
 //! [`Manifest`] header — schema version, task, config fingerprint, and
@@ -69,11 +72,12 @@ pub mod atomic_io;
 use crate::accounting::StageCounts;
 use crate::active_learning::RoundStats;
 use crate::engine::EngineStats;
+use crate::pipeline::RunState;
 use crate::threshold::PlatformThreshold;
 use atomic_io::AppendLog;
-use incite_corpus::DocId;
 use incite_ml::model::EvalReport;
 use incite_ml::{load_model_bin, save_model_bin, TextClassifier};
+use rand::rngs::StdRng;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -154,7 +158,7 @@ pub struct FileRecord {
 pub struct StepRecord {
     /// Step name, e.g. `bootstrap`, `round-0`, `threshold-pastes`.
     pub name: String,
-    /// The core snapshot at this boundary, embedded in the manifest so
+    /// The run state's core at this boundary, embedded in the manifest so
     /// that recording a step with no changed sections is a single append.
     pub core: SnapshotCore,
     /// Section files the step references (ledger / scores / model),
@@ -175,45 +179,16 @@ pub struct Manifest {
     pub steps: Vec<StepRecord>,
 }
 
-/// Full pipeline state at a step boundary. Everything needed to continue
-/// the run bit-for-bit; see the module docs for what is recomputed
-/// instead.
-///
-/// Section contract, relied on for checkpoint deduplication: across the
-/// successive snapshots of one run, `training` is **append-only** (seed
-/// set, then each round's crowd labels) and `scores` is **write-once**
-/// (set at the score step, never modified after). An unchanged length
-/// therefore means unchanged content, and [`Checkpointer::record_step`]
-/// reuses the previous step's section file instead of rewriting it.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct PipelineSnapshot {
-    /// xoshiro256++ state words at the boundary (exact stream position).
-    pub rng: Vec<u64>,
-    /// Figure 1 stage counters accumulated so far.
-    pub counts: StageCounts,
-    /// The annotation ledger: every labeled `(id, text, label)` so far —
-    /// seed set plus each round's crowd labels. Append-only.
-    pub training: Vec<(DocId, String, bool)>,
-    /// Completed active-learning rounds.
-    pub rounds: Vec<RoundStats>,
-    /// Completed per-platform threshold rows.
-    pub thresholds: Vec<PlatformThreshold>,
-    /// Full-corpus scores as `f32` raw bits (bit-exact by construction).
-    /// Write-once.
-    pub scores: Option<Vec<(DocId, u32)>>,
-    /// Held-out evaluation, once computed.
-    pub eval: Option<EvalReport>,
-    /// Engine pass counters at the boundary.
-    pub engine: Option<EngineStats>,
-}
-
-/// The per-step core of a [`PipelineSnapshot`]: everything except the
-/// deduplicated ledger/scores/model sections, which live in their own
-/// content-addressed files. Small enough (RNG words, counters, rounds,
-/// thresholds, eval) that it is embedded directly in the manifest's
-/// [`StepRecord`] — committing a clean step is then exactly one append.
+/// The manifest's view of the run state at a step boundary: everything
+/// except the ledger, scores and classifier, which live in their own
+/// content-addressed section files. Small enough (RNG words, counters,
+/// rounds, thresholds, eval) that it is embedded directly in the
+/// manifest's [`StepRecord`] — committing a clean step is then exactly one
+/// append. Its JSON shape is the manifest record's, so its field names
+/// and order are part of the on-disk format.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct SnapshotCore {
+    /// xoshiro256++ state words at the boundary (exact stream position).
     pub rng: Vec<u64>,
     pub counts: StageCounts,
     pub rounds: Vec<RoundStats>,
@@ -222,23 +197,21 @@ pub struct SnapshotCore {
     pub engine: Option<EngineStats>,
 }
 
-impl PipelineSnapshot {
-    /// An empty snapshot positioned at `rng`.
-    pub fn empty(rng_state: [u64; 4]) -> Self {
-        PipelineSnapshot {
-            rng: rng_state.to_vec(),
-            counts: StageCounts::default(),
-            training: Vec::new(),
-            rounds: Vec::new(),
-            thresholds: Vec::new(),
-            scores: None,
-            eval: None,
-            engine: None,
+impl SnapshotCore {
+    /// The manifest's view of `state`.
+    fn of(state: &RunState) -> Self {
+        SnapshotCore {
+            rng: state.rng.state().to_vec(),
+            counts: state.counts.clone(),
+            rounds: state.rounds.clone(),
+            thresholds: state.thresholds.clone(),
+            eval: state.eval.clone(),
+            engine: state.engine,
         }
     }
 
     /// The RNG state words, validated to the expected width.
-    pub fn rng_state(&self) -> Result<[u64; 4], CheckpointError> {
+    fn rng_state(&self) -> Result<[u64; 4], CheckpointError> {
         match self.rng.as_slice() {
             &[a, b, c, d] => Ok([a, b, c, d]),
             other => Err(CheckpointError::Incompatible {
@@ -257,10 +230,10 @@ pub enum Resume {
     FromStep { completed: usize },
 }
 
-/// A deduplicated snapshot section (ledger / scores / model): the file
+/// A deduplicated run-state section (ledger / scores / model): the file
 /// record last written, plus the section length it was written at. The
-/// length shortcut is sound because of the append-only / write-once
-/// contract on [`PipelineSnapshot`]; after a reopen the length is unknown
+/// length shortcut is sound because of the run state's append-only /
+/// write-once section contract; after a reopen the length is unknown
 /// (`None`) and the first `record_step` falls back to a hash comparison.
 #[derive(Debug)]
 struct SectionCache {
@@ -409,9 +382,10 @@ impl Checkpointer {
         &self.root
     }
 
-    /// Persists one completed step: any section whose content changed
-    /// (ledger, scores, classifier weights), each atomically, then one
-    /// manifest record with the embedded core snapshot — in that order,
+    /// Persists one completed step from the borrowed run state: any
+    /// section whose content changed (ledger, scores, classifier weights),
+    /// each atomically, then one manifest record with the embedded
+    /// [`SnapshotCore`] — in that order,
     /// so a crash between writes leaves a consistent prefix (an orphaned
     /// section file is harmless; the appended record is the commit
     /// point). Unchanged sections are recorded by reference to the
@@ -422,35 +396,25 @@ impl Checkpointer {
     /// reused without even serializing it (the weights section has no
     /// cheap length proxy). Passing `true` is always safe — the payload
     /// is then serialized and deduplicated by content hash.
-    pub fn record_step(
+    pub(crate) fn record_step(
         &mut self,
         step: &str,
-        snapshot: &PipelineSnapshot,
-        classifier: Option<&TextClassifier>,
+        state: &RunState,
         model_dirty: bool,
     ) -> Result<(), CheckpointError> {
         let idx = self.manifest.steps.len();
         let mut files = Vec::new();
-
-        let core = SnapshotCore {
-            rng: snapshot.rng.clone(),
-            counts: snapshot.counts.clone(),
-            rounds: snapshot.rounds.clone(),
-            thresholds: snapshot.thresholds.clone(),
-            eval: snapshot.eval.clone(),
-            engine: snapshot.engine,
-        };
 
         let ledger_name = format!("step-{idx:02}-{step}.ledger.ckpt");
         files.push(Self::dedup_section(
             &self.root,
             &mut self.ledger,
             ledger_name,
-            Some(snapshot.training.len()),
-            || Ok(section_codec::encode_ledger(&snapshot.training)),
+            Some(state.ledger.len()),
+            || Ok(section_codec::encode_ledger(&state.ledger)),
         )?);
 
-        if let Some(scores) = &snapshot.scores {
+        if let Some(scores) = &state.scores {
             let scores_name = format!("step-{idx:02}-{step}.scores.ckpt");
             files.push(Self::dedup_section(
                 &self.root,
@@ -461,7 +425,7 @@ impl Checkpointer {
             )?);
         }
 
-        if let Some(classifier) = classifier {
+        if let Some(classifier) = &state.classifier {
             match (&self.model, model_dirty) {
                 // Clean weights with a recorded section: reuse as-is.
                 (Some(cached), false) => files.push(cached.record.clone()),
@@ -492,7 +456,7 @@ impl Checkpointer {
 
         let record = StepRecord {
             name: step.to_string(),
-            core,
+            core: SnapshotCore::of(state),
             files,
         };
         self.commit(&record)?;
@@ -561,67 +525,47 @@ impl Checkpointer {
         Ok(record)
     }
 
-    /// Loads the most recent snapshot and, when present, the classifier
-    /// persisted with it. `None` when no step has completed yet.
-    #[allow(clippy::type_complexity)]
-    pub fn load_latest(
-        &self,
-    ) -> Result<Option<(PipelineSnapshot, Option<TextClassifier>)>, CheckpointError> {
+    /// Rebuilds the run state recorded at the most recent step, with its
+    /// classifier when one was persisted. `None` when no step has
+    /// completed yet.
+    pub(crate) fn load_latest(&self) -> Result<Option<RunState>, CheckpointError> {
         let Some(step) = self.manifest.steps.last() else {
             return Ok(None);
         };
-        let core = step.core.clone();
-        let mut training: Option<Vec<(DocId, String, bool)>> = None;
-        let mut scores: Option<Vec<(DocId, u32)>> = None;
-        let mut classifier = None;
+        let core = &step.core;
+        let mut state = RunState::new(StdRng::from_state(core.rng_state()?));
+        state.counts = core.counts.clone();
+        state.rounds = core.rounds.clone();
+        state.thresholds = core.thresholds.clone();
+        state.eval = core.eval.clone();
+        state.engine = core.engine;
         for file in &step.files {
             let path = self.root.join(&file.name);
             let payload = atomic_io::read_hashed(&path)?;
+            let corrupt = |detail| CheckpointError::Corrupt {
+                path: path.clone(),
+                detail,
+            };
             if file.name.ends_with(".ledger.ckpt") {
-                training = Some(section_codec::decode_ledger(&payload).map_err(|detail| {
-                    CheckpointError::Corrupt {
-                        path: path.clone(),
-                        detail,
-                    }
-                })?);
+                state.ledger = section_codec::decode_ledger(&payload).map_err(corrupt)?;
             } else if file.name.ends_with(".scores.ckpt") {
-                scores = Some(section_codec::decode_scores(&payload).map_err(|detail| {
-                    CheckpointError::Corrupt {
-                        path: path.clone(),
-                        detail,
-                    }
-                })?);
+                state.scores = Some(section_codec::decode_scores(&payload).map_err(corrupt)?);
             } else if file.name.ends_with(".model.ckpt") {
-                classifier = Some(load_model_bin(payload.as_slice()).map_err(|e| {
-                    CheckpointError::Corrupt {
-                        path: path.clone(),
-                        detail: format!("model artifact does not load: {e}"),
-                    }
-                })?);
+                let classifier = load_model_bin(payload.as_slice())
+                    .map_err(|e| corrupt(format!("model artifact does not load: {e}")))?;
+                state.classifier = Some(classifier);
             }
         }
-        Ok(Some((
-            PipelineSnapshot {
-                rng: core.rng,
-                counts: core.counts,
-                training: training.unwrap_or_default(),
-                rounds: core.rounds,
-                thresholds: core.thresholds,
-                scores,
-                eval: core.eval,
-                engine: core.engine,
-            },
-            classifier,
-        )))
+        Ok(Some(state))
     }
 }
 
-/// Length-prefixed binary frames for the bulky snapshot sections. JSON
+/// Length-prefixed binary frames for the bulky run-state sections. JSON
 /// serialization of a 10^5-entry score table or annotation ledger costs
 /// milliseconds per step (number formatting through a `Value` tree);
 /// these frames encode the same data byte-exactly with `extend_from_slice`
-/// and decode with typed errors. The manifest and core snapshot stay
-/// JSON — they are small and worth keeping human-inspectable. Integrity
+/// and decode with typed errors. The manifest and its [`SnapshotCore`]
+/// stay JSON — they are small and worth keeping human-inspectable. Integrity
 /// is supplied by the [`atomic_io`] hash footer around the frame.
 mod section_codec {
     use incite_corpus::DocId;
@@ -665,23 +609,25 @@ mod section_codec {
         Ok(out)
     }
 
-    pub(super) fn encode_scores(scores: &[(DocId, u32)]) -> Vec<u8> {
+    /// Each score travels as its raw `f32` bits: bit-exact by
+    /// construction.
+    pub(super) fn encode_scores(scores: &[(DocId, f32)]) -> Vec<u8> {
         let mut out = Vec::with_capacity(16 + scores.len() * 12);
         out.extend_from_slice(SCORES_MAGIC);
         out.extend_from_slice(&(scores.len() as u64).to_le_bytes());
-        for (id, bits) in scores {
+        for (id, score) in scores {
             out.extend_from_slice(&id.0.to_le_bytes());
-            out.extend_from_slice(&bits.to_le_bytes());
+            out.extend_from_slice(&score.to_bits().to_le_bytes());
         }
         out
     }
 
-    pub(super) fn decode_scores(bytes: &[u8]) -> Result<Vec<(DocId, u32)>, String> {
+    pub(super) fn decode_scores(bytes: &[u8]) -> Result<Vec<(DocId, f32)>, String> {
         let mut r = Reader::new(bytes, SCORES_MAGIC, "scores")?;
         let count = r.u64()?;
         let mut out = Vec::with_capacity(count.min(1 << 24) as usize);
         for _ in 0..count {
-            out.push((DocId(r.u64()?), r.u32()?));
+            out.push((DocId(r.u64()?), f32::from_bits(r.u32()?)));
         }
         r.finish()?;
         Ok(out)
@@ -906,21 +852,38 @@ pub fn clear_run_dir(root: &Path) -> Result<(), CheckpointError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use incite_corpus::DocId;
 
     fn temp_root(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("incite-ckpt-{tag}-{}", std::process::id()))
     }
 
-    /// Successive `snapshot(n)` calls honour the section contract: the
+    /// Successive `state(n)` calls honour the section contract: the
     /// ledger grows by appending and the scores never change.
-    fn snapshot(n: u64) -> PipelineSnapshot {
-        let mut snap = PipelineSnapshot::empty([n, n + 1, n + 2, n + 3]);
-        snap.training = (0..n)
+    fn state(n: u64) -> RunState {
+        let mut state = RunState::new(StdRng::from_state([n, n + 1, n + 2, n + 3]));
+        state.ledger = (0..n)
             .map(|i| (DocId(i), format!("text {i}"), i % 2 == 0))
             .collect();
-        snap.counts.raw_documents = n;
-        snap.scores = Some(vec![(DocId(0), 0.75f32.to_bits())]);
-        snap
+        state.counts.raw_documents = n;
+        state.scores = Some(vec![(DocId(0), 0.75)]);
+        state
+    }
+
+    /// `RunState` holds a classifier and `f32` scores, so it has no
+    /// `PartialEq`: compare its core, its ledger and its score bits.
+    fn assert_same(a: &RunState, b: &RunState) {
+        let bits = |s: &RunState| {
+            s.scores.as_ref().map(|v| {
+                v.iter()
+                    .map(|(id, x)| (*id, x.to_bits()))
+                    .collect::<Vec<_>>()
+            })
+        };
+        assert_eq!(SnapshotCore::of(a), SnapshotCore::of(b));
+        assert_eq!(a.ledger, b.ledger);
+        assert_eq!(bits(a), bits(b));
+        assert_eq!(a.classifier.is_some(), b.classifier.is_some());
     }
 
     #[test]
@@ -931,9 +894,9 @@ mod tests {
         assert_eq!(resume, Resume::Fresh);
         assert!(ck.load_latest().expect("latest").is_none());
 
-        ck.record_step("bootstrap", &snapshot(1), None, true)
+        ck.record_step("bootstrap", &state(1), true)
             .expect("record 1");
-        ck.record_step("featurize", &snapshot(2), None, true)
+        ck.record_step("featurize", &state(2), true)
             .expect("record 2");
 
         let (ck2, resume) = Checkpointer::open(&root, "dox", "fp1").expect("reopen");
@@ -942,10 +905,10 @@ mod tests {
             ck2.step_names().collect::<Vec<_>>(),
             ["bootstrap", "featurize"]
         );
-        let (snap, clf) = ck2.load_latest().expect("latest").expect("some");
-        assert_eq!(snap, snapshot(2));
-        assert_eq!(snap.rng_state().expect("rng"), [2, 3, 4, 5]);
-        assert!(clf.is_none());
+        let loaded = ck2.load_latest().expect("latest").expect("some");
+        assert_same(&loaded, &state(2));
+        assert_eq!(loaded.rng.state(), [2, 3, 4, 5]);
+        assert!(loaded.classifier.is_none());
         std::fs::remove_dir_all(&root).ok();
     }
 
@@ -954,7 +917,7 @@ mod tests {
         let root = temp_root("mismatch");
         clear_run_dir(&root).expect("clear");
         let (mut ck, _) = Checkpointer::open(&root, "dox", "fp1").expect("open");
-        ck.record_step("bootstrap", &snapshot(1), None, true)
+        ck.record_step("bootstrap", &state(1), true)
             .expect("record");
         assert!(matches!(
             Checkpointer::open(&root, "cth", "fp1"),
@@ -973,7 +936,7 @@ mod tests {
         let root = temp_root("corrupt-step");
         clear_run_dir(&root).expect("clear");
         let (mut ck, _) = Checkpointer::open(&root, "dox", "fp1").expect("open");
-        ck.record_step("bootstrap", &snapshot(1), None, true)
+        ck.record_step("bootstrap", &state(1), true)
             .expect("record");
         // Flip one payload byte of the ledger section file.
         let path = root.join("step-00-bootstrap.ledger.ckpt");
@@ -993,7 +956,7 @@ mod tests {
         let root = temp_root("clear");
         clear_run_dir(&root).expect("clear empty");
         let (mut ck, _) = Checkpointer::open(&root, "dox", "fp1").expect("open");
-        ck.record_step("bootstrap", &snapshot(1), None, true)
+        ck.record_step("bootstrap", &state(1), true)
             .expect("record");
         std::fs::write(root.join("notes.txt"), "keep me").expect("note");
         clear_run_dir(&root).expect("clear");
@@ -1013,11 +976,10 @@ mod tests {
         let root = temp_root("dedup");
         clear_run_dir(&root).expect("clear");
         let (mut ck, _) = Checkpointer::open(&root, "dox", "fp1").expect("open");
-        let mut snap = snapshot(3);
-        ck.record_step("round-0", &snap, None, true)
-            .expect("record 1");
-        snap.counts.raw_documents = 99;
-        ck.record_step("eval", &snap, None, true).expect("record 2");
+        let mut run = state(3);
+        ck.record_step("round-0", &run, true).expect("record 1");
+        run.counts.raw_documents = 99;
+        ck.record_step("eval", &run, true).expect("record 2");
 
         let count = |suffix: &str| {
             std::fs::read_dir(&root)
@@ -1033,20 +995,18 @@ mod tests {
         // The deduplicated directory still verifies and loads exactly.
         let (ck2, resume) = Checkpointer::open(&root, "dox", "fp1").expect("reopen");
         assert_eq!(resume, Resume::FromStep { completed: 2 });
-        let (loaded, _) = ck2.load_latest().expect("latest").expect("some");
-        assert_eq!(loaded, snap);
+        let loaded = ck2.load_latest().expect("latest").expect("some");
+        assert_same(&loaded, &run);
 
         // Appending to the ledger forces a new section file — including
         // right after a reopen, where only the hash comparison can tell.
         let (mut ck3, _) = Checkpointer::open(&root, "dox", "fp1").expect("reopen for append");
-        snap.training
-            .push((DocId(77), "appended".to_string(), true));
-        ck3.record_step("round-1", &snap, None, true)
-            .expect("record 3");
+        run.ledger.push((DocId(77), "appended".to_string(), true));
+        ck3.record_step("round-1", &run, true).expect("record 3");
         assert_eq!(count(".ledger.ckpt"), 2, "appended ledger rewritten");
         assert_eq!(count(".scores.ckpt"), 1, "scores still deduped");
-        let (loaded, _) = ck3.load_latest().expect("latest").expect("some");
-        assert_eq!(loaded, snap);
+        let loaded = ck3.load_latest().expect("latest").expect("some");
+        assert_same(&loaded, &run);
         std::fs::remove_dir_all(&root).ok();
     }
 
@@ -1067,14 +1027,15 @@ mod tests {
             training
         );
 
-        let scores = vec![
-            (DocId(7), 0.25f32.to_bits()),
-            (DocId(8), f32::NAN.to_bits()),
-        ];
+        // NaN is not equal to itself, so compare the bits.
+        let scores = vec![(DocId(7), 0.25f32), (DocId(8), f32::NAN)];
+        let bits = |s: &[(DocId, f32)]| -> Vec<(DocId, u32)> {
+            s.iter().map(|(id, x)| (*id, x.to_bits())).collect()
+        };
         let bytes = section_codec::encode_scores(&scores);
         assert_eq!(
-            section_codec::decode_scores(&bytes).expect("scores"),
-            scores
+            bits(&section_codec::decode_scores(&bytes).expect("scores")),
+            bits(&scores)
         );
 
         // Damage surfaces as a typed message, never a panic: wrong magic,
@@ -1094,7 +1055,7 @@ mod tests {
 
     #[test]
     fn snapshot_roundtrips_exactly_through_json() {
-        let mut snap = snapshot(7);
+        let mut snap = SnapshotCore::of(&state(7));
         snap.rounds.push(RoundStats {
             sampled: 40,
             disagreement_rate: 0.186_6,
@@ -1110,7 +1071,7 @@ mod tests {
         // u64 state words above 2^53 must survive (no float coercion).
         snap.rng = vec![u64::MAX, 1 << 60, 3, 4];
         let json = serde_json::to_string(&snap).expect("serialize");
-        let back: PipelineSnapshot = serde_json::from_str(&json).expect("parse");
+        let back: SnapshotCore = serde_json::from_str(&json).expect("parse");
         assert_eq!(back, snap);
     }
 }

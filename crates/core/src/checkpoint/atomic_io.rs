@@ -53,19 +53,10 @@ use std::fs;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-/// FNV-1a 64-bit content hash.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// [`fnv64`] rendered as the fixed-width hex used in footers and manifests.
+/// The FNV-1a 64 content hash (unseeded [`incite_textkit::fnv1a`])
+/// rendered as the fixed-width hex used in footers and manifests.
 pub fn fnv64_hex(bytes: &[u8]) -> String {
-    format!("{:016x}", fnv64(bytes))
+    format!("{:016x}", incite_textkit::fnv1a(bytes, 0))
 }
 
 /// Integrity footer marker. The footer is appended after the payload, so
@@ -468,9 +459,9 @@ mod tests {
 
     #[test]
     fn fnv_is_stable_and_sensitive() {
-        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_ne!(fnv64(b"abc"), fnv64(b"abd"));
-        assert_eq!(fnv64_hex(b"abc").len(), 16);
+        assert_eq!(fnv64_hex(b""), "cbf29ce484222325");
+        assert_eq!(fnv64_hex(b"abc"), "e71fa2190541574b");
+        assert_ne!(fnv64_hex(b"abc"), fnv64_hex(b"abd"));
     }
 
     #[test]

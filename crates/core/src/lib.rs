@@ -54,7 +54,7 @@ pub mod threshold;
 pub use attack_classifier::AttackTypeClassifier;
 pub use checkpoint::{
     clear_run_dir, load_latest_classifier, load_latest_classifier_with_hash, CheckpointError,
-    Checkpointer, PipelineSnapshot,
+    Checkpointer,
 };
 pub use engine::{score_corpus, EngineStats, ScoringEngine, FEATURIZE_CHUNK};
 pub use failpoint::{pipeline_sites, FailpointRegistry, InjectedFault};

@@ -8,19 +8,21 @@
 //!
 //! The pipeline is structured as a linear sequence of *steps* — bootstrap,
 //! featurize, one step per active-learning round, eval, score, one step per
-//! platform threshold. [`run_pipeline`] executes them in memory;
-//! [`run_pipeline_resumable`] additionally persists a
-//! [`PipelineSnapshot`] at every step
-//! boundary into a run directory, so a run killed at any boundary resumes
-//! to a **byte-identical** [`PipelineOutcome`] (DESIGN.md §12). Both entry
+//! platform threshold — that mutate one run state (`RunState`: RNG,
+//! counters, ledger, rounds, thresholds, scores, eval, engine counters,
+//! classifier) in place. [`run_pipeline`] executes them in memory and
+//! copies nothing at a step boundary; [`run_pipeline_resumable`]
+//! additionally records a view of the state at every boundary into a run
+//! directory, so a run killed at any boundary resumes to a
+//! **byte-identical** [`PipelineOutcome`] (DESIGN.md §12). Both entry
 //! points share one driver, so the checkpointed path cannot drift from the
 //! plain one.
 
 use crate::accounting::StageCounts;
 use crate::active_learning::{active_learning_round, RoundStats};
 use crate::bootstrap::bootstrap;
-use crate::checkpoint::atomic_io::{fnv64, fnv64_hex};
-use crate::checkpoint::{CheckpointError, Checkpointer, PipelineSnapshot, Resume};
+use crate::checkpoint::atomic_io::fnv64_hex;
+use crate::checkpoint::{CheckpointError, Checkpointer};
 use crate::engine::{EngineStats, ScoringEngine};
 use crate::failpoint::{FailpointRegistry, InjectedFault};
 use crate::parallel::ScoreError;
@@ -31,6 +33,7 @@ use incite_corpus::{Corpus, DocId, Document};
 use incite_ml::model::EvalReport;
 use incite_ml::{FeatureCache, FeatureMode, FeaturizerConfig, TextClassifier, TrainConfig};
 use incite_taxonomy::Platform;
+use incite_textkit::fnv1a;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -308,8 +311,8 @@ impl PipelineOutcome {
 
     /// Canonical FNV-1a digest of the full outcome, including every score's
     /// raw `f32` bits. Two outcomes compare equal iff their digests match;
-    /// the kill-point sweep and the checkpoint-overhead BENCH experiment
-    /// use this as the byte-identity witness.
+    /// the checkpoint tests and the `outcome digest` line `incite run`
+    /// prints use this as the byte-identity witness.
     pub fn digest(&self) -> u64 {
         let mut repr = String::new();
         let _ = write!(repr, "task={};counts={:?};", self.task.slug(), self.counts);
@@ -340,7 +343,7 @@ impl PipelineOutcome {
             let _ = write!(repr, "s{}={:08x};", id.0, score.to_bits());
         }
         let _ = write!(repr, "engine={:?}", self.engine);
-        fnv64(repr.as_bytes())
+        fnv1a(repr.as_bytes(), 0)
     }
 }
 
@@ -373,50 +376,62 @@ pub fn run_pipeline_resumable(
     run_dir: &Path,
 ) -> Result<PipelineOutcome, PipelineError> {
     config.validate()?;
-    let (mut ckpt, resume) = Checkpointer::open(run_dir, task.slug(), &config.fingerprint())?;
-    let restored = match resume {
-        Resume::Fresh => None,
-        Resume::FromStep { .. } => ckpt.load_latest()?,
-    };
+    let (mut ckpt, _) = Checkpointer::open(run_dir, task.slug(), &config.fingerprint())?;
+    let restored = ckpt.load_latest()?;
     drive(corpus, task, config, Some(&mut ckpt), restored)
 }
 
-/// Builds the boundary snapshot from the live run state.
-#[allow(clippy::too_many_arguments)]
-fn make_snapshot(
-    rng: &StdRng,
-    counts: &StageCounts,
-    training: &[(DocId, String, bool)],
-    rounds: &[RoundStats],
-    thresholds: &[PlatformThreshold],
-    scores: Option<&Vec<(DocId, f32)>>,
-    eval: Option<&EvalReport>,
-    engine: Option<EngineStats>,
-) -> PipelineSnapshot {
-    PipelineSnapshot {
-        rng: rng.state().to_vec(),
-        counts: counts.clone(),
-        training: training.to_vec(),
-        rounds: rounds.to_vec(),
-        thresholds: thresholds.to_vec(),
-        // f32 scores travel as raw bits: JSON-proof byte identity.
-        scores: scores.map(|s| s.iter().map(|&(id, v)| (id, v.to_bits())).collect()),
-        eval: eval.cloned(),
-        engine,
-    }
+/// The state of one pipeline run, which `drive` mutates in place from
+/// step to step. A checkpointed run records a view of it at every step
+/// boundary and resumes from the last one (see [`crate::checkpoint`]).
+/// The CSR arena and the training-feature cache are derivable from the
+/// corpus and the featurizer, so they are not part of it.
+///
+/// Section contract, relied on for checkpoint deduplication: from one
+/// boundary to the next, `ledger` is **append-only** (seed set, then each
+/// round's crowd labels) and `scores` is **write-once** (set at the score
+/// step, never modified after). An unchanged length therefore means
+/// unchanged content, and `Checkpointer::record_step` reuses the previous
+/// step's section file instead of rewriting it.
+#[derive(Debug)]
+pub(crate) struct RunState {
+    /// The run's random stream, at its exact position.
+    pub rng: StdRng,
+    /// Figure 1 stage counters accumulated so far.
+    pub counts: StageCounts,
+    /// The annotation ledger: every labeled `(id, text, label)` so far.
+    pub ledger: Vec<(DocId, String, bool)>,
+    /// Completed active-learning rounds.
+    pub rounds: Vec<RoundStats>,
+    /// Completed per-platform threshold rows.
+    pub thresholds: Vec<PlatformThreshold>,
+    /// Every applicable document's score, once the score step ran.
+    pub scores: Option<Vec<(DocId, f32)>>,
+    /// Held-out evaluation, once computed.
+    pub eval: Option<EvalReport>,
+    /// Scoring-engine pass counters as of the last engine pass. The
+    /// outcome and the checkpoint read them here, and an engine rebuilt
+    /// on resume restores them from here.
+    pub engine: Option<EngineStats>,
+    /// The classifier, once trained.
+    pub classifier: Option<TextClassifier>,
 }
 
-fn record(
-    ckpt: &mut Option<&mut Checkpointer>,
-    step: &str,
-    snapshot: &PipelineSnapshot,
-    classifier: Option<&TextClassifier>,
-    model_dirty: bool,
-) -> Result<(), PipelineError> {
-    if let Some(ck) = ckpt.as_deref_mut() {
-        ck.record_step(step, snapshot, classifier, model_dirty)?;
+impl RunState {
+    /// A run that has done nothing yet, its stream at `rng`.
+    pub fn new(rng: StdRng) -> Self {
+        RunState {
+            rng,
+            counts: StageCounts::default(),
+            ledger: Vec::new(),
+            rounds: Vec::new(),
+            thresholds: Vec::new(),
+            scores: None,
+            eval: None,
+            engine: None,
+            classifier: None,
+        }
     }
-    Ok(())
 }
 
 fn missing_state(what: &str) -> PipelineError {
@@ -427,19 +442,20 @@ fn missing_state(what: &str) -> PipelineError {
 
 /// Rebuilds the featurize-once arena on demand. The CSR buffers are
 /// derivable state and are never persisted; on resume the arena is rebuilt
-/// (an rng-free pure function of corpus + featurizer) and the checkpointed
-/// pass counters are restored — a `documents`/`nnz` mismatch means the
-/// corpus or featurizer differs from the checkpointed run and is refused.
+/// (an rng-free pure function of corpus + featurizer) and the run state's
+/// pass counters `saved` are restored — a `documents`/`nnz` mismatch means
+/// the corpus or featurizer differs from the checkpointed run and is
+/// refused.
 fn ensure_engine<'a>(
     engine: &'a mut Option<ScoringEngine>,
     classifier: &TextClassifier,
     docs: &[&Document],
     threads: usize,
-    restored_stats: Option<EngineStats>,
+    saved: Option<EngineStats>,
 ) -> Result<&'a mut ScoringEngine, PipelineError> {
     if engine.is_none() {
         let mut built = ScoringEngine::build(classifier.featurizer(), docs, threads)?;
-        if let Some(saved) = restored_stats {
+        if let Some(saved) = saved {
             built.restore_stats(saved).map_err(|actual| {
                 PipelineError::Checkpoint(CheckpointError::Incompatible {
                     detail: format!(
@@ -459,19 +475,28 @@ fn ensure_engine<'a>(
 }
 
 /// The single pipeline driver behind both entry points. Steps already
-/// recorded in `ckpt` are skipped; the run state is seeded from `restored`
-/// (the last boundary snapshot) and execution continues with the identical
-/// RNG stream position, so resumed and uninterrupted runs are
-/// byte-identical.
+/// recorded in `ckpt` are skipped; the run state starts from `restored`
+/// (the last recorded boundary) and continues at the identical RNG stream
+/// position, so resumed and uninterrupted runs are byte-identical.
 fn drive(
     corpus: &Corpus,
     task: Task,
     config: &PipelineConfig,
     mut ckpt: Option<&mut Checkpointer>,
-    restored: Option<(PipelineSnapshot, Option<TextClassifier>)>,
+    restored: Option<RunState>,
 ) -> Result<PipelineOutcome, PipelineError> {
     let fp = &config.failpoints;
     let completed = ckpt.as_deref().map_or(0, Checkpointer::completed_steps);
+    // Ends a step: records the state when the run is checkpointed, then
+    // consults the step's `after-` failpoint. In memory it copies nothing.
+    let mut commit =
+        |step: &str, state: &RunState, model_dirty: bool| -> Result<(), PipelineError> {
+            if let Some(ck) = ckpt.as_deref_mut() {
+                ck.record_step(step, state, model_dirty)?;
+            }
+            fp.check(&format!("after-{step}"))?;
+            Ok(())
+        };
 
     let expert = Annotator::expert("expert");
     let crowd_a = match task {
@@ -491,39 +516,11 @@ fn drive(
         .filter(|d| task.applies_to(d.platform))
         .collect();
 
-    // Run state: fresh, or the last checkpointed boundary.
-    let (mut rng, mut counts, mut training, mut rounds, mut thresholds, mut scores, mut eval);
-    let mut classifier: Option<TextClassifier>;
-    let restored_engine: Option<EngineStats>;
-    match restored {
-        Some((snap, clf)) => {
-            rng = StdRng::from_state(snap.rng_state()?);
-            counts = snap.counts;
-            training = snap.training;
-            rounds = snap.rounds;
-            thresholds = snap.thresholds;
-            scores = snap.scores.map(|s| {
-                s.into_iter()
-                    .map(|(id, bits)| (id, f32::from_bits(bits)))
-                    .collect::<Vec<(DocId, f32)>>()
-            });
-            eval = snap.eval;
-            classifier = clf;
-            restored_engine = snap.engine;
-        }
-        None => {
-            rng = StdRng::seed_from_u64(config.seed ^ task.slug().len() as u64);
-            counts = StageCounts::default();
-            training = Vec::new();
-            rounds = Vec::new();
-            thresholds = Vec::new();
-            scores = None;
-            eval = None;
-            classifier = None;
-            restored_engine = None;
-        }
-    }
-
+    let mut state = restored.unwrap_or_else(|| {
+        RunState::new(StdRng::seed_from_u64(
+            config.seed ^ task.slug().len() as u64,
+        ))
+    });
     let featurizer_config = FeaturizerConfig {
         max_len: task.text_length(),
         mode: config.feature_mode,
@@ -539,27 +536,16 @@ fn drive(
 
     // Step: bootstrap seeds.
     if step_idx >= completed {
-        counts.raw_documents = applicable.len() as u64;
-        let boot = bootstrap(corpus, task, config.max_seeds, &expert, &mut rng);
-        counts.bootstrap_candidates = boot.candidates as u64;
-        counts.seed_annotations = boot.seeds.len() as u64;
-        training = boot
+        state.counts.raw_documents = applicable.len() as u64;
+        let boot = bootstrap(corpus, task, config.max_seeds, &expert, &mut state.rng);
+        state.counts.bootstrap_candidates = boot.candidates as u64;
+        state.counts.seed_annotations = boot.seeds.len() as u64;
+        state.ledger = boot
             .seeds
-            .iter()
-            .map(|s| (s.id, s.text.clone(), s.label))
+            .into_iter()
+            .map(|s| (s.id, s.text, s.label))
             .collect();
-        let snap = make_snapshot(
-            &rng,
-            &counts,
-            &training,
-            &rounds,
-            &thresholds,
-            None,
-            None,
-            None,
-        );
-        record(&mut ckpt, "bootstrap", &snap, None, false)?;
-        fp.check("after-bootstrap")?;
+        commit("bootstrap", &state, false)?;
     }
     step_idx += 1;
 
@@ -568,101 +554,62 @@ fn drive(
     // instead and the arena is rebuilt lazily when a scoring step needs it.
     if step_idx >= completed {
         let clf = TextClassifier::train_with_cache(
-            training.iter().map(|(id, t, l)| (id.0, t.as_str(), *l)),
+            state.ledger.iter().map(|(id, t, l)| (id.0, t.as_str(), *l)),
             featurizer_config,
             config.train,
             &mut cache,
         );
-        classifier = Some(clf);
-        let clf = classifier
-            .as_ref()
-            .ok_or_else(|| missing_state("a classifier"))?;
-        let e = ensure_engine(
-            &mut engine,
-            clf,
-            &applicable,
-            config.threads,
-            restored_engine,
-        )?;
-        let stats = e.stats();
-        let snap = make_snapshot(
-            &rng,
-            &counts,
-            &training,
-            &rounds,
-            &thresholds,
-            None,
-            None,
-            Some(stats),
-        );
+        let e = ensure_engine(&mut engine, &clf, &applicable, config.threads, state.engine)?;
+        state.engine = Some(e.stats());
+        state.classifier = Some(clf);
         // Freshly trained weights — the model section must be rewritten.
-        record(&mut ckpt, "featurize", &snap, classifier.as_ref(), true)?;
-        fp.check("after-featurize")?;
+        commit("featurize", &state, true)?;
     }
     step_idx += 1;
 
     // Steps: active-learning rounds.
     for round in 0..config.al_rounds {
         if step_idx >= completed {
-            let clf = classifier
+            let clf = state
+                .classifier
                 .as_mut()
                 .ok_or_else(|| missing_state("a classifier"))?;
-            let e = ensure_engine(
-                &mut engine,
-                clf,
-                &applicable,
-                config.threads,
-                restored_engine,
-            )?;
+            let e = ensure_engine(&mut engine, clf, &applicable, config.threads, state.engine)?;
             let round_scores = e.score_all(clf.model(), config.threads)?;
+            state.engine = Some(e.stats());
             let stats = active_learning_round(
-                corpus,
+                &applicable,
                 task,
                 clf,
                 &mut cache,
-                &mut training,
+                &mut state.ledger,
                 &round_scores,
                 config.per_decile,
                 (&crowd_a, &crowd_b, &crowd_c),
                 config.train,
                 fp,
-                &mut rng,
+                &mut state.rng,
             )?;
-            counts.crowd_annotations += stats.sampled as u64;
-            rounds.push(stats);
-            let engine_stats = engine.as_ref().map(ScoringEngine::stats);
-            let snap = make_snapshot(
-                &rng,
-                &counts,
-                &training,
-                &rounds,
-                &thresholds,
-                None,
-                None,
-                engine_stats,
-            );
+            state.counts.crowd_annotations += stats.sampled as u64;
+            state.rounds.push(stats);
             // Each round retrains on the grown ledger — weights changed.
-            record(
-                &mut ckpt,
-                &format!("round-{round}"),
-                &snap,
-                classifier.as_ref(),
-                true,
-            )?;
-            fp.check(&format!("after-round-{round}"))?;
+            commit(&format!("round-{round}"), &state, true)?;
         }
         step_idx += 1;
     }
-    counts.training_annotations = training.len() as u64;
+    state.counts.training_annotations = state.ledger.len() as u64;
 
     // Step: held-out evaluation (Table 3), then final full training. All
     // features come from the cache — no re-tokenization.
     if step_idx >= completed {
-        let clf = classifier
+        let clf = state
+            .classifier
             .as_mut()
             .ok_or_else(|| missing_state("a classifier"))?;
-        let mut shuffled = training.clone();
-        shuffled.shuffle(&mut rng);
+        // Shuffling references draws the same rng stream as shuffling the
+        // ledger itself: the permutation depends on the length alone.
+        let mut shuffled: Vec<&(DocId, String, bool)> = state.ledger.iter().collect();
+        shuffled.shuffle(&mut state.rng);
         let eval_n = ((shuffled.len() as f64) * config.eval_fraction).round() as usize;
         let (eval_split, train_split) = shuffled.split_at(eval_n.min(shuffled.len()));
         let eval_train_data = cache.dataset(
@@ -675,61 +622,30 @@ fn drive(
         );
         let mut eval_model = clf.clone();
         eval_model.retrain_features(&eval_train_data, config.train);
-        eval = Some(eval_model.evaluate_features(&eval_data, 0.5));
+        state.eval = Some(eval_model.evaluate_features(&eval_data, 0.5));
         let full_data = cache.dataset(
             clf.featurizer(),
-            training.iter().map(|(id, t, l)| (id.0, t.as_str(), *l)),
+            state.ledger.iter().map(|(id, t, l)| (id.0, t.as_str(), *l)),
         );
         clf.retrain_features(&full_data, config.train);
-        let engine_stats = engine
-            .as_ref()
-            .map(ScoringEngine::stats)
-            .or(restored_engine);
-        let snap = make_snapshot(
-            &rng,
-            &counts,
-            &training,
-            &rounds,
-            &thresholds,
-            None,
-            eval.as_ref(),
-            engine_stats,
-        );
         // Eval retrains on the full ledger before measuring — dirty.
-        record(&mut ckpt, "eval", &snap, classifier.as_ref(), true)?;
-        fp.check("after-eval")?;
+        commit("eval", &state, true)?;
     }
     step_idx += 1;
 
     // Step: full prediction — one more spmv pass over the arena.
     if step_idx >= completed {
-        let clf = classifier
+        let clf = state
+            .classifier
             .as_ref()
             .ok_or_else(|| missing_state("a classifier"))?;
-        let e = ensure_engine(
-            &mut engine,
-            clf,
-            &applicable,
-            config.threads,
-            restored_engine,
-        )?;
-        let final_scores = e.score_all(clf.model(), config.threads)?;
-        counts.predicted_documents = final_scores.len() as u64;
-        scores = Some(final_scores);
-        let engine_stats = engine.as_ref().map(ScoringEngine::stats);
-        let snap = make_snapshot(
-            &rng,
-            &counts,
-            &training,
-            &rounds,
-            &thresholds,
-            scores.as_ref(),
-            eval.as_ref(),
-            engine_stats,
-        );
+        let e = ensure_engine(&mut engine, clf, &applicable, config.threads, state.engine)?;
+        let scores = e.score_all(clf.model(), config.threads)?;
+        state.engine = Some(e.stats());
+        state.counts.predicted_documents = scores.len() as u64;
+        state.scores = Some(scores);
         // Scoring only reads the weights — reuse the eval-step model file.
-        record(&mut ckpt, "score", &snap, classifier.as_ref(), false)?;
-        fp.check("after-score")?;
+        commit("score", &state, false)?;
     }
     step_idx += 1;
 
@@ -743,45 +659,25 @@ fn drive(
             if i == 1 {
                 fp.check("mid-threshold-sweep")?;
             }
-            let all_scores = scores
+            let scores = state
+                .scores
                 .as_ref()
                 .ok_or_else(|| missing_state("corpus scores"))?;
             let row = select_threshold(
                 corpus,
                 task,
                 platform,
-                all_scores,
+                scores,
                 &expert,
                 config.threshold,
                 config.annotation_budget,
-                &mut rng,
+                &mut state.rng,
             );
-            counts.above_threshold += row.above_threshold as u64;
-            counts.final_annotated += row.annotated as u64;
-            counts.true_positives += row.true_positives as u64;
-            thresholds.push(row);
-            let engine_stats = engine
-                .as_ref()
-                .map(ScoringEngine::stats)
-                .or(restored_engine);
-            let snap = make_snapshot(
-                &rng,
-                &counts,
-                &training,
-                &rounds,
-                &thresholds,
-                scores.as_ref(),
-                eval.as_ref(),
-                engine_stats,
-            );
-            record(
-                &mut ckpt,
-                &format!("threshold-{}", platform.slug()),
-                &snap,
-                classifier.as_ref(),
-                false,
-            )?;
-            fp.check(&format!("after-threshold-{}", platform.slug()))?;
+            state.counts.above_threshold += row.above_threshold as u64;
+            state.counts.final_annotated += row.annotated as u64;
+            state.counts.true_positives += row.true_positives as u64;
+            state.thresholds.push(row);
+            commit(&format!("threshold-{}", platform.slug()), &state, false)?;
         }
         step_idx += 1;
     }
@@ -793,7 +689,7 @@ fn drive(
         .map(|d| (d.id, d.platform))
         .collect();
     let mut training_by_platform: BTreeMap<Platform, (usize, usize)> = BTreeMap::new();
-    for (id, _, label) in &training {
+    for (id, _, label) in &state.ledger {
         if let Some(p) = platform_of.get(id) {
             let entry = training_by_platform.entry(*p).or_default();
             if *label {
@@ -804,19 +700,19 @@ fn drive(
         }
     }
 
-    let engine_stats = engine
-        .as_ref()
-        .map(ScoringEngine::stats)
-        .or(restored_engine)
+    let engine_stats = state
+        .engine
         .ok_or_else(|| missing_state("engine statistics"))?;
     Ok(PipelineOutcome {
         task,
-        counts,
-        rounds,
-        thresholds,
-        eval: eval.ok_or_else(|| missing_state("an evaluation report"))?,
+        counts: state.counts,
+        rounds: state.rounds,
+        thresholds: state.thresholds,
+        eval: state
+            .eval
+            .ok_or_else(|| missing_state("an evaluation report"))?,
         training_by_platform,
-        scores: scores.ok_or_else(|| missing_state("corpus scores"))?,
+        scores: state.scores.ok_or_else(|| missing_state("corpus scores"))?,
         engine: engine_stats,
     })
 }

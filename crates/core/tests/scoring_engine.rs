@@ -5,7 +5,7 @@
 use incite_core::parallel::{map_indexed, ScoreError};
 use incite_core::{score_corpus, ScoringEngine, Task, FEATURIZE_CHUNK};
 use incite_corpus::{generate, CorpusConfig, Document};
-use incite_ml::{Featurizer, FeaturizerConfig, TextClassifier, TrainConfig};
+use incite_ml::{Dataset, Featurizer, FeaturizerConfig, TextClassifier, TrainConfig};
 use incite_textkit::MEMO_WORDS;
 
 /// An odd-sized document slice (not a multiple of the executor's block
@@ -81,12 +81,14 @@ fn cached_scores_track_retrained_model() {
 
     // Retrain with flipped labels: the arena must keep serving scores that
     // match fresh per-document scoring of the *new* model.
-    let flipped: Vec<(&str, bool)> = docs
-        .iter()
-        .take(600)
-        .map(|d| (d.text.as_str(), !Task::Dox.truth(d)))
-        .collect();
-    classifier.retrain(flipped, TrainConfig::default());
+    let mut flipped = Dataset::new();
+    for d in docs.iter().take(600) {
+        flipped.push(
+            classifier.featurizer().features(&d.text),
+            !Task::Dox.truth(d),
+        );
+    }
+    classifier.retrain_features(&flipped, TrainConfig::default());
 
     let cached = engine.score_all(classifier.model(), 2).expect("score");
     assert_eq!(cached.len(), docs.len());

@@ -194,20 +194,6 @@ impl FeatureMatrix {
             out[r] = model.proba_from_margin(margins[r]);
         }
     }
-
-    /// Scores every row in order with the tiled kernel.
-    pub fn score_all(&self, model: &LogisticRegression) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.len()];
-        for tile_start in (0..self.len()).step_by(ROW_TILE) {
-            let tile_len = ROW_TILE.min(self.len() - tile_start);
-            self.score_rows(
-                model,
-                tile_start,
-                &mut out[tile_start..tile_start + tile_len],
-            );
-        }
-        out
-    }
 }
 
 impl Default for FeatureMatrix {
@@ -321,6 +307,15 @@ mod tests {
         LogisticRegression::train(&data, dimensions, TrainConfig::default())
     }
 
+    /// Scores every row tile by tile, as the engine's parallel pass does.
+    fn score_tiles(m: &FeatureMatrix, model: &LogisticRegression) -> Vec<f32> {
+        let mut out = vec![0.0f32; m.len()];
+        for (t, tile) in out.chunks_mut(ROW_TILE).enumerate() {
+            m.score_rows(model, t * ROW_TILE, tile);
+        }
+        out
+    }
+
     #[test]
     fn matrix_round_trips_rows() {
         let rows: Vec<SparseVec> = vec![
@@ -389,7 +384,7 @@ mod tests {
         for (i, row) in rows.iter().enumerate() {
             assert_eq!(m.score_row(&model, i), model.predict_proba(row), "row {i}");
         }
-        assert_eq!(m.score_all(&model).len(), rows.len());
+        assert_eq!(score_tiles(&m, &model).len(), rows.len());
     }
 
     #[test]
@@ -425,7 +420,7 @@ mod tests {
         }
         let m = FeatureMatrix::from_rows(dims, rows.iter());
         let model = model(dims);
-        let tiled = m.score_all(&model);
+        let tiled = score_tiles(&m, &model);
         assert_eq!(tiled.len(), m.len());
         for (i, score) in tiled.iter().enumerate() {
             assert_eq!(score.to_bits(), m.score_row(&model, i).to_bits(), "row {i}");
@@ -442,7 +437,7 @@ mod tests {
         ];
         let m = FeatureMatrix::from_rows(1 << 17, rows.iter());
         let model = model(16);
-        let tiled = m.score_all(&model);
+        let tiled = score_tiles(&m, &model);
         for (i, score) in tiled.iter().enumerate() {
             assert_eq!(score.to_bits(), m.score_row(&model, i).to_bits());
         }

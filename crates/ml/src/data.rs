@@ -37,11 +37,6 @@ impl Dataset {
     pub fn is_empty(&self) -> bool {
         self.examples.is_empty()
     }
-
-    /// Number of positive examples.
-    pub fn positives(&self) -> usize {
-        self.examples.iter().filter(|e| e.label).count()
-    }
 }
 
 /// Stratified train/test split: the positive rate is preserved on both
@@ -112,8 +107,9 @@ mod tests {
         let d = toy(20, 80);
         let (train, test) = train_test_split(&d, 0.25, 7);
         assert_eq!(train.len() + test.len(), 100);
-        assert_eq!(test.positives(), 5);
-        assert_eq!(train.positives(), 15);
+        let positives = |d: &Dataset| d.examples.iter().filter(|e| e.label).count();
+        assert_eq!(positives(&test), 5);
+        assert_eq!(positives(&train), 15);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use crate::sparse::{merge, SparseVec};
 use incite_textkit::{
-    char_ngrams, fits_whole, normalize, normalize_into, sample_spans, tokenize, tokens,
+    char_ngrams, fits_whole, fnv1a, normalize, normalize_into, sample_spans, tokenize, tokens,
     EncodeScratch, FeatureHasher, MemoStats, SpanStrategy, SplitMix64, TokenKind, UnitGrams,
     WordMemo, WordPieceEncoder, WordPieceTrainer, MEMO_WORDS,
 };
@@ -261,7 +261,7 @@ impl Featurizer {
             // need not be hashed.
             self.span_pairs(&norm, scratch);
         } else {
-            let mut rng = SplitMix64::new(c.seed ^ fnv(norm.as_bytes()));
+            let mut rng = SplitMix64::new(c.seed ^ fnv1a(norm.as_bytes(), 0));
             for span in sample_spans(&norm, c.max_len, c.max_spans, c.strategy, &mut rng) {
                 self.span_pairs(span, scratch);
             }
@@ -324,7 +324,7 @@ impl Featurizer {
     /// implementation for the kernel's byte-identity tests.
     pub fn features_legacy(&self, text: &str) -> SparseVec {
         let norm = normalize(text);
-        let doc_hash = fnv(norm.as_bytes());
+        let doc_hash = fnv1a(norm.as_bytes(), 0);
         let mut rng = SplitMix64::new(self.config.seed ^ doc_hash);
         let spans = sample_spans(
             &norm,
@@ -398,15 +398,6 @@ fn push_ngrams(grams: &mut Vec<String>, units: &[String]) {
     for w in units.windows(2) {
         grams.push(format!("2|{} {}", w[0], w[1]));
     }
-}
-
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

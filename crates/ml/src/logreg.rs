@@ -128,16 +128,6 @@ impl LogisticRegression {
     pub fn bias(&self) -> f32 {
         self.bias
     }
-
-    /// Hard prediction at threshold 0.5.
-    pub fn predict(&self, features: &SparseVec) -> bool {
-        self.predict_proba(features) > 0.5
-    }
-
-    /// Raw decision value (logit).
-    pub fn decision(&self, features: &SparseVec) -> f32 {
-        dot(features, &self.weights) + self.bias
-    }
 }
 
 #[cfg(test)]
@@ -162,8 +152,6 @@ mod tests {
         let model = LogisticRegression::train(&data, 16, TrainConfig::default());
         assert!(model.predict_proba(&vec![(0, 1.0)]) > 0.9);
         assert!(model.predict_proba(&vec![(1, 1.0)]) < 0.1);
-        assert!(model.predict(&vec![(0, 1.0)]));
-        assert!(!model.predict(&vec![(1, 1.0)]));
     }
 
     #[test]
@@ -233,18 +221,6 @@ mod tests {
         assert_eq!(
             model.predict_proba(&sparse),
             model.predict_proba_row(&indices, &values)
-        );
-    }
-
-    #[test]
-    fn decision_is_monotone_in_probability() {
-        let data = separable(30);
-        let model = LogisticRegression::train(&data, 16, TrainConfig::default());
-        let a = vec![(0, 1.0)];
-        let b = vec![(1, 1.0)];
-        assert_eq!(
-            model.decision(&a) > model.decision(&b),
-            model.predict_proba(&a) > model.predict_proba(&b)
         );
     }
 

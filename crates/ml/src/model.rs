@@ -82,22 +82,10 @@ impl TextClassifier {
         TextClassifier { featurizer, model }
     }
 
-    /// Retrains the linear model on new labels while keeping the fitted
-    /// featurizer — one active-learning iteration (§5.3).
-    pub fn retrain<'a, I>(&mut self, labeled: I, train_config: TrainConfig)
-    where
-        I: IntoIterator<Item = (&'a str, bool)>,
-    {
-        let mut data = Dataset::new();
-        for (text, label) in labeled {
-            data.push(self.featurizer.features(text), label);
-        }
-        self.retrain_features(&data, train_config);
-    }
-
-    /// Retrains from already-featurized examples — the featurize-once path:
-    /// callers holding a [`crate::batch::FeatureCache`] featurize each text
-    /// once across arbitrarily many retrains.
+    /// Retrains the linear model on already-featurized examples while
+    /// keeping the fitted featurizer — one active-learning iteration
+    /// (§5.3). Callers holding a [`crate::batch::FeatureCache`] featurize
+    /// each text once across arbitrarily many retrains.
     pub fn retrain_features(&mut self, data: &Dataset, train_config: TrainConfig) {
         self.model = LogisticRegression::train(data, self.featurizer.dimensions(), train_config);
     }
@@ -223,20 +211,18 @@ mod tests {
             TextClassifier::train(labeled_corpus(), quick_config(), TrainConfig::default());
         let before = clf.score("report him to the platform");
         // Retrain with flipped labels; the score must move.
-        let flipped: Vec<(&str, bool)> =
-            labeled_corpus().into_iter().map(|(t, l)| (t, !l)).collect();
-        clf.retrain(
-            flipped.iter().map(|(t, l)| (*t, *l)),
-            TrainConfig::default(),
-        );
+        let mut flipped = Dataset::new();
+        for (text, label) in labeled_corpus() {
+            flipped.push(clf.featurizer().features(text), !label);
+        }
+        clf.retrain_features(&flipped, TrainConfig::default());
         let after = clf.score("report him to the platform");
         assert!(after < before);
     }
 
     #[test]
     fn cached_feature_paths_match_text_paths() {
-        let mut clf =
-            TextClassifier::train(labeled_corpus(), quick_config(), TrainConfig::default());
+        let clf = TextClassifier::train(labeled_corpus(), quick_config(), TrainConfig::default());
         let mut data = Dataset::new();
         for (text, label) in labeled_corpus() {
             data.push(clf.featurizer().features(text), label);
@@ -246,12 +232,5 @@ mod tests {
         let by_features = clf.evaluate_features(&data, 0.5);
         assert_eq!(by_text.confusion, by_features.confusion);
         assert_eq!(by_text.auc, by_features.auc);
-        // retrain == retrain_features from the cached features.
-        let mut twin = clf.clone();
-        clf.retrain(labeled_corpus(), TrainConfig::default());
-        twin.retrain_features(&data, TrainConfig::default());
-        for (text, _) in labeled_corpus() {
-            assert_eq!(clf.score(text), twin.score(text));
-        }
     }
 }

@@ -83,11 +83,6 @@ impl NaiveBayes {
         let en = (ln - m).exp();
         (ep / (ep + en)) as f32
     }
-
-    /// Hard prediction at threshold 0.5.
-    pub fn predict(&self, features: &SparseVec) -> bool {
-        self.predict_proba(features) > 0.5
-    }
 }
 
 #[cfg(test)]
@@ -108,7 +103,7 @@ mod tests {
         let nb = NaiveBayes::train(&toy(), 8, 1.0);
         assert!(nb.predict_proba(&vec![(0, 1.0)]) > 0.5);
         assert!(nb.predict_proba(&vec![(1, 1.0)]) < 0.5);
-        assert!(nb.predict(&vec![(0, 3.0)]));
+        assert!(nb.predict_proba(&vec![(0, 3.0)]) > 0.5);
     }
 
     #[test]
