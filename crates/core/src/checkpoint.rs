@@ -68,6 +68,7 @@
 //! persisted counters restored so instrumentation stays identical).
 
 pub mod atomic_io;
+pub mod codec;
 
 use crate::accounting::StageCounts;
 use crate::active_learning::RoundStats;
@@ -75,9 +76,11 @@ use crate::engine::EngineStats;
 use crate::pipeline::RunState;
 use crate::threshold::PlatformThreshold;
 use atomic_io::AppendLog;
+use codec::CodecError;
 use incite_ml::model::EvalReport;
 use incite_ml::{load_model_bin, save_model_bin, TextClassifier};
 use rand::rngs::StdRng;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -103,7 +106,8 @@ pub enum CheckpointError {
         expected: String,
         actual: String,
     },
-    /// The run directory belongs to a different task/config/schema.
+    /// The run or state directory belongs to a different
+    /// task/config/schema.
     Incompatible { detail: String },
 }
 
@@ -127,7 +131,7 @@ impl fmt::Display for CheckpointError {
                 path.display()
             ),
             CheckpointError::Incompatible { detail } => {
-                write!(f, "incompatible run directory: {detail}")
+                write!(f, "incompatible checkpoint: {detail}")
             }
         }
     }
@@ -255,6 +259,10 @@ pub struct Checkpointer {
     ledger: Option<SectionCache>,
     scores: Option<SectionCache>,
     model: Option<SectionCache>,
+    /// The last step's section payloads, by file name, as `open` read and
+    /// verified them; `Checkpointer::load_latest` takes them instead of
+    /// reading and hashing the files again.
+    latest: BTreeMap<String, Vec<u8>>,
 }
 
 impl Checkpointer {
@@ -287,6 +295,7 @@ impl Checkpointer {
                     ledger: None,
                     scores: None,
                     model: None,
+                    latest: BTreeMap::new(),
                 },
                 Resume::Fresh,
             ));
@@ -312,22 +321,23 @@ impl Checkpointer {
         }
         // Verify every recorded file before trusting any of it. Section
         // deduplication makes later steps reference earlier steps' files,
-        // so each distinct (name, hash) pair is read once.
-        let mut verified = std::collections::BTreeSet::new();
+        // so each distinct (name, hash) pair is read once, and the last
+        // step's payloads are kept for `load_latest`.
+        let last_files: BTreeSet<&str> = manifest
+            .steps
+            .last()
+            .map(|step| step.files.iter().map(|f| f.name.as_str()).collect())
+            .unwrap_or_default();
+        let mut verified = BTreeSet::new();
+        let mut latest = BTreeMap::new();
         for step in &manifest.steps {
             for file in &step.files {
-                if !verified.insert((file.name.clone(), file.hash.clone())) {
+                if !verified.insert((file.name.as_str(), file.hash.as_str())) {
                     continue;
                 }
-                let path = root.join(&file.name);
-                let payload = atomic_io::read_hashed(&path)?;
-                let actual = atomic_io::fnv64_hex(&payload);
-                if actual != file.hash || payload.len() as u64 != file.bytes {
-                    return Err(CheckpointError::HashMismatch {
-                        path,
-                        expected: file.hash.clone(),
-                        actual,
-                    });
+                let payload = read_recorded(root, file)?;
+                if last_files.contains(file.name.as_str()) {
+                    latest.insert(file.name.clone(), payload);
                 }
             }
         }
@@ -362,6 +372,7 @@ impl Checkpointer {
                 ledger,
                 scores,
                 model,
+                latest,
             },
             Resume::FromStep { completed },
         ))
@@ -527,8 +538,9 @@ impl Checkpointer {
 
     /// Rebuilds the run state recorded at the most recent step, with its
     /// classifier when one was persisted. `None` when no step has
-    /// completed yet.
-    pub(crate) fn load_latest(&self) -> Result<Option<RunState>, CheckpointError> {
+    /// completed yet. Decodes the section payloads `open` verified, and
+    /// reads only files it did not keep.
+    pub(crate) fn load_latest(&mut self) -> Result<Option<RunState>, CheckpointError> {
         let Some(step) = self.manifest.steps.last() else {
             return Ok(None);
         };
@@ -541,18 +553,21 @@ impl Checkpointer {
         state.engine = core.engine;
         for file in &step.files {
             let path = self.root.join(&file.name);
-            let payload = atomic_io::read_hashed(&path)?;
-            let corrupt = |detail| CheckpointError::Corrupt {
-                path: path.clone(),
-                detail,
+            let payload = match self.latest.remove(&file.name) {
+                Some(payload) => payload,
+                None => atomic_io::read_hashed(&path)?.0,
             };
+            let corrupt = |e: CodecError| e.corrupt(&path);
             if file.name.ends_with(".ledger.ckpt") {
                 state.ledger = section_codec::decode_ledger(&payload).map_err(corrupt)?;
             } else if file.name.ends_with(".scores.ckpt") {
                 state.scores = Some(section_codec::decode_scores(&payload).map_err(corrupt)?);
             } else if file.name.ends_with(".model.ckpt") {
-                let classifier = load_model_bin(payload.as_slice())
-                    .map_err(|e| corrupt(format!("model artifact does not load: {e}")))?;
+                let classifier =
+                    load_model_bin(payload.as_slice()).map_err(|e| CheckpointError::Corrupt {
+                        path: path.clone(),
+                        detail: format!("model artifact does not load: {e}"),
+                    })?;
                 state.classifier = Some(classifier);
             }
         }
@@ -563,11 +578,13 @@ impl Checkpointer {
 /// Length-prefixed binary frames for the bulky run-state sections. JSON
 /// serialization of a 10^5-entry score table or annotation ledger costs
 /// milliseconds per step (number formatting through a `Value` tree);
-/// these frames encode the same data byte-exactly with `extend_from_slice`
-/// and decode with typed errors. The manifest and its [`SnapshotCore`]
-/// stay JSON — they are small and worth keeping human-inspectable. Integrity
-/// is supplied by the [`atomic_io`] hash footer around the frame.
+/// these frames encode the same data byte-exactly through [`codec`] and
+/// decode with errors that name an offset. The manifest and its
+/// [`SnapshotCore`] stay JSON: they are small and worth keeping
+/// human-inspectable. Integrity is supplied by the [`atomic_io`] hash
+/// footer around the frame.
 mod section_codec {
+    use super::codec::{CodecError, Reader, Writer};
     use incite_corpus::DocId;
 
     /// Frame version tags, so a future layout change is a typed refusal
@@ -575,35 +592,47 @@ mod section_codec {
     const LEDGER_MAGIC: &[u8; 8] = b"ILEDGER1";
     const SCORES_MAGIC: &[u8; 8] = b"ISCORES1";
 
+    /// Bytes of a ledger entry with an empty text: id, text length, label.
+    const LEDGER_ENTRY_MIN: usize = 13;
+
     pub(super) fn encode_ledger(training: &[(DocId, String, bool)]) -> Vec<u8> {
-        let bytes: usize = training.iter().map(|(_, t, _)| t.len() + 13).sum();
-        let mut out = Vec::with_capacity(16 + bytes);
-        out.extend_from_slice(LEDGER_MAGIC);
-        out.extend_from_slice(&(training.len() as u64).to_le_bytes());
+        let bytes: usize = training
+            .iter()
+            .map(|(_, t, _)| t.len() + LEDGER_ENTRY_MIN)
+            .sum();
+        let mut w = Writer::new(LEDGER_MAGIC, 16 + bytes);
+        w.len_u64(training.len());
         for (id, text, label) in training {
-            out.extend_from_slice(&id.0.to_le_bytes());
-            out.extend_from_slice(&(text.len() as u32).to_le_bytes());
-            out.extend_from_slice(text.as_bytes());
-            out.push(u8::from(*label));
+            w.u64(id.0);
+            w.blob(text.as_bytes());
+            w.u8(u8::from(*label));
         }
-        out
+        w.finish()
     }
 
-    pub(super) fn decode_ledger(bytes: &[u8]) -> Result<Vec<(DocId, String, bool)>, String> {
-        let mut r = Reader::new(bytes, LEDGER_MAGIC, "ledger")?;
-        let count = r.u64()?;
-        let mut out = Vec::with_capacity(count.min(1 << 24) as usize);
+    pub(super) fn decode_ledger(bytes: &[u8]) -> Result<Vec<(DocId, String, bool)>, CodecError> {
+        let mut r = Reader::new(bytes, LEDGER_MAGIC)?;
+        let count = r.len_u64(LEDGER_ENTRY_MIN)?;
+        let mut out = Vec::with_capacity(count);
         for _ in 0..count {
             let id = DocId(r.u64()?);
-            let len = r.u32()? as usize;
-            let text = String::from_utf8(r.take(len)?.to_vec())
-                .map_err(|_| "ledger text is not UTF-8".to_string())?;
+            let offset = r.pos();
+            let text = std::str::from_utf8(r.blob()?).map_err(|_| CodecError {
+                offset,
+                detail: "ledger text is not UTF-8",
+            })?;
+            let offset = r.pos();
             let label = match r.u8()? {
                 0 => false,
                 1 => true,
-                other => return Err(format!("ledger label byte {other} is not 0/1")),
+                _ => {
+                    return Err(CodecError {
+                        offset,
+                        detail: "ledger label byte is not 0 or 1",
+                    })
+                }
             };
-            out.push((id, text, label));
+            out.push((id, text.to_string(), label));
         }
         r.finish()?;
         Ok(out)
@@ -612,82 +641,24 @@ mod section_codec {
     /// Each score travels as its raw `f32` bits: bit-exact by
     /// construction.
     pub(super) fn encode_scores(scores: &[(DocId, f32)]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + scores.len() * 12);
-        out.extend_from_slice(SCORES_MAGIC);
-        out.extend_from_slice(&(scores.len() as u64).to_le_bytes());
+        let mut w = Writer::new(SCORES_MAGIC, 16 + scores.len() * 12);
+        w.len_u64(scores.len());
         for (id, score) in scores {
-            out.extend_from_slice(&id.0.to_le_bytes());
-            out.extend_from_slice(&score.to_bits().to_le_bytes());
+            w.u64(id.0);
+            w.u32(score.to_bits());
         }
-        out
+        w.finish()
     }
 
-    pub(super) fn decode_scores(bytes: &[u8]) -> Result<Vec<(DocId, f32)>, String> {
-        let mut r = Reader::new(bytes, SCORES_MAGIC, "scores")?;
-        let count = r.u64()?;
-        let mut out = Vec::with_capacity(count.min(1 << 24) as usize);
+    pub(super) fn decode_scores(bytes: &[u8]) -> Result<Vec<(DocId, f32)>, CodecError> {
+        let mut r = Reader::new(bytes, SCORES_MAGIC)?;
+        let count = r.len_u64(12)?;
+        let mut out = Vec::with_capacity(count);
         for _ in 0..count {
             out.push((DocId(r.u64()?), f32::from_bits(r.u32()?)));
         }
         r.finish()?;
         Ok(out)
-    }
-
-    /// Bounds-checked little-endian cursor with section-aware errors.
-    struct Reader<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-        what: &'static str,
-    }
-
-    impl<'a> Reader<'a> {
-        fn new(bytes: &'a [u8], magic: &[u8; 8], what: &'static str) -> Result<Self, String> {
-            if bytes.len() < 8 || &bytes[..8] != magic {
-                return Err(format!(
-                    "{what} section has a foreign or outdated frame tag"
-                ));
-            }
-            Ok(Reader {
-                bytes,
-                pos: 8,
-                what,
-            })
-        }
-
-        fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-            let end = self
-                .pos
-                .checked_add(n)
-                .filter(|&end| end <= self.bytes.len())
-                .ok_or_else(|| format!("{} section is truncated", self.what))?;
-            let slice = &self.bytes[self.pos..end];
-            self.pos = end;
-            Ok(slice)
-        }
-
-        fn u8(&mut self) -> Result<u8, String> {
-            Ok(self.take(1)?[0])
-        }
-
-        fn u32(&mut self) -> Result<u32, String> {
-            let mut buf = [0u8; 4];
-            buf.copy_from_slice(self.take(4)?);
-            Ok(u32::from_le_bytes(buf))
-        }
-
-        fn u64(&mut self) -> Result<u64, String> {
-            let mut buf = [0u8; 8];
-            buf.copy_from_slice(self.take(8)?);
-            Ok(u64::from_le_bytes(buf))
-        }
-
-        fn finish(self) -> Result<(), String> {
-            if self.pos == self.bytes.len() {
-                Ok(())
-            } else {
-                Err(format!("{} section has trailing bytes", self.what))
-            }
-        }
     }
 }
 
@@ -798,21 +769,28 @@ pub fn load_latest_classifier_with_hash(
                 root.display()
             ),
         })?;
-    let path = root.join(&record.name);
-    let payload = atomic_io::read_hashed(&path)?;
-    let actual = atomic_io::fnv64_hex(&payload);
-    if actual != record.hash || payload.len() as u64 != record.bytes {
-        return Err(CheckpointError::HashMismatch {
-            path,
-            expected: record.hash.clone(),
-            actual,
-        });
-    }
+    let payload = read_recorded(root, record)?;
     let classifier = load_model_bin(payload.as_slice()).map_err(|e| CheckpointError::Corrupt {
-        path,
+        path: root.join(&record.name),
         detail: format!("model artifact does not load: {e}"),
     })?;
     Ok((classifier, record.hash.clone()))
+}
+
+/// Reads the section file `file` records under `root`: its footer must
+/// verify, and its hash and size must be the recorded ones. The footer
+/// check hashes the payload; nothing hashes it again.
+fn read_recorded(root: &Path, file: &FileRecord) -> Result<Vec<u8>, CheckpointError> {
+    let path = root.join(&file.name);
+    let (payload, actual) = atomic_io::read_hashed(&path)?;
+    if actual != file.hash || payload.len() as u64 != file.bytes {
+        return Err(CheckpointError::HashMismatch {
+            path,
+            expected: file.hash.clone(),
+            actual,
+        });
+    }
+    Ok(payload)
 }
 
 /// Removes all checkpoint files (`*.ckpt`) from `root`, enabling a fresh
@@ -899,7 +877,7 @@ mod tests {
         ck.record_step("featurize", &state(2), true)
             .expect("record 2");
 
-        let (ck2, resume) = Checkpointer::open(&root, "dox", "fp1").expect("reopen");
+        let (mut ck2, resume) = Checkpointer::open(&root, "dox", "fp1").expect("reopen");
         assert_eq!(resume, Resume::FromStep { completed: 2 });
         assert_eq!(
             ck2.step_names().collect::<Vec<_>>(),
@@ -993,7 +971,7 @@ mod tests {
         assert_eq!(count(".scores.ckpt"), 1, "unchanged scores deduped");
 
         // The deduplicated directory still verifies and loads exactly.
-        let (ck2, resume) = Checkpointer::open(&root, "dox", "fp1").expect("reopen");
+        let (mut ck2, resume) = Checkpointer::open(&root, "dox", "fp1").expect("reopen");
         assert_eq!(resume, Resume::FromStep { completed: 2 });
         let loaded = ck2.load_latest().expect("latest").expect("some");
         assert_same(&loaded, &run);

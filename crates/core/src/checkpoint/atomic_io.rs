@@ -181,9 +181,10 @@ pub fn write_framed(path: &Path, payload: &[u8], hash: &str) -> Result<(), Check
 /// Reads a [`write_hashed`] file, verifying the footer. Any corruption —
 /// a flipped bit in the payload, a damaged footer, a truncated file —
 /// surfaces as a typed [`CheckpointError`]; the payload is returned only
-/// when the recomputed hash matches exactly.
-pub fn read_hashed(path: &Path) -> Result<Vec<u8>, CheckpointError> {
-    let framed = fs::read(path).map_err(|e| io_err(path, e))?;
+/// when the recomputed hash matches exactly, together with that hash, so
+/// a caller comparing it with a recorded one need not hash again.
+pub fn read_hashed(path: &Path) -> Result<(Vec<u8>, String), CheckpointError> {
+    let mut framed = fs::read(path).map_err(|e| io_err(path, e))?;
     let footer_at = framed
         .windows(FOOTER_PREFIX.len())
         .rposition(|w| w == FOOTER_PREFIX)
@@ -191,8 +192,8 @@ pub fn read_hashed(path: &Path) -> Result<Vec<u8>, CheckpointError> {
             path: path.to_path_buf(),
             detail: "missing integrity footer (truncated or foreign file)".to_string(),
         })?;
-    let payload = &framed[..footer_at];
-    let footer = &framed[footer_at + FOOTER_PREFIX.len()..];
+    let (payload, footer) = framed.split_at(footer_at);
+    let footer = &footer[FOOTER_PREFIX.len()..];
     // Strict footer shape — exactly 16 hex digits and a closing newline —
     // so a flip of *any* byte, the terminator included, is corruption.
     if !footer_shaped(footer) {
@@ -215,7 +216,8 @@ pub fn read_hashed(path: &Path) -> Result<Vec<u8>, CheckpointError> {
             actual,
         });
     }
-    Ok(payload.to_vec())
+    framed.truncate(footer_at);
+    Ok((framed, actual))
 }
 
 /// An append-only log of individually hash-framed records — the on-disk
@@ -229,6 +231,17 @@ pub fn read_hashed(path: &Path) -> Result<Vec<u8>, CheckpointError> {
 /// bytes after the last verified footer) instead of silently trusting it.
 /// Lives in this module because INC006 forbids `OpenOptions` everywhere
 /// else.
+///
+/// The record contract: a payload holds no newline ([`AppendLog::append`]
+/// refuses one), because newlines frame the records. A payload may hold
+/// the footer marker text `#fnv64:` (serve journal records carry client
+/// texts), but should not end in it followed by 16 hex digits: such a
+/// record, torn right after its footer's leading newline, looks exactly
+/// like a complete record whose leading newline flipped, and is refused as
+/// damaged rather than cut as torn. JSON records meet the contract by
+/// construction (string escaping, a closing `}`); binary payloads go
+/// through [`codec::escape_record`](super::codec::escape_record), which
+/// leaves no newline and no `#`.
 #[derive(Debug)]
 pub struct AppendLog {
     file: fs::File,
@@ -256,11 +269,10 @@ impl AppendLog {
         })
     }
 
-    /// Appends one record. The payload must be a single line (the framing
-    /// relies on payloads never containing `\n`; JSON-encoded records
-    /// satisfy this by construction). The record and its footer are
-    /// written in one `write_all` so a torn append damages at most the
-    /// final record, which `read_log_strict` then skips and reports.
+    /// Appends one record. The payload must meet the record contract above
+    /// (a newline is refused). The record and its footer are written in
+    /// one `write_all` so a torn append damages at most the final record,
+    /// which `read_log_strict` then skips and reports.
     pub fn append(&mut self, payload: &[u8]) -> Result<(), CheckpointError> {
         if payload.contains(&b'\n') {
             return Err(CheckpointError::Corrupt {
@@ -345,7 +357,8 @@ enum LogEnd {
 /// them when `whole` is set).
 fn log_end(window: &[u8], whole: bool) -> LogEnd {
     // A full footer line ends a complete record: a torn append holds at
-    // most part of one, and payloads never contain the marker.
+    // most part of one, and payloads are newline-free, so no payload holds
+    // one.
     let footer_len = FOOTER_PREFIX.len() + FOOTER_HASH_LEN;
     let footer = window
         .windows(footer_len)
@@ -428,12 +441,14 @@ fn parse_log(bytes: &[u8]) -> (Vec<Vec<u8>>, Option<usize>) {
 
 /// Whether `tail`, the bytes after a log's last verified record, is a
 /// strict prefix of one framed record: payload bytes, then at most a
-/// partial footer. A record whose footer line was written in full never
-/// is, so damage to a complete record is told apart from a torn append —
-/// provided payloads never contain the marker text `#fnv64:`, which JSON
-/// of numbers and hex strings cannot.
+/// partial footer. Payloads are newline-free, so the first newline starts
+/// the footer. A record whose footer line was written in full never is
+/// such a prefix, with one shape to refuse by hand: a complete record
+/// whose footer's leading newline flipped leaves a head ending in the
+/// marker text and 16 hex digits, then a lone `\n`, which reads like a
+/// record torn after that newline. Only that shape is refused; a payload
+/// holding the marker text elsewhere is still a torn append when cut.
 fn is_torn_tail(tail: &[u8]) -> bool {
-    let marker = &FOOTER_PREFIX[1..];
     let head_len = tail.iter().position(|&b| b == b'\n').unwrap_or(tail.len());
     let (head, footer) = tail.split_at(head_len);
     footer.len() < FOOTER_PREFIX.len() + FOOTER_HASH_LEN
@@ -441,7 +456,17 @@ fn is_torn_tail(tail: &[u8]) -> bool {
         && footer[footer.len().min(FOOTER_PREFIX.len())..]
             .iter()
             .all(u8::is_ascii_hexdigit)
-        && !head.windows(marker.len()).any(|w| w == marker)
+        && !(footer == b"\n" && ends_in_footer_text(head))
+}
+
+/// Whether `head` ends in the footer marker's text and 16 hex digits: a
+/// footer line that lost its leading newline.
+fn ends_in_footer_text(head: &[u8]) -> bool {
+    let marker = &FOOTER_PREFIX[1..];
+    head.len()
+        .checked_sub(marker.len() + 16)
+        .map(|at| head.split_at(at).1.split_at(marker.len()))
+        .is_some_and(|(text, hash)| text == marker && hash.iter().all(u8::is_ascii_hexdigit))
 }
 
 // Tests stage damaged files with plain writes.
@@ -471,7 +496,7 @@ mod tests {
         let payload = br#"{"step":"bootstrap","n":42}"#;
         let hash = write_hashed(&path, payload).expect("write");
         assert_eq!(hash, fnv64_hex(payload));
-        assert_eq!(read_hashed(&path).expect("read"), payload.to_vec());
+        assert_eq!(read_hashed(&path).expect("read"), (payload.to_vec(), hash));
         // The temp sibling must be gone after the rename.
         assert!(!dir.join(".state.ckpt.tmp").exists());
         std::fs::remove_dir_all(&dir).ok();
@@ -483,7 +508,7 @@ mod tests {
         let path = dir.join("state.ckpt");
         write_hashed(&path, b"first").expect("write 1");
         write_hashed(&path, b"second").expect("write 2");
-        assert_eq!(read_hashed(&path).expect("read"), b"second".to_vec());
+        assert_eq!(read_hashed(&path).expect("read").0, b"second".to_vec());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -504,11 +529,11 @@ mod tests {
         std::fs::write(&aside, b"stale").expect("plant stale aside");
         set_aside(&path).expect("set aside");
         assert!(!path.exists());
-        assert_eq!(read_hashed(&aside).expect("aside"), b"first".to_vec());
+        assert_eq!(read_hashed(&aside).expect("aside").0, b"first".to_vec());
         write_hashed(&path, b"second").expect("write 2");
         discard_aside(&path).expect("discard");
         assert!(!aside.exists());
-        assert_eq!(read_hashed(&path).expect("read"), b"second".to_vec());
+        assert_eq!(read_hashed(&path).expect("read").0, b"second".to_vec());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -522,7 +547,7 @@ mod tests {
         // aside again before it writes.
         set_aside(&path).expect("set aside again");
         let aside = aside_path(&path).expect("aside path");
-        assert_eq!(read_hashed(&aside).expect("aside kept"), b"live".to_vec());
+        assert_eq!(read_hashed(&aside).expect("aside kept").0, b"live".to_vec());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -711,6 +736,50 @@ mod tests {
             Err(CheckpointError::Corrupt { detail, .. }) => {
                 assert!(detail.contains(&format!("byte {last_start}")), "{detail}");
             }
+            other => panic!("expected a damaged-record refusal, got {other:?}"),
+        }
+        assert!(
+            std::fs::read(&path).expect("read") == flipped,
+            "nothing is cut"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Serve journal records carry client texts, which may hold the
+    /// footer marker text: a record torn anywhere after it is still a torn
+    /// append to both readers. Only a complete record whose footer lost
+    /// its leading newline is refused.
+    #[test]
+    fn marker_text_in_a_payload_is_cut_as_torn_at_every_offset() {
+        let dir = temp_dir("log-marker");
+        let path = dir.join("journal.log");
+        let text: &[u8] = br#"{"seq":2,"texts":["see #fnv64: here"]}"#;
+        let clean = write_records(&path, &[br#"{"seq":1}"#, text]);
+        let last_start = framed_len(br#"{"seq":1}"#.len()) as usize;
+        for cut in last_start + 1..clean.len() {
+            std::fs::write(&path, &clean[..cut]).expect("tear");
+            let (records, torn) = read_log_strict(&path).expect("a torn tail is tolerated");
+            assert_eq!(
+                (records.len(), torn),
+                (1, Some(last_start as u64)),
+                "cut at {cut}"
+            );
+            let mut log = AppendLog::open(&path).expect("open");
+            let at = log.cut_torn_tail().expect("a torn tail is cut");
+            assert_eq!(at, Some(last_start as u64), "cut at {cut}");
+            assert!(std::fs::read(&path).expect("read") == clean[..last_start]);
+        }
+        let newline = clean.len() - framed_len(0) as usize;
+        let mut flipped = clean.clone();
+        flipped[newline] ^= 0x01;
+        std::fs::write(&path, &flipped).expect("flip");
+        let damaged = format!("byte {last_start} is damaged");
+        match read_log_strict(&path) {
+            Err(CheckpointError::Corrupt { detail, .. }) => assert!(detail.contains(&damaged)),
+            other => panic!("expected a damaged-record refusal, got {other:?}"),
+        }
+        match AppendLog::open(&path).expect("open").cut_torn_tail() {
+            Err(CheckpointError::Corrupt { detail, .. }) => assert!(detail.contains(&damaged)),
             other => panic!("expected a damaged-record refusal, got {other:?}"),
         }
         assert!(

@@ -10,7 +10,8 @@
 //!   consults a failpoint registry (`.check(…)` / `.trip(…)`). A write
 //!   no sweep can reach is crash-recovery coverage that silently shrank.
 //! * **INC016 unchecked-wire-arithmetic** — interval-lite dataflow over
-//!   the two wire decoders (`corpus/src/jsonl.rs`, `stream/src/event.rs`):
+//!   the three wire decoders (`corpus/src/jsonl.rs`, `stream/src/event.rs`,
+//!   and `core/src/checkpoint/codec.rs` with `stream/src/state.rs`):
 //!   a value originating from a wire decode (`from_le_bytes`, `.parse(`,
 //!   `serde_json::from_str(…)`, …) must not flow into bare `+`/`*`
 //!   arithmetic or a narrowing `as` cast until it is bounded by a
@@ -148,8 +149,15 @@ fn inc014(ws: &Workspace, findings: &mut Vec<Finding>, fuel: &mut u64) {
 // INC016 — unchecked-wire-arithmetic
 // ------------------------------------------------------------------
 
-/// The wire decoders under interval discipline.
-const INC016_FILES: &[&str] = &["corpus/src/jsonl.rs", "stream/src/event.rs"];
+/// The wire decoders under interval discipline: the JSONL corpus reader,
+/// the event stream codec, and the checkpoint codec with the stream state
+/// built on it.
+const INC016_FILES: &[&str] = &[
+    "corpus/src/jsonl.rs",
+    "stream/src/event.rs",
+    "core/src/checkpoint/codec.rs",
+    "stream/src/state.rs",
+];
 
 /// Needles whose results are attacker-controlled wire values.
 const WIRE_SOURCES: &[&str] = &[

@@ -3,6 +3,7 @@
 //! zero mixed generations), per-tenant admission control on the wire,
 //! journal → offline replay byte-identity, and the slow-loris cutoff.
 
+use incite_core::checkpoint::atomic_io::AppendLog;
 use incite_core::{load_latest_classifier_with_hash, ScoringEngine};
 use incite_corpus::{generate, CorpusConfig};
 use incite_serve::admission::TenantQuota;
@@ -366,6 +367,72 @@ fn journal_replays_offline_to_byte_identical_bits() {
             record.seq
         );
     }
+    std::fs::remove_dir_all(&run_dir).ok();
+}
+
+/// A client text may hold the journal footer's marker text. A server
+/// killed while appending such a record leaves it torn after that text:
+/// replay reads the records before it, and the next server boots on the
+/// journal, cuts the torn record and appends after the intact ones.
+#[test]
+fn a_journal_torn_after_marker_text_boots_and_replays() {
+    let (run_dir, _) = checkpointed_run_dir("journal-marker", 3);
+    let journal_path = run_dir.join("requests.journal");
+    let serve = |text: &str| {
+        let config = ServeConfig {
+            journal: Some(journal_path.clone()),
+            ..config_on_free_port()
+        };
+        let handle = Server::start_from_run_dir(&run_dir, config).expect("server boots");
+        let mut client = HttpClient::connect(handle.local_addr()).expect("connect");
+        let resp = client
+            .post_json("/v1/score", &score_body(&[text]))
+            .expect("request");
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        let scored = parse_scored(&resp.body);
+        assert_eq!(handle.join().panicked_threads, 0);
+        scored
+    };
+    let texts = ["report him", "see #fnv64: here", "report him again"];
+    let first = serve(texts[0]);
+    let intact = std::fs::metadata(&journal_path).expect("journal").len();
+    serve(texts[1]);
+    let bytes = std::fs::read(&journal_path).expect("journal");
+    let torn_text = b"#fnv64: here";
+    let at = bytes
+        .windows(torn_text.len())
+        .rposition(|w| w == torn_text)
+        .expect("the record holds the text");
+    let mut log = AppendLog::open(&journal_path).expect("journal opens");
+    log.cut_to((at + torn_text.len()) as u64).expect("tear");
+    drop(log);
+    let (records, damage) = read_journal(&journal_path).expect("replay reads a torn journal");
+    assert_eq!((records.len(), damage), (1, Some(intact)));
+
+    let third = serve(texts[2]);
+    let (records, damage) = read_journal(&journal_path).expect("journal reads back");
+    assert_eq!(damage, None);
+    let (classifier, _) = load_latest_classifier_with_hash(&run_dir).expect("load model");
+    let replayed: Vec<(Vec<String>, Vec<u32>)> = records
+        .iter()
+        .map(|record| {
+            let refs: Vec<&str> = record.texts.iter().map(String::as_str).collect();
+            let bits = ScoringEngine::score_texts(&classifier, &refs, 1)
+                .expect("replay scoring")
+                .iter()
+                .map(|s| s.to_bits())
+                .collect();
+            assert_eq!(bits, record.bits, "replay of seq {}", record.seq);
+            (record.texts.clone(), bits)
+        })
+        .collect();
+    assert_eq!(
+        replayed,
+        [
+            (vec![texts[0].to_string()], first.bits),
+            (vec![texts[2].to_string()], third.bits)
+        ]
+    );
     std::fs::remove_dir_all(&run_dir).ok();
 }
 

@@ -464,13 +464,15 @@ impl ThreatRanker {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::simulate::{simulate, SimConfig};
     use incite_corpus::{generate, CorpusConfig};
     use incite_ml::{FeaturizerConfig, TrainConfig};
 
-    fn setup() -> (EventStream, BTreeMap<u64, String>, TextClassifier) {
+    /// The tiny corpus' stream, its texts and a quick-trained classifier
+    /// (shared with the state codec tests).
+    pub(crate) fn setup() -> (EventStream, BTreeMap<u64, String>, TextClassifier) {
         let corpus = generate(&CorpusConfig::tiny(404));
         let stream = simulate(&corpus, &SimConfig::default());
         let texts: BTreeMap<u64, String> = corpus
