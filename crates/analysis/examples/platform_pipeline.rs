@@ -8,8 +8,9 @@
 //! ```
 
 use incite_core::attack_classifier::{default_featurizer, AttackTypeClassifier};
+use incite_core::checkpoint::encode_model;
 use incite_corpus::{generate, CorpusConfig};
-use incite_ml::{save_model, FeatureMode, FeaturizerConfig, TextClassifier, TrainConfig};
+use incite_ml::{FeatureMode, FeaturizerConfig, TextClassifier, TrainConfig};
 use incite_pii::{redact, PiiExtractor};
 use incite_taxonomy::{AttackType, LabelSet, Platform};
 
@@ -36,8 +37,7 @@ fn main() {
         TrainConfig::default(),
     );
     // The §3 open-sourcing commitment: persist the model (no training text).
-    let mut artifact = Vec::new();
-    save_model(&mut artifact, &detector).expect("serialize model");
+    let artifact = encode_model(&detector);
     println!(
         "         model artifact: {} KiB of weights+vocab, zero training text",
         artifact.len() / 1024

@@ -14,17 +14,15 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)
 )]
 
-use incite_core::checkpoint::atomic_io::write_atomic;
-use incite_core::checkpoint::{Resume, MANIFEST_FILE};
+use incite_core::checkpoint::atomic_io::{read_hashed, write_atomic, write_hashed};
+use incite_core::checkpoint::{decode_model, encode_model, read_manifest, MANIFEST_FILE};
 use incite_core::{
-    clear_run_dir, load_latest_classifier_with_hash, run_pipeline_resumable, Checkpointer,
-    PipelineConfig, ScoringEngine, Task,
+    clear_run_dir, load_latest_classifier_with_hash, run_pipeline_resumable, PipelineConfig,
+    ScoringEngine, Task,
 };
 use incite_corpus::jsonl::{self, QuarantineStats};
 use incite_corpus::{Corpus, CorpusConfig};
-use incite_ml::{
-    load_model, save_model, FeatureMode, FeaturizerConfig, TextClassifier, TrainConfig,
-};
+use incite_ml::{FeatureMode, FeaturizerConfig, TextClassifier, TrainConfig};
 use incite_pii::{infer_gender, redact, PiiExtractor};
 use incite_serve::admission::TenantQuota;
 use incite_serve::journal::read_journal;
@@ -68,8 +66,12 @@ pub const USAGE: &str = "\
 incite <command> [options]
 
 commands:
-  train   --corpus FILE.jsonl --task cth|dox --out MODEL.json [--max-len N]
-          train a detector from a labeled JSONL corpus (corpus-gen format)
+  train   --corpus FILE.jsonl --task cth|dox --out MODEL.model.ckpt
+          [--max-len N]
+          train a detector from a labeled JSONL corpus (corpus-gen format);
+          the model file holds the featurizer configuration, the WordPiece
+          vocabulary and the weights (no training text) under a hash
+          footer, in the format of a run directory's model section
   run     --corpus FILE.jsonl --task cth|dox --resume DIR
           [--seed N] [--force true]
           run the full checkpointed pipeline with run directory DIR; a
@@ -108,7 +110,7 @@ commands:
           of per-epoch deltas, compacted into the snapshot as it grows)
           and resumes from it; rankings are byte-identical at any
           --threads and across kill/resume.
-  score   --model MODEL.json [--input FILE] [--threshold T]
+  score   --model MODEL.model.ckpt [--input FILE] [--threshold T]
           score one text per input line; prints `score<TAB>text`
   pii     [--input FILE]
           extract PII spans per input line; prints `kind<TAB>span`
@@ -264,12 +266,11 @@ pub fn run(command: &str, args: &[String], out: &mut dyn Write) -> Result<(), Cl
                 },
                 TrainConfig::default(),
             );
-            // Model artifacts go through the checkpoint module's atomic
-            // write-rename (INC006): a crash mid-save can never leave a
-            // torn model file behind.
-            let mut buf = Vec::new();
-            save_model(&mut buf, &clf).map_err(|e| err(e.to_string()))?;
-            write_atomic(Path::new(out_path), &buf)
+            // The model file is a run directory's model section: the model
+            // frame under a hash footer, through the checkpoint module's
+            // atomic write-rename (INC006), so a crash mid-save can never
+            // leave a torn model file behind.
+            write_hashed(Path::new(out_path), &encode_model(&clf))
                 .map_err(|e| err(format!("write {out_path}: {e}")))?;
             writeln!(
                 out,
@@ -311,25 +312,21 @@ pub fn run(command: &str, args: &[String], out: &mut dyn Write) -> Result<(), Cl
             let config = PipelineConfig::quick(seed);
 
             // Recovery progress: report what the run directory already
-            // holds before the pipeline continues from it.
-            let (ckpt, resume) = Checkpointer::open(dir, task.slug(), &config.fingerprint())
+            // holds before the pipeline continues from it. Only the
+            // manifest is read here; the pipeline verifies every section.
+            if dir.join(MANIFEST_FILE).exists() {
+                let (manifest, _) = read_manifest(dir).map_err(|e| err(e.to_string()))?;
+                let completed = manifest.steps.len();
+                let last = manifest.steps.last().map_or("none", |s| s.name.as_str());
+                writeln!(
+                    out,
+                    "resuming in {run_dir}: {completed} step(s) verified and checkpointed \
+                     (last: {last})"
+                )
                 .map_err(|e| err(e.to_string()))?;
-            match resume {
-                Resume::Fresh => {
-                    writeln!(out, "starting fresh run in {run_dir}")
-                        .map_err(|e| err(e.to_string()))?;
-                }
-                Resume::FromStep { completed } => {
-                    let last = ckpt.step_names().last().unwrap_or("none");
-                    writeln!(
-                        out,
-                        "resuming in {run_dir}: {completed} step(s) verified and checkpointed \
-                         (last: {last})"
-                    )
-                    .map_err(|e| err(e.to_string()))?;
-                }
+            } else {
+                writeln!(out, "starting fresh run in {run_dir}").map_err(|e| err(e.to_string()))?;
             }
-            drop(ckpt);
 
             let outcome = run_pipeline_resumable(&corpus, task, &config, dir)
                 .map_err(|e| err(e.to_string()))?;
@@ -645,9 +642,9 @@ pub fn run(command: &str, args: &[String], out: &mut dyn Write) -> Result<(), Cl
                 .map(|s| s.parse().map_err(|_| err("--threshold takes a number")))
                 .transpose()?
                 .unwrap_or(0.5);
-            let f = std::fs::File::open(model_path)
-                .map_err(|e| err(format!("open {model_path}: {e}")))?;
-            let clf = load_model(f).map_err(|e| err(e.to_string()))?;
+            let path = Path::new(model_path);
+            let (frame, _) = read_hashed(path).map_err(|e| err(e.to_string()))?;
+            let clf = decode_model(&frame).map_err(|e| err(e.corrupt(path).to_string()))?;
             for line in input_lines(&flags)? {
                 if line.trim().is_empty() {
                     continue;
@@ -723,7 +720,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("incite-cli-{}", std::process::id()));
         std::fs::create_dir_all(&dir)?;
         let corpus_path = dir.join("corpus.jsonl");
-        let model_path = dir.join("model.json");
+        let model_path = dir.join("cth.model.ckpt");
 
         let corpus = generate(&CorpusConfig::tiny(11));
         let f = std::fs::File::create(&corpus_path)?;
@@ -769,6 +766,41 @@ mod tests {
         let s0 = score_of(lines[0])?;
         let s1 = score_of(lines[1])?;
         assert!(s0 > s1, "CTH should outscore benign: {s0} vs {s1}");
+        std::fs::remove_dir_all(&dir).ok();
+        Ok(())
+    }
+
+    /// The model formats before the model frame have no reader: a JSON
+    /// artifact fails at its (missing) footer, and an `IMODELB1` section
+    /// at its frame tag.
+    #[test]
+    #[allow(clippy::disallowed_methods)]
+    fn score_refuses_model_files_of_the_old_formats() -> TestResult {
+        let dir = std::env::temp_dir().join(format!("incite-cli-old-{}", std::process::id()));
+        std::fs::create_dir_all(&dir)?;
+        let json = dir.join("model.json");
+        std::fs::write(
+            &json,
+            r#"{"classifier":{"featurizer":{},"model":{"bias":0.0,"weights":[]}},"version":1}"#,
+        )?;
+        let binary = dir.join("step-01-featurize.model.ckpt");
+        write_hashed(&binary, b"IMODELB1\x08\x03\x00\x00\x00\x00\x00\x00\x00")
+            .map_err(|e| err(e.to_string()))?;
+        for (path, detail) in [
+            (&json, "missing integrity footer"),
+            (&binary, "foreign or outdated frame tag at payload byte 0"),
+        ] {
+            let mut out = Vec::new();
+            let refused = run("score", &flags(&[("model", path_str(path)?)]), &mut out);
+            match refused {
+                Err(e) => assert!(
+                    e.0.starts_with("corrupt checkpoint file") && e.0.contains(detail),
+                    "{e}"
+                ),
+                Ok(()) => return Err(err(format!("{} scored", path.display()))),
+            }
+            assert!(out.is_empty());
+        }
         std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }
@@ -999,7 +1031,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("incite-cli-dirty-{}", std::process::id()));
         std::fs::create_dir_all(&dir)?;
         let corpus_path = dir.join("corpus.jsonl");
-        let model_path = dir.join("model.json");
+        let model_path = dir.join("cth.model.ckpt");
 
         let corpus = generate(&CorpusConfig::tiny(11));
         let mut buf = Vec::new();

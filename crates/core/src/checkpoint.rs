@@ -18,9 +18,9 @@
 //! run_dir/
 //!   MANIFEST.ckpt                      # log: header, then one record per step
 //!   step-00-bootstrap.ledger.ckpt      # annotation ledger section
-//!   step-01-featurize.model.ckpt       # incite-ml persist artifact, framed
+//!   step-01-featurize.model.ckpt       # classifier section (model frame)
 //!   step-02-round-0.ledger.ckpt
-//!   step-02-round-0.model.ckpt         # eval's weights hash the same: reused
+//!   step-02-round-0.model.ckpt         # eval keeps these weights: reused
 //!   step-04-score.scores.ckpt          # full-corpus score section
 //! ```
 //!
@@ -62,10 +62,12 @@
 //!
 //! What is persisted vs recomputed: the RNG stream position, training
 //! ledger, round stats, thresholds, stage counts, eval report, engine
-//! *counters*, and the classifier weights (via `incite_ml::persist`) are
-//! persisted; the CSR feature arena and the training-feature cache are
-//! derivable from corpus + featurizer and are rebuilt on resume (with the
-//! persisted counters restored so instrumentation stays identical).
+//! *counters*, and the classifier (as a model frame: featurizer
+//! configuration, WordPiece pieces, weights and bias) are persisted. The
+//! hasher, the vocabulary's indexes and the piece-gram table are rebuilt
+//! from the frame; the CSR feature arena and the training-feature cache
+//! are derivable from corpus + featurizer and are rebuilt on resume (with
+//! the persisted counters restored so instrumentation stays identical).
 
 pub mod atomic_io;
 pub mod codec;
@@ -78,14 +80,15 @@ use crate::threshold::PlatformThreshold;
 use atomic_io::AppendLog;
 use codec::CodecError;
 use incite_ml::model::EvalReport;
-use incite_ml::{load_model_bin, save_model_bin, TextClassifier};
+use incite_ml::TextClassifier;
 use rand::rngs::StdRng;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// Manifest schema version.
-const MANIFEST_VERSION: u32 = 1;
+/// Manifest schema version. Version 2 is the first whose model sections
+/// are model frames; a version-1 run directory is refused whole.
+const MANIFEST_VERSION: u32 = 2;
 
 /// Manifest file name inside a run directory.
 pub const MANIFEST_FILE: &str = "MANIFEST.ckpt";
@@ -225,15 +228,6 @@ impl SnapshotCore {
     }
 }
 
-/// What `Checkpointer::open` found on disk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Resume {
-    /// No manifest: the run starts from scratch.
-    Fresh,
-    /// A verified manifest with `completed` steps to skip.
-    FromStep { completed: usize },
-}
-
 /// A deduplicated run-state section (ledger / scores / model): the file
 /// record last written, plus the section length it was written at. The
 /// length shortcut is sound because of the run state's append-only /
@@ -247,11 +241,11 @@ struct SectionCache {
 
 /// Writes and verifies the checkpoint record of one pipeline run.
 #[derive(Debug)]
-pub struct Checkpointer {
+pub(crate) struct Checkpointer {
     root: PathBuf,
     manifest: Manifest,
     /// The manifest log, opened by this process's first commit so that
-    /// [`Checkpointer::open`] only reads.
+    /// `Checkpointer::open` only reads.
     log: Option<AppendLog>,
     /// Start of a torn final record `open` found; the first commit cuts
     /// the log back to it before appending.
@@ -274,11 +268,11 @@ impl Checkpointer {
     /// a torn final record is a step that never committed. A missing
     /// manifest starts a fresh run (the directory is created on first
     /// write). Nothing is written here.
-    pub fn open(
+    pub(crate) fn open(
         root: &Path,
         task: &str,
         config_fingerprint: &str,
-    ) -> Result<(Self, Resume), CheckpointError> {
+    ) -> Result<Self, CheckpointError> {
         if !root.join(MANIFEST_FILE).exists() {
             let manifest = Manifest {
                 version: MANIFEST_VERSION,
@@ -286,19 +280,16 @@ impl Checkpointer {
                 config_fingerprint: config_fingerprint.to_string(),
                 steps: Vec::new(),
             };
-            return Ok((
-                Checkpointer {
-                    root: root.to_path_buf(),
-                    manifest,
-                    log: None,
-                    torn: None,
-                    ledger: None,
-                    scores: None,
-                    model: None,
-                    latest: BTreeMap::new(),
-                },
-                Resume::Fresh,
-            ));
+            return Ok(Checkpointer {
+                root: root.to_path_buf(),
+                manifest,
+                log: None,
+                torn: None,
+                ledger: None,
+                scores: None,
+                model: None,
+                latest: BTreeMap::new(),
+            });
         }
 
         let (manifest, torn) = read_manifest(root)?;
@@ -362,35 +353,21 @@ impl Checkpointer {
                 }
             }
         }
-        let completed = manifest.steps.len();
-        Ok((
-            Checkpointer {
-                root: root.to_path_buf(),
-                manifest,
-                log: None,
-                torn,
-                ledger,
-                scores,
-                model,
-                latest,
-            },
-            Resume::FromStep { completed },
-        ))
+        Ok(Checkpointer {
+            root: root.to_path_buf(),
+            manifest,
+            log: None,
+            torn,
+            ledger,
+            scores,
+            model,
+            latest,
+        })
     }
 
     /// Number of steps already checkpointed.
-    pub fn completed_steps(&self) -> usize {
+    pub(crate) fn completed_steps(&self) -> usize {
         self.manifest.steps.len()
-    }
-
-    /// Names of the completed steps, in execution order.
-    pub fn step_names(&self) -> impl Iterator<Item = &str> {
-        self.manifest.steps.iter().map(|s| s.name.as_str())
-    }
-
-    /// The run directory.
-    pub fn root(&self) -> &Path {
-        &self.root
     }
 
     /// Persists one completed step from the borrowed run state: any
@@ -442,24 +419,14 @@ impl Checkpointer {
                 (Some(cached), false) => files.push(cached.record.clone()),
                 _ => {
                     let model_name = format!("step-{idx:02}-{step}.model.ckpt");
-                    let model_path = self.root.join(&model_name);
                     // Weights mutate in place at a fixed size, so no
-                    // length shortcut: serialize, dedupe by content hash.
+                    // length shortcut: encode, dedupe by content hash.
                     files.push(Self::dedup_section(
                         &self.root,
                         &mut self.model,
                         model_name,
                         None,
-                        || {
-                            let mut buf = Vec::new();
-                            save_model_bin(&mut buf, classifier).map_err(|e| {
-                                CheckpointError::Corrupt {
-                                    path: model_path.clone(),
-                                    detail: format!("model serialization failed: {e}"),
-                                }
-                            })?;
-                            Ok(buf)
-                        },
+                        || Ok(encode_model(classifier)),
                     )?);
                 }
             }
@@ -563,34 +530,32 @@ impl Checkpointer {
             } else if file.name.ends_with(".scores.ckpt") {
                 state.scores = Some(section_codec::decode_scores(&payload).map_err(corrupt)?);
             } else if file.name.ends_with(".model.ckpt") {
-                let classifier =
-                    load_model_bin(payload.as_slice()).map_err(|e| CheckpointError::Corrupt {
-                        path: path.clone(),
-                        detail: format!("model artifact does not load: {e}"),
-                    })?;
-                state.classifier = Some(classifier);
+                state.classifier = Some(decode_model(&payload).map_err(corrupt)?);
             }
         }
         Ok(Some(state))
     }
 }
 
-/// Length-prefixed binary frames for the bulky run-state sections. JSON
-/// serialization of a 10^5-entry score table or annotation ledger costs
-/// milliseconds per step (number formatting through a `Value` tree);
-/// these frames encode the same data byte-exactly through [`codec`] and
-/// decode with errors that name an offset. The manifest and its
-/// [`SnapshotCore`] stay JSON: they are small and worth keeping
-/// human-inspectable. Integrity is supplied by the [`atomic_io`] hash
-/// footer around the frame.
+/// Length-prefixed binary frames for the bulky run-state sections: the
+/// ledger, the scores and the classifier. JSON serialization of a
+/// 10^5-entry score table or annotation ledger costs milliseconds per
+/// step (number formatting through a `Value` tree); these frames encode
+/// the same data byte-exactly through [`codec`] and decode with errors
+/// that name an offset. The manifest and its [`SnapshotCore`] stay JSON:
+/// they are small and worth keeping human-inspectable. Integrity is
+/// supplied by the [`atomic_io`] hash footer around the frame.
 mod section_codec {
     use super::codec::{CodecError, Reader, Writer};
     use incite_corpus::DocId;
+    use incite_ml::{FeatureMode, FeaturizerConfig, PartsError, TextClassifier};
+    use incite_textkit::SpanStrategy;
 
     /// Frame version tags, so a future layout change is a typed refusal
     /// instead of a garbled decode.
     const LEDGER_MAGIC: &[u8; 8] = b"ILEDGER1";
     const SCORES_MAGIC: &[u8; 8] = b"ISCORES1";
+    const MODEL_MAGIC: &[u8; 8] = b"IMODEL02";
 
     /// Bytes of a ledger entry with an empty text: id, text length, label.
     const LEDGER_ENTRY_MIN: usize = 13;
@@ -660,7 +625,146 @@ mod section_codec {
         r.finish()?;
         Ok(out)
     }
+
+    /// The model frame: what [`TextClassifier::from_parts`] takes and
+    /// nothing derived from it, so no training text (§3).
+    ///
+    /// ```text
+    /// "IMODEL02"
+    /// u8   mode              0 Word, 1 Subword, 2 Char
+    /// u32  hash_bits
+    /// u64  max_len, max_spans
+    /// u8   strategy          0 random non-overlapping, 1 head+tail,
+    ///                        2 overlapping, 3 random length
+    /// u64  strategy param    stride_permille (2), min_len (3), else 0
+    /// u64  vocab_size, seed
+    /// u32  piece count       then each piece as a u32-length blob;
+    ///                        0 pieces unless the mode is Subword
+    /// u32  bias              f32 bits
+    /// u64  weight count      then each weight as its f32 bits
+    /// ```
+    pub fn encode_model(classifier: &TextClassifier) -> Vec<u8> {
+        let featurizer = classifier.featurizer();
+        let c = featurizer.config();
+        let weights = classifier.model().weights();
+        let pieces: Vec<&str> = featurizer
+            .vocab()
+            .map(|vocab| vocab.iter().collect())
+            .unwrap_or_default();
+        let piece_bytes: usize = pieces.iter().map(|p| 4 + p.len()).sum();
+        let mut w = Writer::new(MODEL_MAGIC, 80 + piece_bytes + 4 * weights.len());
+        w.u8(match c.mode {
+            FeatureMode::Word => 0,
+            FeatureMode::Subword => 1,
+            FeatureMode::Char => 2,
+        });
+        w.u32(c.hash_bits);
+        w.u64(c.max_len as u64);
+        w.u64(c.max_spans as u64);
+        let (strategy, param) = match c.strategy {
+            SpanStrategy::RandomNonOverlapping => (0, 0),
+            SpanStrategy::HeadTail => (1, 0),
+            SpanStrategy::Overlapping { stride_permille } => (2, u64::from(stride_permille)),
+            SpanStrategy::RandomLength { min_len } => (3, min_len as u64),
+        };
+        w.u8(strategy);
+        w.u64(param);
+        w.u64(c.vocab_size as u64);
+        w.u64(c.seed);
+        w.len_u32(pieces.len());
+        for piece in pieces {
+            w.blob(piece.as_bytes());
+        }
+        w.u32(classifier.model().bias().to_bits());
+        w.len_u64(weights.len());
+        for weight in weights {
+            w.u32(weight.to_bits());
+        }
+        w.finish()
+    }
+
+    /// Decodes a model frame. A field no encoder writes is refused at
+    /// its offset, and so are parts `TextClassifier::from_parts` refuses:
+    /// the offset is then that of `hash_bits`, the weight count or the
+    /// piece count.
+    pub fn decode_model(bytes: &[u8]) -> Result<TextClassifier, CodecError> {
+        let mut r = Reader::new(bytes, MODEL_MAGIC)?;
+        let refuse = |offset, detail| CodecError { offset, detail };
+        let at = r.pos();
+        let mode = match r.u8()? {
+            0 => FeatureMode::Word,
+            1 => FeatureMode::Subword,
+            2 => FeatureMode::Char,
+            _ => return Err(refuse(at, "unknown feature mode")),
+        };
+        let bits_at = r.pos();
+        let hash_bits = r.u32()?;
+        let max_len = usize_field(&mut r)?;
+        let max_spans = usize_field(&mut r)?;
+        let at = r.pos();
+        let strategy = match (r.u8()?, r.u64()?) {
+            (0, 0) => SpanStrategy::RandomNonOverlapping,
+            (1, 0) => SpanStrategy::HeadTail,
+            (2, param) => SpanStrategy::Overlapping {
+                stride_permille: u16::try_from(param)
+                    .map_err(|_| refuse(at, "span stride exceeds u16"))?,
+            },
+            (3, param) => SpanStrategy::RandomLength {
+                min_len: usize::try_from(param)
+                    .map_err(|_| refuse(at, "span length exceeds usize"))?,
+            },
+            _ => return Err(refuse(at, "unknown span strategy")),
+        };
+        let vocab_size = usize_field(&mut r)?;
+        let seed = r.u64()?;
+        let pieces_at = r.pos();
+        // Grown as pieces are read, not reserved from the count: a
+        // `String` takes six times the four bytes a piece needs at least.
+        let mut pieces = Vec::new();
+        for _ in 0..r.len_u32(4)? {
+            let at = r.pos();
+            let piece =
+                std::str::from_utf8(r.blob()?).map_err(|_| refuse(at, "piece is not UTF-8"))?;
+            pieces.push(piece.to_string());
+        }
+        let bias = f32::from_bits(r.u32()?);
+        let weights_at = r.pos();
+        let count = r.len_u64(4)?;
+        let mut weights = Vec::with_capacity(count);
+        for _ in 0..count {
+            weights.push(f32::from_bits(r.u32()?));
+        }
+        r.finish()?;
+        let config = FeaturizerConfig {
+            max_len,
+            max_spans,
+            strategy,
+            mode,
+            hash_bits,
+            vocab_size,
+            seed,
+        };
+        TextClassifier::from_parts(config, pieces, weights, bias).map_err(|e| {
+            let offset = match e {
+                PartsError::HashBits => bits_at,
+                PartsError::WeightCount => weights_at,
+                PartsError::Pieces => pieces_at,
+            };
+            refuse(offset, e.describe())
+        })
+    }
+
+    /// A `usize` configuration field, written as a `u64`.
+    fn usize_field(r: &mut Reader<'_>) -> Result<usize, CodecError> {
+        let at = r.pos();
+        usize::try_from(r.u64()?).map_err(|_| CodecError {
+            offset: at,
+            detail: "field exceeds usize",
+        })
+    }
 }
+
+pub use section_codec::{decode_model, encode_model};
 
 /// Serializes a manifest record, naming it on failure.
 fn to_json<T: serde::Serialize>(
@@ -731,7 +835,7 @@ pub fn read_manifest(root: &Path) -> Result<(Manifest, Option<u64>), CheckpointE
 /// The manifest records, schema version, and the model section's recorded
 /// hash and size are all verified before the artifact is decoded, so a
 /// damaged or truncated run directory is a typed refusal — never a
-/// partially-initialized server. Unlike [`Checkpointer::open`] it does
+/// partially-initialized server. Unlike `Checkpointer::open` it does
 /// not re-verify every section file: serving only needs the weights, and
 /// the ledger/scores sections may be arbitrarily large.
 pub fn load_latest_classifier(root: &Path) -> Result<TextClassifier, CheckpointError> {
@@ -770,10 +874,7 @@ pub fn load_latest_classifier_with_hash(
             ),
         })?;
     let payload = read_recorded(root, record)?;
-    let classifier = load_model_bin(payload.as_slice()).map_err(|e| CheckpointError::Corrupt {
-        path: root.join(&record.name),
-        detail: format!("model artifact does not load: {e}"),
-    })?;
+    let classifier = decode_model(&payload).map_err(|e| e.corrupt(&root.join(&record.name)))?;
     Ok((classifier, record.hash.clone()))
 }
 
@@ -831,6 +932,7 @@ pub fn clear_run_dir(root: &Path) -> Result<(), CheckpointError> {
 mod tests {
     use super::*;
     use incite_corpus::DocId;
+    use incite_ml::{FeatureMode, FeaturizerConfig, TrainConfig};
 
     fn temp_root(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("incite-ckpt-{tag}-{}", std::process::id()))
@@ -868,8 +970,8 @@ mod tests {
     fn fresh_open_then_record_then_resume() {
         let root = temp_root("fresh");
         clear_run_dir(&root).expect("clear");
-        let (mut ck, resume) = Checkpointer::open(&root, "dox", "fp1").expect("open");
-        assert_eq!(resume, Resume::Fresh);
+        let mut ck = Checkpointer::open(&root, "dox", "fp1").expect("open");
+        assert_eq!(ck.completed_steps(), 0);
         assert!(ck.load_latest().expect("latest").is_none());
 
         ck.record_step("bootstrap", &state(1), true)
@@ -877,11 +979,13 @@ mod tests {
         ck.record_step("featurize", &state(2), true)
             .expect("record 2");
 
-        let (mut ck2, resume) = Checkpointer::open(&root, "dox", "fp1").expect("reopen");
-        assert_eq!(resume, Resume::FromStep { completed: 2 });
+        let mut ck2 = Checkpointer::open(&root, "dox", "fp1").expect("reopen");
+        assert_eq!(ck2.completed_steps(), 2);
+        let (manifest, torn) = read_manifest(&root).expect("manifest");
+        let names: Vec<&str> = manifest.steps.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(
-            ck2.step_names().collect::<Vec<_>>(),
-            ["bootstrap", "featurize"]
+            (names.as_slice(), torn),
+            (&["bootstrap", "featurize"][..], None)
         );
         let loaded = ck2.load_latest().expect("latest").expect("some");
         assert_same(&loaded, &state(2));
@@ -894,7 +998,7 @@ mod tests {
     fn wrong_task_or_fingerprint_is_refused() {
         let root = temp_root("mismatch");
         clear_run_dir(&root).expect("clear");
-        let (mut ck, _) = Checkpointer::open(&root, "dox", "fp1").expect("open");
+        let mut ck = Checkpointer::open(&root, "dox", "fp1").expect("open");
         ck.record_step("bootstrap", &state(1), true)
             .expect("record");
         assert!(matches!(
@@ -913,7 +1017,7 @@ mod tests {
     fn corrupt_step_file_refuses_resume() {
         let root = temp_root("corrupt-step");
         clear_run_dir(&root).expect("clear");
-        let (mut ck, _) = Checkpointer::open(&root, "dox", "fp1").expect("open");
+        let mut ck = Checkpointer::open(&root, "dox", "fp1").expect("open");
         ck.record_step("bootstrap", &state(1), true)
             .expect("record");
         // Flip one payload byte of the ledger section file.
@@ -933,7 +1037,7 @@ mod tests {
     fn clear_enables_fresh_run_and_spares_other_files() {
         let root = temp_root("clear");
         clear_run_dir(&root).expect("clear empty");
-        let (mut ck, _) = Checkpointer::open(&root, "dox", "fp1").expect("open");
+        let mut ck = Checkpointer::open(&root, "dox", "fp1").expect("open");
         ck.record_step("bootstrap", &state(1), true)
             .expect("record");
         std::fs::write(root.join("notes.txt"), "keep me").expect("note");
@@ -941,8 +1045,8 @@ mod tests {
         assert!(!root.join(MANIFEST_FILE).exists());
         assert!(!root.join("step-00-bootstrap.ledger.ckpt").exists());
         assert!(root.join("notes.txt").exists());
-        let (_, resume) = Checkpointer::open(&root, "cth", "other").expect("reopen");
-        assert_eq!(resume, Resume::Fresh);
+        let fresh = Checkpointer::open(&root, "cth", "other").expect("reopen");
+        assert_eq!(fresh.completed_steps(), 0);
         std::fs::remove_dir_all(&root).ok();
     }
 
@@ -953,7 +1057,7 @@ mod tests {
     fn unchanged_sections_reuse_the_previous_file() {
         let root = temp_root("dedup");
         clear_run_dir(&root).expect("clear");
-        let (mut ck, _) = Checkpointer::open(&root, "dox", "fp1").expect("open");
+        let mut ck = Checkpointer::open(&root, "dox", "fp1").expect("open");
         let mut run = state(3);
         ck.record_step("round-0", &run, true).expect("record 1");
         run.counts.raw_documents = 99;
@@ -971,14 +1075,14 @@ mod tests {
         assert_eq!(count(".scores.ckpt"), 1, "unchanged scores deduped");
 
         // The deduplicated directory still verifies and loads exactly.
-        let (mut ck2, resume) = Checkpointer::open(&root, "dox", "fp1").expect("reopen");
-        assert_eq!(resume, Resume::FromStep { completed: 2 });
+        let mut ck2 = Checkpointer::open(&root, "dox", "fp1").expect("reopen");
+        assert_eq!(ck2.completed_steps(), 2);
         let loaded = ck2.load_latest().expect("latest").expect("some");
         assert_same(&loaded, &run);
 
         // Appending to the ledger forces a new section file — including
         // right after a reopen, where only the hash comparison can tell.
-        let (mut ck3, _) = Checkpointer::open(&root, "dox", "fp1").expect("reopen for append");
+        let mut ck3 = Checkpointer::open(&root, "dox", "fp1").expect("reopen for append");
         run.ledger.push((DocId(77), "appended".to_string(), true));
         ck3.record_step("round-1", &run, true).expect("record 3");
         assert_eq!(count(".ledger.ckpt"), 2, "appended ledger rewritten");
@@ -1029,6 +1133,48 @@ mod tests {
         let last = enc.len() - 1;
         enc[last] = 9; // label byte of the final record
         assert!(section_codec::decode_ledger(&enc).is_err());
+    }
+
+    /// Texts of the fixed Subword fit whose frame bytes are pinned.
+    const TRAINING: [&str; 8] = [
+        "we need to report him to the platform",
+        "lets mass flag her account right now, spread the word",
+        "post his address and phone number: 555-0147 — dox incoming",
+        "RAID the stream tonight!!! bring everyone",
+        "報告 このアカウント héllo wörld über straße",
+        "reporting reported reporter raids raiding flagged",
+        "lovely weather for a picnic in the park",
+        "the new patch notes look good to me",
+    ];
+
+    fn trained(mode: FeatureMode) -> TextClassifier {
+        let labeled = TRAINING.iter().enumerate().map(|(i, t)| (*t, i < 6));
+        let config = FeaturizerConfig {
+            mode,
+            hash_bits: 12,
+            vocab_size: 256,
+            ..Default::default()
+        };
+        TextClassifier::train(labeled, config, TrainConfig::default())
+    }
+
+    /// FNV-1a of the model frame of the fixed Subword fit, taken when the
+    /// model became a codec frame. The piece-gram table and the
+    /// vocabulary's indexes are derived on load and must never reach it.
+    const SUBWORD_MODEL_FNV: u64 = 0xab25_83df_00ee_0aed;
+
+    #[test]
+    fn subword_model_bytes_are_unchanged() {
+        let clf = trained(FeatureMode::Subword);
+        let frame = encode_model(&clf);
+        assert_eq!(
+            incite_textkit::fnv1a(&frame, 0),
+            SUBWORD_MODEL_FNV,
+            "model frame bytes changed ({} bytes, fnv {:#018x})",
+            frame.len(),
+            incite_textkit::fnv1a(&frame, 0)
+        );
+        assert_eq!(encode_model(&decode_model(&frame).expect("decode")), frame);
     }
 
     #[test]

@@ -46,6 +46,7 @@ pub mod checkpoint;
 pub mod engine;
 pub mod failpoint;
 pub mod parallel;
+mod persist;
 pub mod pipeline;
 pub mod query;
 pub mod task;
@@ -54,7 +55,6 @@ pub mod threshold;
 pub use attack_classifier::AttackTypeClassifier;
 pub use checkpoint::{
     clear_run_dir, load_latest_classifier, load_latest_classifier_with_hash, CheckpointError,
-    Checkpointer,
 };
 pub use engine::{score_corpus, EngineStats, ScoringEngine, FEATURIZE_CHUNK};
 pub use failpoint::{pipeline_sites, FailpointRegistry, InjectedFault};

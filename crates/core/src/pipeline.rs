@@ -376,7 +376,7 @@ pub fn run_pipeline_resumable(
     run_dir: &Path,
 ) -> Result<PipelineOutcome, PipelineError> {
     config.validate()?;
-    let (mut ckpt, _) = Checkpointer::open(run_dir, task.slug(), &config.fingerprint())?;
+    let mut ckpt = Checkpointer::open(run_dir, task.slug(), &config.fingerprint())?;
     let restored = ckpt.load_latest()?;
     drive(corpus, task, config, Some(&mut ckpt), restored)
 }
@@ -599,12 +599,16 @@ fn drive(
     }
     state.counts.training_annotations = state.ledger.len() as u64;
 
-    // Step: held-out evaluation (Table 3), then final full training. All
-    // features come from the cache — no re-tokenization.
+    // Step: held-out evaluation (Table 3), its features all from the
+    // cache. The weights the run keeps are the last training step's: that
+    // step (the final round, or featurize when there are none) trained on
+    // the whole ledger with these features and `config.train`, and
+    // training draws only from `config.train.seed`, so retraining here
+    // would reproduce them bit for bit.
     if step_idx >= completed {
         let clf = state
             .classifier
-            .as_mut()
+            .as_ref()
             .ok_or_else(|| missing_state("a classifier"))?;
         // Shuffling references draws the same rng stream as shuffling the
         // ledger itself: the permutation depends on the length alone.
@@ -623,13 +627,7 @@ fn drive(
         let mut eval_model = clf.clone();
         eval_model.retrain_features(&eval_train_data, config.train);
         state.eval = Some(eval_model.evaluate_features(&eval_data, 0.5));
-        let full_data = cache.dataset(
-            clf.featurizer(),
-            state.ledger.iter().map(|(id, t, l)| (id.0, t.as_str(), *l)),
-        );
-        clf.retrain_features(&full_data, config.train);
-        // Eval retrains on the full ledger before measuring — dirty.
-        commit("eval", &state, true)?;
+        commit("eval", &state, false)?;
     }
     step_idx += 1;
 
@@ -644,7 +642,7 @@ fn drive(
         state.engine = Some(e.stats());
         state.counts.predicted_documents = scores.len() as u64;
         state.scores = Some(scores);
-        // Scoring only reads the weights — reuse the eval-step model file.
+        // Scoring only reads the weights — reuse the recorded model file.
         commit("score", &state, false)?;
     }
     step_idx += 1;
@@ -682,15 +680,19 @@ fn drive(
         step_idx += 1;
     }
 
-    // Table 2 accounting: training labels per platform.
-    let platform_of: BTreeMap<DocId, Platform> = corpus
-        .documents
-        .iter()
-        .map(|d| (d.id, d.platform))
-        .collect();
+    // Table 2 accounting: training labels per platform. One corpus pass
+    // finds the platform of each ledger id; a later document with the same
+    // id wins, as in a map of the whole corpus.
+    let mut platform_of: BTreeMap<DocId, Option<Platform>> =
+        state.ledger.iter().map(|(id, _, _)| (*id, None)).collect();
+    for d in &corpus.documents {
+        if let Some(slot) = platform_of.get_mut(&d.id) {
+            *slot = Some(d.platform);
+        }
+    }
     let mut training_by_platform: BTreeMap<Platform, (usize, usize)> = BTreeMap::new();
     for (id, _, label) in &state.ledger {
-        if let Some(p) = platform_of.get(id) {
+        if let Some(Some(p)) = platform_of.get(id) {
             let entry = training_by_platform.entry(*p).or_default();
             if *label {
                 entry.0 += 1;
@@ -893,6 +895,25 @@ mod tests {
         assert_eq!(a.digest(), b.digest());
         let c = run(&corpus, Task::Dox, &PipelineConfig::quick(7));
         assert_ne!(a.digest(), c.digest());
+    }
+
+    /// With no active-learning round, the weights the eval step keeps are
+    /// the featurize step's. The digests were taken while the eval step
+    /// still retrained them on the same ledger.
+    #[test]
+    fn eval_keeps_the_weights_of_the_last_training_step() {
+        let corpus = corpus();
+        let config = PipelineConfig {
+            al_rounds: 0,
+            ..PipelineConfig::quick(9)
+        };
+        for (task, pinned) in [
+            (Task::Dox, 0x102d_4a6c_98da_41ec),
+            (Task::Cth, 0x30e9_f4e7_09aa_c792),
+        ] {
+            let digest = run(&corpus, task, &config).digest();
+            assert_eq!(digest, pinned, "{} digest {digest:#018x}", task.slug());
+        }
     }
 
     #[test]

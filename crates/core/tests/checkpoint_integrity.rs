@@ -220,6 +220,39 @@ fn single_record_manifest_resumes_and_serves() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A run directory from before the model frame, whose manifest header
+/// says version 1, is refused whole by resume and by the serving load
+/// before any section is read: with every section file gone, the refusal
+/// is still `Incompatible`, not a missing file.
+#[test]
+fn a_version_1_run_dir_is_refused_before_any_section_is_read() {
+    let config = PipelineConfig::quick(28);
+    let dir = run_dir("version-1");
+    checkpointed_run(&dir, &config);
+    let (mut manifest, _) = read_manifest(&dir).expect("read manifest");
+    manifest.version = 1;
+    let json = serde_json::to_string(&manifest).expect("serialize manifest");
+    write_hashed(&dir.join(MANIFEST_FILE), json.as_bytes()).expect("write version-1 manifest");
+    for step in &manifest.steps {
+        for file in &step.files {
+            std::fs::remove_file(dir.join(&file.name)).ok();
+        }
+    }
+    let version_1 = |e: &CheckpointError| matches!(e, CheckpointError::Incompatible { detail } if detail.starts_with("manifest version 1"));
+    match run_pipeline_resumable(&corpus(), Task::Dox, &config, &dir) {
+        Err(PipelineError::Checkpoint(e)) if version_1(&e) => {}
+        other => panic!("expected Incompatible, got {other:?}"),
+    }
+    match load_latest_classifier_with_hash(&dir) {
+        Err(e) if version_1(&e) => {}
+        other => panic!(
+            "expected Incompatible, got {:?}",
+            other.map(|(_, hash)| hash)
+        ),
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn corrupt_ledger_section_refuses_resume() {
     let config = PipelineConfig::quick(23);

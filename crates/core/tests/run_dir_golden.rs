@@ -1,14 +1,17 @@
 //! Pins the bytes of a finished run directory.
 //!
-//! Resuming reads what older binaries wrote, so the manifest records and
+//! Resuming reads what older binaries of the same manifest version wrote,
+//! so the manifest records and
 //! the ledger, scores and model sections must keep their bytes: a renamed
 //! snapshot field would leave every in-memory test green and still
 //! strand every existing run directory. Each constant below is a
 //! `(file name, length, FNV-1a 64)` row of the directory
 //! [`run_pipeline_resumable`] leaves for `PipelineConfig::quick(5)` over
-//! the tiny corpus of seed 404. The rows were taken before the pipeline's
-//! run state became one type, and a run at 1 or 2 threads must match
-//! them. A failure prints the directory's actual rows in this form.
+//! the tiny corpus of seed 404. The ledger and score rows were taken
+//! before the pipeline's run state became one type; the model and
+//! manifest rows when the classifier became a model frame (manifest
+//! version 2). A run at 1 or 2 threads must match them. A failure prints
+//! the directory's actual rows in this form.
 
 use incite_core::{clear_run_dir, run_pipeline_resumable, PipelineConfig, Task};
 use incite_corpus::{generate, CorpusConfig};
@@ -18,20 +21,20 @@ use std::path::Path;
 type Row = (&'static str, u64, u64);
 
 const DOX_RUN_DIR: &[Row] = &[
-    ("MANIFEST.ckpt", 17701, 0x39b39b81098b9f02),
+    ("MANIFEST.ckpt", 17701, 0x2bf9ae0d67356013),
     ("step-00-bootstrap.ledger.ckpt", 40787, 0xed4048d113c6015a),
-    ("step-01-featurize.model.ckpt", 262659, 0xe8971193644714ce),
+    ("step-01-featurize.model.ckpt", 131167, 0xafd8cd7071909104),
     ("step-02-round-0.ledger.ckpt", 47976, 0xd163c8125b677624),
-    ("step-02-round-0.model.ckpt", 262659, 0x6a1fc0455a0b5bbc),
+    ("step-02-round-0.model.ckpt", 131167, 0x029469c5b060bda0),
     ("step-04-score.scores.ckpt", 70409, 0x24ed6b53dedceef3),
 ];
 
 const CTH_RUN_DIR: &[Row] = &[
-    ("MANIFEST.ckpt", 15125, 0xf9620f131e6942dd),
+    ("MANIFEST.ckpt", 15125, 0xc2f094b770ef1c6f),
     ("step-00-bootstrap.ledger.ckpt", 4076, 0xb18f8e778a19ed70),
-    ("step-01-featurize.model.ckpt", 262659, 0x995821d5a5b4bfdd),
+    ("step-01-featurize.model.ckpt", 131167, 0x518c0b9838efd212),
     ("step-02-round-0.ledger.ckpt", 13454, 0xd63b6879a5a506ee),
-    ("step-02-round-0.model.ckpt", 262659, 0x73832a2e569ef703),
+    ("step-02-round-0.model.ckpt", 131167, 0xc20cdbe7cfa845e8),
     ("step-04-score.scores.ckpt", 65753, 0xda0fd84404bf376c),
 ];
 

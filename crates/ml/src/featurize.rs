@@ -15,11 +15,11 @@ use crate::sparse::{merge, SparseVec};
 use incite_textkit::{
     char_ngrams, fits_whole, fnv1a, normalize, normalize_into, sample_spans, tokenize, tokens,
     EncodeScratch, FeatureHasher, MemoStats, SpanStrategy, SplitMix64, TokenKind, UnitGrams,
-    WordMemo, WordPieceEncoder, WordPieceTrainer, MEMO_WORDS,
+    WordMemo, WordPieceEncoder, WordPieceTrainer, WordPieceVocab, MEMO_WORDS,
 };
 
 /// Which token stream feeds the n-gram extractor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FeatureMode {
     /// Plain word unigrams + bigrams.
     Word,
@@ -31,7 +31,7 @@ pub enum FeatureMode {
 }
 
 /// Featurizer configuration.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FeaturizerConfig {
     /// Max text length in characters — the Table 3 hyperparameter
     /// (128 for CTH, 512 for dox).
@@ -42,7 +42,8 @@ pub struct FeaturizerConfig {
     pub strategy: SpanStrategy,
     /// Token stream choice.
     pub mode: FeatureMode,
-    /// Feature-hash dimensionality in bits (2^bits slots).
+    /// Feature-hash dimensionality in bits (2^bits slots). A fitted
+    /// featurizer holds it clamped to `1..=30`.
     pub hash_bits: u32,
     /// WordPiece vocabulary size (only used in `Subword` mode).
     pub vocab_size: usize,
@@ -67,42 +68,37 @@ impl Default for FeaturizerConfig {
 /// The fitted token stream: the `Subword` variant *owns* its trained
 /// WordPiece encoder, so "subword mode without an encoder" is
 /// unrepresentable and the featurizer needs no runtime absence check.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 enum TokenStream {
     /// Plain word unigrams + bigrams.
     Word,
-    /// WordPiece subwords with the vocabulary trained at fit time.
-    Subword(SubwordStream),
+    /// WordPiece subwords with the vocabulary trained at fit time, boxed
+    /// because the vocabulary's two indexes make it the largest variant.
+    Subword(Box<SubwordStream>),
     /// Character 3–5-grams.
     Char,
 }
 
-/// The trained encoder plus its piece-gram table. Serializes as the bare
-/// encoder and rebuilds the table on load, the way `WordPieceVocab`
-/// rebuilds its index, so model files never carry derived state.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-#[serde(from = "WordPieceEncoder", into = "WordPieceEncoder")]
+/// The trained encoder plus its piece-gram table. The table is derived
+/// from the vocabulary alone, the way `WordPieceVocab` derives its
+/// indexes, so a model file keeps neither.
+#[derive(Debug, Clone)]
 struct SubwordStream {
     encoder: WordPieceEncoder,
     /// Indexed by piece id.
     grams: Vec<PieceGram>,
 }
 
-impl From<WordPieceEncoder> for SubwordStream {
-    fn from(encoder: WordPieceEncoder) -> Self {
-        let pieces = encoder.vocab().len() as u32;
-        let grams = (0..pieces).map(PieceGram::new).collect();
-        SubwordStream { encoder, grams }
-    }
-}
-
-impl From<SubwordStream> for WordPieceEncoder {
-    fn from(stream: SubwordStream) -> Self {
-        stream.encoder
-    }
-}
-
 impl SubwordStream {
+    fn new(vocab: WordPieceVocab) -> Box<Self> {
+        let pieces = vocab.len() as u32;
+        let grams = (0..pieces).map(PieceGram::new).collect();
+        Box::new(SubwordStream {
+            encoder: WordPieceEncoder::new(vocab),
+            grams,
+        })
+    }
+
     /// Appends the unigram and bigram slots of one span's piece ids.
     fn hash(&self, hasher: &FeatureHasher, ids: &[u32], pairs: &mut Vec<(u32, f32)>) {
         pairs.reserve(2 * ids.len());
@@ -176,7 +172,7 @@ impl FeaturizeScratch {
 
 /// A fitted featurizer. In `Subword` mode it owns a trained WordPiece
 /// encoder; `Word`/`Char` modes are stateless.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Featurizer {
     config: FeaturizerConfig,
     hasher: FeatureHasher,
@@ -186,10 +182,11 @@ pub struct Featurizer {
 impl Featurizer {
     /// Fits a featurizer. `corpus_sample` trains the WordPiece vocabulary in
     /// `Subword` mode and is ignored otherwise.
-    pub fn fit<'a, I>(config: FeaturizerConfig, corpus_sample: I) -> Self
+    pub fn fit<'a, I>(mut config: FeaturizerConfig, corpus_sample: I) -> Self
     where
         I: IntoIterator<Item = &'a str>,
     {
+        config.hash_bits = config.hash_bits.clamp(1, 30);
         let hasher = FeatureHasher::new(config.hash_bits);
         let stream = match config.mode {
             FeatureMode::Word => TokenStream::Word,
@@ -205,9 +202,9 @@ impl Featurizer {
                         }
                     }
                 }
-                TokenStream::Subword(SubwordStream::from(WordPieceEncoder::new(
+                TokenStream::Subword(SubwordStream::new(
                     trainer.train(words.iter().map(|s| s.as_str())),
-                )))
+                ))
             }
         };
         Featurizer {
@@ -217,9 +214,37 @@ impl Featurizer {
         }
     }
 
+    /// The featurizer of `config` over `vocab`, rebuilding the hasher and
+    /// the piece-gram table; `None` unless `vocab` is present exactly in
+    /// `Subword` mode. `config.hash_bits` must be in `1..=30`.
+    pub(crate) fn with_vocab(
+        config: FeaturizerConfig,
+        vocab: Option<WordPieceVocab>,
+    ) -> Option<Self> {
+        let stream = match (config.mode, vocab) {
+            (FeatureMode::Word, None) => TokenStream::Word,
+            (FeatureMode::Char, None) => TokenStream::Char,
+            (FeatureMode::Subword, Some(vocab)) => TokenStream::Subword(SubwordStream::new(vocab)),
+            _ => return None,
+        };
+        Some(Featurizer {
+            hasher: FeatureHasher::new(config.hash_bits),
+            config,
+            stream,
+        })
+    }
+
     /// Configuration access.
     pub fn config(&self) -> &FeaturizerConfig {
         &self.config
+    }
+
+    /// The WordPiece vocabulary, in `Subword` mode.
+    pub fn vocab(&self) -> Option<&WordPieceVocab> {
+        match &self.stream {
+            TokenStream::Subword(stream) => Some(stream.encoder.vocab()),
+            TokenStream::Word | TokenStream::Char => None,
+        }
     }
 
     /// Number of feature dimensions.

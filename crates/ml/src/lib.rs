@@ -21,7 +21,9 @@
 //! * [`naive_bayes`] — a multinomial naive Bayes baseline.
 //! * [`data`] — labeled datasets, stratified train/test splits, k-fold CV.
 //! * [`model`] — [`model::TextClassifier`], the end-to-end text-in,
-//!   probability-out API the pipeline uses.
+//!   probability-out API the pipeline uses, and
+//!   [`model::TextClassifier::from_parts`], which rebuilds one from what
+//!   a model file holds.
 
 // INC001 (DESIGN.md §10): library code returns typed errors, never panics.
 #![cfg_attr(
@@ -38,7 +40,6 @@ pub mod fingerprint;
 pub mod logreg;
 pub mod model;
 pub mod naive_bayes;
-pub mod persist;
 pub mod sparse;
 
 pub use batch::{FeatureCache, FeatureMatrix};
@@ -46,7 +47,6 @@ pub use data::{kfold, train_test_split, Dataset, Example};
 pub use featurize::{FeatureMode, FeaturizeScratch, Featurizer, FeaturizerConfig};
 pub use fingerprint::{TopicFingerprint, FINGERPRINT_DIM};
 pub use logreg::{LogisticRegression, TrainConfig};
-pub use model::TextClassifier;
+pub use model::{PartsError, TextClassifier};
 pub use naive_bayes::NaiveBayes;
-pub use persist::{load_model, load_model_bin, save_model, save_model_bin, PersistError};
 pub use sparse::SparseVec;

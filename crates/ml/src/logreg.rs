@@ -10,7 +10,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 /// Training hyperparameters.
-#[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TrainConfig {
     /// Passes over the training data.
     pub epochs: usize,
@@ -38,7 +38,7 @@ impl Default for TrainConfig {
 }
 
 /// A trained logistic-regression model.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LogisticRegression {
     weights: Vec<f32>,
     bias: f32,
@@ -55,6 +55,11 @@ fn sigmoid(z: f32) -> f32 {
 }
 
 impl LogisticRegression {
+    /// A model of `weights` and `bias` as a model file holds them.
+    pub(crate) fn from_weights(weights: Vec<f32>, bias: f32) -> Self {
+        LogisticRegression { weights, bias }
+    }
+
     /// Trains on a dataset whose feature indices live in `[0, dimensions)`.
     pub fn train(data: &Dataset, dimensions: usize, config: TrainConfig) -> Self {
         let mut weights = vec![0.0f32; dimensions];

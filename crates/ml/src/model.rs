@@ -9,6 +9,8 @@ use crate::data::Dataset;
 use crate::featurize::{Featurizer, FeaturizerConfig};
 use crate::logreg::{LogisticRegression, TrainConfig};
 use incite_stats::classify::{auc_roc, BinaryConfusion, MultiMetrics};
+use incite_textkit::WordPieceVocab;
+use std::fmt;
 
 /// A text-in, probability-out binary classifier.
 ///
@@ -29,7 +31,7 @@ use incite_stats::classify::{auc_roc, BinaryConfusion, MultiMetrics};
 /// assert!(clf.score("report his account to the platform") > clf.score("picnic weather"));
 /// ```
 /// A text-in, probability-out binary classifier.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TextClassifier {
     featurizer: Featurizer,
     model: LogisticRegression,
@@ -90,6 +92,39 @@ impl TextClassifier {
         self.model = LogisticRegression::train(data, self.featurizer.dimensions(), train_config);
     }
 
+    /// The classifier whose persisted parts are these: the featurizer
+    /// configuration, the WordPiece pieces in id order (empty unless the
+    /// mode is `Subword`), the weights and the bias. A model file holds
+    /// exactly these (§3: weights and vocabulary, no training text); the
+    /// hasher, the vocabulary's indexes and the piece-gram table are
+    /// rebuilt here. Parts that no trained classifier has are refused:
+    /// `hash_bits` outside `1..=30`, other than `2^hash_bits` weights, and
+    /// pieces missing in `Subword` mode, present in another mode, or not
+    /// a list a vocabulary writes (`[UNK]` first, no piece twice).
+    pub fn from_parts(
+        config: FeaturizerConfig,
+        pieces: Vec<String>,
+        weights: Vec<f32>,
+        bias: f32,
+    ) -> Result<Self, PartsError> {
+        if !(1..=30).contains(&config.hash_bits) {
+            return Err(PartsError::HashBits);
+        }
+        if weights.len() != 1usize << config.hash_bits {
+            return Err(PartsError::WeightCount);
+        }
+        let vocab = if pieces.is_empty() {
+            None
+        } else {
+            Some(WordPieceVocab::from_list(pieces).ok_or(PartsError::Pieces)?)
+        };
+        let featurizer = Featurizer::with_vocab(config, vocab).ok_or(PartsError::Pieces)?;
+        Ok(TextClassifier {
+            featurizer,
+            model: LogisticRegression::from_weights(weights, bias),
+        })
+    }
+
     /// Positive-class probability for a document.
     pub fn score(&self, text: &str) -> f32 {
         self.model.predict_proba(&self.featurizer.features(text))
@@ -139,6 +174,37 @@ impl TextClassifier {
         }
     }
 }
+
+/// Why [`TextClassifier::from_parts`] refused its parts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PartsError {
+    /// `hash_bits` is outside `1..=30`.
+    HashBits,
+    /// The weight vector's length is not `2^hash_bits`.
+    WeightCount,
+    /// The pieces do not fit the feature mode, or are not a vocabulary's
+    /// list.
+    Pieces,
+}
+
+impl PartsError {
+    /// A static description, fit for a decoder's error at an offset.
+    pub fn describe(self) -> &'static str {
+        match self {
+            PartsError::HashBits => "hash_bits is outside 1..=30",
+            PartsError::WeightCount => "weight count is not 2^hash_bits",
+            PartsError::Pieces => "pieces do not fit the feature mode",
+        }
+    }
+}
+
+impl fmt::Display for PartsError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.describe())
+    }
+}
+
+impl std::error::Error for PartsError {}
 
 /// Evaluation output: confusion counts, Table 3 metrics, AUC.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]

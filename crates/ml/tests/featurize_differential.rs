@@ -12,12 +12,10 @@
 //! document of a generated tiny corpus at the default configuration.
 
 use incite_corpus::{generate, CorpusConfig};
-use incite_ml::persist::save_model_bin;
 use incite_ml::{
     FeatureMatrix, FeatureMode, FeaturizeScratch, Featurizer, FeaturizerConfig, SparseVec,
-    TextClassifier, TrainConfig,
 };
-use incite_textkit::{fnv1a, SpanStrategy, SplitMix64};
+use incite_textkit::{SpanStrategy, SplitMix64};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -196,40 +194,5 @@ fn generated_corpus_documents_agree_at_the_default_config() {
         };
         let f = Featurizer::fit(config, docs.iter().take(512).map(String::as_str));
         assert_agreement(&f, &docs);
-    }
-}
-
-/// FNV-1a of `save_model_bin` for the fixed Subword fit below, taken on
-/// the commit before the piece-gram table existed: the table is derived
-/// on load and must never reach the model file.
-const SUBWORD_MODEL_FNV: u64 = 0x83fd_8162_cbc6_9ed1;
-
-#[test]
-fn subword_model_bytes_are_unchanged() {
-    let labeled: Vec<(&str, bool)> = TRAINING
-        .iter()
-        .enumerate()
-        .map(|(i, t)| (*t, i < 6))
-        .collect();
-    let config = FeaturizerConfig {
-        hash_bits: 12,
-        vocab_size: 256,
-        ..Default::default()
-    };
-    let clf = TextClassifier::train(labeled.iter().copied(), config, TrainConfig::default());
-    let mut bytes = Vec::new();
-    save_model_bin(&mut bytes, &clf).expect("save");
-    assert_eq!(
-        fnv1a(&bytes, 0),
-        SUBWORD_MODEL_FNV,
-        "model file bytes changed ({} bytes)",
-        bytes.len()
-    );
-    let loaded = incite_ml::load_model_bin(bytes.as_slice()).expect("load");
-    for doc in TRAINING.iter().chain(["reporting raids über"].iter()) {
-        assert_eq!(
-            bits(&loaded.featurizer().features(doc)),
-            bits(&clf.featurizer().features(doc))
-        );
     }
 }

@@ -3,13 +3,14 @@
 //! zero mixed generations), per-tenant admission control on the wire,
 //! journal → offline replay byte-identity, and the slow-loris cutoff.
 
-use incite_core::checkpoint::atomic_io::AppendLog;
-use incite_core::{load_latest_classifier_with_hash, ScoringEngine};
+use incite_core::checkpoint::atomic_io::{write_hashed, AppendLog};
+use incite_core::checkpoint::{read_manifest, MANIFEST_FILE};
+use incite_core::{load_latest_classifier_with_hash, CheckpointError, ScoringEngine};
 use incite_corpus::{generate, CorpusConfig};
 use incite_serve::admission::TenantQuota;
 use incite_serve::client::HttpClient;
 use incite_serve::journal::read_journal;
-use incite_serve::{ServeConfig, Server};
+use incite_serve::{ServeConfig, ServeError, Server};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
@@ -219,6 +220,62 @@ fn hot_swap_under_load_drops_nothing_and_never_mixes_generations() {
     assert_eq!(report.panicked_threads, 0);
     std::fs::remove_dir_all(&dir_a).ok();
     std::fs::remove_dir_all(&dir_b).ok();
+}
+
+/// A run directory from before the model frame, whose manifest header
+/// says version 1, is refused before any section is read: at boot, and
+/// by a hot swap, which keeps the serving generation. The old directory
+/// holds only its manifest, so reading a section would fail otherwise.
+#[test]
+fn a_version_1_run_dir_is_refused_at_boot_and_by_hot_swap() {
+    let (dir, _) = checkpointed_run_dir("version-2", 7);
+    let old = dir.with_file_name(format!(
+        "incite-resilience-version-1-{}",
+        std::process::id()
+    ));
+    std::fs::remove_dir_all(&old).ok();
+    let (mut manifest, _) = read_manifest(&dir).expect("read manifest");
+    manifest.version = 1;
+    let json = serde_json::to_string(&manifest).expect("serialize manifest");
+    write_hashed(&old.join(MANIFEST_FILE), json.as_bytes()).expect("write version-1 manifest");
+
+    let refusal = "manifest version 1 (supported: 2)";
+    match load_latest_classifier_with_hash(&old) {
+        Err(CheckpointError::Incompatible { detail }) => assert!(detail.contains(refusal)),
+        other => panic!(
+            "expected Incompatible, got {:?}",
+            other.map(|(_, hash)| hash)
+        ),
+    }
+    match Server::start_from_run_dir(&old, config_on_free_port()) {
+        Err(ServeError::Model(detail)) => assert!(detail.contains(refusal), "{detail}"),
+        Err(other) => panic!("expected a model refusal, got {other}"),
+        Ok(handle) => {
+            handle.join();
+            panic!("a version-1 run dir booted");
+        }
+    }
+
+    let handle = Server::start_from_run_dir(&dir, config_on_free_port()).expect("server boots");
+    let mut client = HttpClient::connect(handle.local_addr()).expect("connect");
+    let swap_body = format!("{{\"run_dir\": \"{}\"}}", old.display());
+    let resp = client
+        .post_json("/v1/admin/swap", &swap_body)
+        .expect("swap request");
+    assert_eq!(resp.status, 422, "{}", resp.body);
+    assert!(
+        resp.body.contains("path is not a servable run directory"),
+        "{}",
+        resp.body
+    );
+    let resp = client
+        .post_json("/v1/score", &score_body(&["report him"]))
+        .expect("score request");
+    assert_eq!(parse_scored(&resp.body).generation, 1);
+    drop(client);
+    assert_eq!(handle.join().panicked_threads, 0);
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&old).ok();
 }
 
 #[test]

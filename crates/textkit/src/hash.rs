@@ -10,7 +10,7 @@
 //! sign, which debiases collisions (Weinberger et al., 2009).
 
 /// A hasher mapping string features into indices `[0, 2^bits)` with ±1 signs.
-#[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FeatureHasher {
     bits: u32,
 }

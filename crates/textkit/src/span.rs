@@ -13,10 +13,9 @@
 //! of 512 characters") and snapped outward to UTF-8 boundaries.
 
 use crate::rng::SplitMix64;
-use serde::{Deserialize, Serialize};
 
 /// A strategy for reducing a long document to spans within a length budget.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SpanStrategy {
     /// Random spans with no overlap, covering diverse document areas — the
     /// paper's best performer and the pipeline default.

@@ -11,90 +11,195 @@
 //! * [`WordPieceEncoder`] — greedy longest-match encoding of words into
 //!   subword ids.
 
-use std::collections::HashMap;
+use crate::hash::fnv1a;
+use std::collections::{BTreeMap, HashMap};
 
 /// Id of the unknown token, always present at index 0.
 const UNK_ID: u32 = 0;
 /// Text of the unknown token.
 const UNK_TOKEN: &str = "[UNK]";
+/// Words longer than this many characters encode to `[UNK]` directly
+/// (BERT's `max_input_chars_per_word`).
+const MAX_WORD_CHARS: usize = 100;
 
 /// A learned subword vocabulary.
 ///
 /// Pieces that begin a word are stored verbatim; continuation pieces carry
-/// the `##` prefix, exactly as in BERT vocabularies.
-///
-/// Serializes as its piece list; the id index is rebuilt on load.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-#[serde(from = "Vec<String>", into = "Vec<String>")]
+/// the `##` prefix, exactly as in BERT vocabularies. A model file keeps
+/// only the piece list ([`WordPieceVocab::iter`]); both indexes are
+/// rebuilt from it ([`WordPieceVocab::from_list`]).
+#[derive(Debug, Clone)]
 pub struct WordPieceVocab {
-    pieces: Vec<String>,
-    index: HashMap<String, u32>,
+    /// Every piece, entry n holding id n.
+    index: PieceIndex,
     /// Continuation pieces indexed by their text *without* the `##`
     /// prefix, so the encoder can look up a candidate as a plain slice of
     /// the word instead of assembling a `##`-prefixed string per probe.
-    /// Derived from `index`; rebuilt on deserialize like it.
-    continuations: HashMap<String, u32>,
+    continuations: PieceIndex,
+}
+
+/// Taken slots a key's probe may pass before the key goes to the
+/// overflow map of its [`PieceIndex`].
+const PROBE_CAP: usize = 32;
+
+/// A lookup-only index from a key (a piece, or a continuation less its
+/// `##`) to a piece id: FNV-1a open addressing with linear probing over a
+/// power-of-two table at most a quarter full, like [`WordMemo`], over the
+/// index's own copy of the keys, back to back, and their hashes, so no
+/// lookup follows a `String` to wherever the trainer's merges allocated
+/// it. A `HashMap` would put `RandomState` on the scoring path, which
+/// rebuilds a vocabulary whenever it loads a model; a `BTreeMap` made
+/// Subword featurization measurably slower. Pieces come from a model
+/// file, and FNV-1a is unkeyed, so a key whose probe passes
+/// [`PROBE_CAP`] taken slots (keys crafted to collide) goes to an ordered
+/// overflow map: a lookup costs at most that many probes and one ordered
+/// search. Keys that hash evenly, as trained pieces do, never reach it.
+#[derive(Debug, Clone)]
+struct PieceIndex {
+    /// 0 = empty; otherwise 1 + an index into `entries`.
+    slots: Vec<u32>,
+    /// Per key, in insertion order, overflowed keys included: its hash,
+    /// its range in `keys` and its piece id.
+    entries: Vec<(u64, (usize, usize), u32)>,
+    keys: String,
+    overflow: BTreeMap<String, u32>,
+}
+
+/// Where a key's probe ended.
+enum Probe {
+    Hit(u32),
+    Vacant(usize),
+    Full,
+}
+
+impl PieceIndex {
+    /// An empty index with room for `keys` keys.
+    fn with_room(keys: usize) -> Self {
+        PieceIndex {
+            slots: vec![0; (4 * keys).next_power_of_two()],
+            entries: Vec::with_capacity(keys),
+            keys: String::new(),
+            overflow: BTreeMap::new(),
+        }
+    }
+
+    /// Slots only ever fill, so a key inserted into a slot sits before
+    /// the first vacant one on its probe, and a key in the overflow found
+    /// its [`PROBE_CAP`] slots taken.
+    fn probe(&self, hash: u64, key: &str) -> Probe {
+        let mask = self.slots.len() - 1;
+        let start = hash as usize & mask;
+        for step in 0..PROBE_CAP {
+            let at = (start + step) & mask;
+            let Some(e) = self.slots[at].checked_sub(1) else {
+                return Probe::Vacant(at);
+            };
+            let (h, (from, to), id) = self.entries[e as usize];
+            if h == hash && self.keys.get(from..to) == Some(key) {
+                return Probe::Hit(id);
+            }
+        }
+        self.overflow
+            .get(key)
+            .map_or(Probe::Full, |&id| Probe::Hit(id))
+    }
+
+    fn get(&self, key: &str) -> Option<u32> {
+        match self.probe(fnv1a(key.as_bytes(), 0), key) {
+            Probe::Hit(id) => Some(id),
+            Probe::Vacant(_) | Probe::Full => None,
+        }
+    }
+
+    /// The key of the `n`th entry.
+    fn key(&self, n: usize) -> Option<&str> {
+        let &(_, (from, to), _) = self.entries.get(n)?;
+        self.keys.get(from..to)
+    }
+
+    /// Indexes `id` under `key` unless `key` is held already; whether it
+    /// was new.
+    fn insert(&mut self, key: &str, id: u32) -> bool {
+        let hash = fnv1a(key.as_bytes(), 0);
+        match self.probe(hash, key) {
+            Probe::Hit(_) => return false,
+            // Ids are `u32`s, and no index holds more entries than ids.
+            Probe::Vacant(at) => self.slots[at] = self.entries.len() as u32 + 1,
+            Probe::Full => {
+                self.overflow.insert(key.to_string(), id);
+            }
+        }
+        self.keys.push_str(key);
+        let key = (self.keys.len() - key.len(), self.keys.len());
+        self.entries.push((hash, key, id));
+        true
+    }
 }
 
 impl WordPieceVocab {
     /// Builds a vocabulary from a piece list. `[UNK]` is inserted at id 0 if
     /// absent. Duplicate pieces keep their first id.
-    fn from_pieces<I: IntoIterator<Item = String>>(iter: I) -> Self {
-        let mut pieces = Vec::new();
-        let mut index = HashMap::new();
-        let mut continuations = HashMap::new();
-        index.insert(UNK_TOKEN.to_string(), UNK_ID);
-        pieces.push(UNK_TOKEN.to_string());
-        for piece in iter {
-            if piece == UNK_TOKEN {
-                continue;
-            }
-            if !index.contains_key(&piece) {
-                let id = pieces.len() as u32;
+    fn from_pieces(list: Vec<String>) -> Self {
+        let room = list.len() + 1;
+        let mut vocab = WordPieceVocab {
+            index: PieceIndex::with_room(room),
+            continuations: PieceIndex::with_room(room),
+        };
+        let unk = std::iter::once(UNK_TOKEN.to_string());
+        for piece in unk.chain(list.into_iter().filter(|p| p != UNK_TOKEN)) {
+            // Each new piece adds one entry to `index`, so entry n is id n.
+            let id = vocab.len() as u32;
+            if vocab.index.insert(&piece, id) {
                 if let Some(core) = piece.strip_prefix("##") {
-                    continuations.insert(core.to_string(), id);
+                    vocab.continuations.insert(core, id);
                 }
-                index.insert(piece.clone(), id);
-                pieces.push(piece);
             }
         }
-        WordPieceVocab {
-            pieces,
-            index,
-            continuations,
+        vocab
+    }
+
+    /// The vocabulary whose [`WordPieceVocab::iter`] yields exactly
+    /// `pieces`: `[UNK]` first and no piece twice. `None` for any other
+    /// list, so every id keeps the piece it had when the list was written.
+    pub fn from_list(pieces: Vec<String>) -> Option<Self> {
+        if pieces.first().map(String::as_str) != Some(UNK_TOKEN) {
+            return None;
         }
+        let len = pieces.len();
+        let vocab = WordPieceVocab::from_pieces(pieces);
+        (vocab.len() == len).then_some(vocab)
     }
 
     /// Number of pieces, including `[UNK]`.
     pub fn len(&self) -> usize {
-        self.pieces.len()
+        self.index.entries.len()
     }
 
     /// Whether only `[UNK]` is present.
     pub fn is_empty(&self) -> bool {
-        self.pieces.len() <= 1
+        self.len() <= 1
     }
 
     /// Looks up a piece id.
     pub fn id(&self, piece: &str) -> Option<u32> {
-        self.index.get(piece).copied()
+        self.index.get(piece)
     }
 
     /// Looks up a continuation piece by its text without the `##` prefix:
     /// `id_continuation("port") == id("##port")`, with no string assembly
     /// on the caller's side.
     fn id_continuation(&self, core: &str) -> Option<u32> {
-        self.continuations.get(core).copied()
+        self.continuations.get(core)
     }
 
     /// Looks up the piece text for an id.
     pub fn piece(&self, id: u32) -> Option<&str> {
-        self.pieces.get(id as usize).map(|s| s.as_str())
+        self.index.key(id as usize)
     }
 
     /// Iterates all pieces.
     pub fn iter(&self) -> impl Iterator<Item = &str> {
-        self.pieces.iter().map(|s| s.as_str())
+        (0..self.len()).filter_map(|n| self.index.key(n))
     }
 }
 
@@ -215,18 +320,6 @@ fn merge_pieces(left: &str, right: &str) -> String {
     format!("{left}{right_core}")
 }
 
-impl From<Vec<String>> for WordPieceVocab {
-    fn from(pieces: Vec<String>) -> Self {
-        WordPieceVocab::from_pieces(pieces)
-    }
-}
-
-impl From<WordPieceVocab> for Vec<String> {
-    fn from(vocab: WordPieceVocab) -> Self {
-        vocab.pieces
-    }
-}
-
 /// Reusable working storage for `WordPieceEncoder::encode_word_into`.
 #[derive(Debug, Default)]
 pub struct EncodeScratch {
@@ -236,21 +329,15 @@ pub struct EncodeScratch {
 }
 
 /// Greedy longest-match-first WordPiece encoder.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WordPieceEncoder {
     vocab: WordPieceVocab,
-    /// Words longer than this many characters encode to `[UNK]` directly
-    /// (matches BERT's `max_input_chars_per_word`, default 100).
-    pub max_word_chars: usize,
 }
 
 impl WordPieceEncoder {
     /// Wraps a vocabulary in an encoder.
     pub fn new(vocab: WordPieceVocab) -> Self {
-        WordPieceEncoder {
-            vocab,
-            max_word_chars: 100,
-        }
+        WordPieceEncoder { vocab }
     }
 
     /// Access to the underlying vocabulary.
@@ -281,7 +368,7 @@ impl WordPieceEncoder {
         }
         offsets.push(word.len());
         let n = offsets.len() - 1;
-        if n > self.max_word_chars {
+        if n > MAX_WORD_CHARS {
             ids.push(UNK_ID);
             return;
         }
@@ -515,6 +602,42 @@ mod tests {
     fn duplicate_pieces_are_ignored() {
         let vocab = WordPieceVocab::from_pieces(vec!["a".into(), "a".into(), "[UNK]".into()]);
         assert_eq!(vocab.len(), 2);
+    }
+
+    /// Past its probe cap a key goes to the overflow map: a table with
+    /// room for one key holds four, and the rest must still be found,
+    /// and refused a second time.
+    #[test]
+    fn a_full_piece_index_overflows_in_order() {
+        let keys: Vec<String> = (0..10).map(|i| format!("p{i}")).collect();
+        let mut index = PieceIndex::with_room(1);
+        for (id, key) in keys.iter().enumerate() {
+            assert!(index.insert(key, id as u32));
+        }
+        assert_eq!(index.entries.len(), 10);
+        assert_eq!(index.overflow.len(), 10 - index.slots.len());
+        for (id, key) in keys.iter().enumerate() {
+            assert_eq!(index.get(key), Some(id as u32));
+            assert!(!index.insert(key, 99));
+        }
+        assert_eq!(index.get("p10"), None);
+    }
+
+    #[test]
+    fn from_list_takes_back_exactly_the_list_iter_yields() {
+        let enc = train_on(&["report", "reporting", "reported"], 64);
+        let list: Vec<String> = enc.vocab().iter().map(str::to_string).collect();
+        let vocab = WordPieceVocab::from_list(list.clone()).expect("a vocabulary's own list");
+        assert!(vocab.iter().eq(enc.vocab().iter()));
+        assert_eq!(
+            vocab.id_continuation("port"),
+            enc.vocab().id_continuation("port")
+        );
+        let unk_later = vec!["a".to_string(), UNK_TOKEN.to_string()];
+        let twice = vec![UNK_TOKEN.to_string(), "a".to_string(), "a".to_string()];
+        for bad in [Vec::new(), unk_later, twice] {
+            assert!(WordPieceVocab::from_list(bad.clone()).is_none(), "{bad:?}");
+        }
     }
 
     #[test]
