@@ -685,8 +685,8 @@ mod section_codec {
 
     /// Decodes a model frame. A field no encoder writes is refused at
     /// its offset, and so are parts `TextClassifier::from_parts` refuses:
-    /// the offset is then that of `hash_bits`, the weight count or the
-    /// piece count.
+    /// the offset is then that of `hash_bits`, `max_spans`, the weight
+    /// count or the piece count.
     pub fn decode_model(bytes: &[u8]) -> Result<TextClassifier, CodecError> {
         let mut r = Reader::new(bytes, MODEL_MAGIC)?;
         let refuse = |offset, detail| CodecError { offset, detail };
@@ -700,6 +700,7 @@ mod section_codec {
         let bits_at = r.pos();
         let hash_bits = r.u32()?;
         let max_len = usize_field(&mut r)?;
+        let spans_at = r.pos();
         let max_spans = usize_field(&mut r)?;
         let at = r.pos();
         let strategy = match (r.u8()?, r.u64()?) {
@@ -747,6 +748,7 @@ mod section_codec {
         TextClassifier::from_parts(config, pieces, weights, bias).map_err(|e| {
             let offset = match e {
                 PartsError::HashBits => bits_at,
+                PartsError::MaxSpans => spans_at,
                 PartsError::WeightCount => weights_at,
                 PartsError::Pieces => pieces_at,
             };

@@ -10,7 +10,7 @@
 
 use incite_core::checkpoint::codec::{CodecError, Reader};
 use incite_core::checkpoint::{decode_model, encode_model};
-use incite_ml::{FeatureMode, FeaturizerConfig, TextClassifier, TrainConfig};
+use incite_ml::{FeatureMode, FeaturizerConfig, TextClassifier, TrainConfig, SPAN_CAP};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -151,6 +151,14 @@ fn patched(frame: &[u8], at: usize, value: &[u8]) -> Vec<u8> {
     bytes
 }
 
+/// `frame` with the `RandomLength { min_len: 1 }` strategy, which samples
+/// `max_spans` spans of an over-long document, and `max_spans` set.
+fn random_length(frame: &[u8], max_spans: u64) -> Vec<u8> {
+    let strategy = patched(frame, STRATEGY_AT, &[3]);
+    let strategy = patched(&strategy, STRATEGY_AT + 1, &1u64.to_le_bytes());
+    patched(&strategy, MAX_SPANS_AT, &max_spans.to_le_bytes())
+}
+
 #[test]
 fn seeded_mutations_of_a_subword_frame_are_typed_or_score() {
     let clf = classifier(FeatureMode::Subword);
@@ -210,9 +218,10 @@ fn seeded_mutations_of_a_subword_frame_are_typed_or_score() {
         "{what}: {:?}",
         result.map(|_| "a classifier")
     );
-    // The usize fields bound no allocation: at their maximum the frame
-    // still decodes, and the classifier still scores.
-    for at in [MAX_LEN_AT, MAX_SPANS_AT, VOCAB_SIZE_AT] {
+    // These usize fields bound no allocation and no loop: at their maximum
+    // the frame still decodes, and the classifier still scores. (`max_spans`
+    // bounds a loop per document, so it is capped; see the planted frames.)
+    for at in [MAX_LEN_AT, VOCAB_SIZE_AT] {
         let what = format!("u64 at byte {at} set to u64::MAX");
         let bytes = patched(&frame, at, &u64::MAX.to_le_bytes());
         let clf = decode_bounded(&what, &bytes).expect("a usize field decodes");
@@ -232,7 +241,23 @@ fn planted_frames_are_refused_at_their_field() {
     let mut one_less = patched(&subword, weights_at, &(weights - 1).to_le_bytes());
     one_less.truncate(one_less.len() - 4);
 
+    let at_cap = random_length(&word, SPAN_CAP as u64);
+    let clf = decode_bounded("max_spans at the cap", &at_cap).expect("the cap decodes");
+    score_all("max_spans at the cap", &clf);
+
     let planted: Vec<(&str, Vec<u8>, usize, &str)> = vec![
+        (
+            "max_spans u64::MAX under RandomLength",
+            random_length(&subword, u64::MAX),
+            MAX_SPANS_AT,
+            "max_spans exceeds the span cap of 64",
+        ),
+        (
+            "max_spans cap + 1 under RandomLength",
+            random_length(&subword, SPAN_CAP as u64 + 1),
+            MAX_SPANS_AT,
+            "max_spans exceeds the span cap of 64",
+        ),
         (
             "hash_bits 0",
             patched(&subword, BITS_AT, &0u32.to_le_bytes()),

@@ -30,13 +30,23 @@ pub enum FeatureMode {
     Char,
 }
 
+/// The most spans a document may be sampled into. The `RandomLength`
+/// strategy samples `max_spans` spans of every over-long document,
+/// whatever its length, so an unbounded `max_spans` read from a model file
+/// could make every score arbitrarily slow. [`Featurizer::fit`] clamps
+/// [`FeaturizerConfig::max_spans`] to it and
+/// [`crate::TextClassifier::from_parts`] refuses a value above it. No
+/// shipped configuration uses more than 4.
+pub const SPAN_CAP: usize = 64;
+
 /// Featurizer configuration.
 #[derive(Debug, Clone)]
 pub struct FeaturizerConfig {
     /// Max text length in characters — the Table 3 hyperparameter
     /// (128 for CTH, 512 for dox).
     pub max_len: usize,
-    /// Maximum number of spans sampled per document.
+    /// Maximum number of spans sampled per document. A fitted featurizer
+    /// holds it clamped to [`SPAN_CAP`].
     pub max_spans: usize,
     /// Long-document strategy (§5.2); random non-overlapping by default.
     pub strategy: SpanStrategy,
@@ -187,6 +197,7 @@ impl Featurizer {
         I: IntoIterator<Item = &'a str>,
     {
         config.hash_bits = config.hash_bits.clamp(1, 30);
+        config.max_spans = config.max_spans.min(SPAN_CAP);
         let hasher = FeatureHasher::new(config.hash_bits);
         let stream = match config.mode {
             FeatureMode::Word => TokenStream::Word,

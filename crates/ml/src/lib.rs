@@ -44,7 +44,7 @@ pub mod sparse;
 
 pub use batch::{FeatureCache, FeatureMatrix};
 pub use data::{kfold, train_test_split, Dataset, Example};
-pub use featurize::{FeatureMode, FeaturizeScratch, Featurizer, FeaturizerConfig};
+pub use featurize::{FeatureMode, FeaturizeScratch, Featurizer, FeaturizerConfig, SPAN_CAP};
 pub use fingerprint::{TopicFingerprint, FINGERPRINT_DIM};
 pub use logreg::{LogisticRegression, TrainConfig};
 pub use model::{PartsError, TextClassifier};

@@ -6,7 +6,7 @@
 
 use crate::batch::FeatureCache;
 use crate::data::Dataset;
-use crate::featurize::{Featurizer, FeaturizerConfig};
+use crate::featurize::{Featurizer, FeaturizerConfig, SPAN_CAP};
 use crate::logreg::{LogisticRegression, TrainConfig};
 use incite_stats::classify::{auc_roc, BinaryConfusion, MultiMetrics};
 use incite_textkit::WordPieceVocab;
@@ -98,9 +98,10 @@ impl TextClassifier {
     /// exactly these (§3: weights and vocabulary, no training text); the
     /// hasher, the vocabulary's indexes and the piece-gram table are
     /// rebuilt here. Parts that no trained classifier has are refused:
-    /// `hash_bits` outside `1..=30`, other than `2^hash_bits` weights, and
-    /// pieces missing in `Subword` mode, present in another mode, or not
-    /// a list a vocabulary writes (`[UNK]` first, no piece twice).
+    /// `hash_bits` outside `1..=30`, `max_spans` above [`SPAN_CAP`], other
+    /// than `2^hash_bits` weights, and pieces missing in `Subword` mode,
+    /// present in another mode, or not a list a vocabulary writes (`[UNK]`
+    /// first, no piece twice).
     pub fn from_parts(
         config: FeaturizerConfig,
         pieces: Vec<String>,
@@ -109,6 +110,9 @@ impl TextClassifier {
     ) -> Result<Self, PartsError> {
         if !(1..=30).contains(&config.hash_bits) {
             return Err(PartsError::HashBits);
+        }
+        if config.max_spans > SPAN_CAP {
+            return Err(PartsError::MaxSpans);
         }
         if weights.len() != 1usize << config.hash_bits {
             return Err(PartsError::WeightCount);
@@ -180,6 +184,8 @@ impl TextClassifier {
 pub enum PartsError {
     /// `hash_bits` is outside `1..=30`.
     HashBits,
+    /// `max_spans` is above [`SPAN_CAP`].
+    MaxSpans,
     /// The weight vector's length is not `2^hash_bits`.
     WeightCount,
     /// The pieces do not fit the feature mode, or are not a vocabulary's
@@ -192,6 +198,7 @@ impl PartsError {
     pub fn describe(self) -> &'static str {
         match self {
             PartsError::HashBits => "hash_bits is outside 1..=30",
+            PartsError::MaxSpans => "max_spans exceeds the span cap of 64",
             PartsError::WeightCount => "weight count is not 2^hash_bits",
             PartsError::Pieces => "pieces do not fit the feature mode",
         }
@@ -298,5 +305,35 @@ mod tests {
         let by_features = clf.evaluate_features(&data, 0.5);
         assert_eq!(by_text.confusion, by_features.confusion);
         assert_eq!(by_text.auc, by_features.auc);
+    }
+
+    #[test]
+    fn fitting_clamps_max_spans_to_the_cap_that_from_parts_enforces() {
+        use incite_textkit::SpanStrategy;
+
+        let config = FeaturizerConfig {
+            max_spans: SPAN_CAP + 10,
+            strategy: SpanStrategy::RandomLength { min_len: 8 },
+            ..quick_config()
+        };
+        let clf = TextClassifier::train(labeled_corpus(), config, TrainConfig::default());
+        let fitted = clf.featurizer().config().clone();
+        assert_eq!(fitted.max_spans, SPAN_CAP);
+        let weights = clf.model().weights().to_vec();
+        let bias = clf.model().bias();
+        let back = TextClassifier::from_parts(fitted.clone(), Vec::new(), weights.clone(), bias)
+            .expect("a fitted model round-trips");
+        let long = "report him to the platform ".repeat(40);
+        assert_eq!(back.score(&long).to_bits(), clf.score(&long).to_bits());
+
+        let over = FeaturizerConfig {
+            max_spans: SPAN_CAP + 1,
+            ..fitted
+        };
+        let refused = TextClassifier::from_parts(over, Vec::new(), weights, bias).map(|_| ());
+        assert_eq!(refused, Err(PartsError::MaxSpans));
+        assert!(PartsError::MaxSpans
+            .describe()
+            .ends_with(&format!(" {SPAN_CAP}")));
     }
 }

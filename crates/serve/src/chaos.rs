@@ -20,7 +20,8 @@ use std::sync::Mutex;
 pub const SOCKET_RESET: &str = "serve-socket-reset";
 /// Only a truncated prefix of the response reaches the wire.
 pub const SHORT_WRITE: &str = "serve-short-write";
-/// The scoring worker fails the batch as if the engine had panicked.
+/// A scoring pass (a worker's batch or an inline single-doc score) fails
+/// as if the engine had panicked.
 pub const WORKER_FAULT: &str = "serve-worker-fault";
 /// A model swap aborts after loading, before the generation flips.
 pub const MID_SWAP: &str = "serve-mid-swap";

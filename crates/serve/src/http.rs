@@ -284,26 +284,31 @@ impl Response {
         self
     }
 
+    /// Writes head and body as one `write_all`: on a `TCP_NODELAY` socket
+    /// two writes can send two segments, and the client's read can wake
+    /// on the head before the body has arrived.
     pub fn write_to(&self, w: &mut impl Write) -> std::io::Result<()> {
-        let mut head = format!(
+        let mut wire = Vec::with_capacity(128 + self.body.len());
+        write!(
+            wire,
             "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\n",
             self.status,
             reason(self.status),
             self.content_type,
             self.body.len()
-        );
+        )?;
         for (name, value) in &self.extra_headers {
-            head.push_str(name);
-            head.push_str(": ");
-            head.push_str(value);
-            head.push_str("\r\n");
+            wire.extend_from_slice(name.as_bytes());
+            wire.extend_from_slice(b": ");
+            wire.extend_from_slice(value.as_bytes());
+            wire.extend_from_slice(b"\r\n");
         }
         if self.close {
-            head.push_str("connection: close\r\n");
+            wire.extend_from_slice(b"connection: close\r\n");
         }
-        head.push_str("\r\n");
-        w.write_all(head.as_bytes())?;
-        w.write_all(&self.body)?;
+        wire.extend_from_slice(b"\r\n");
+        wire.extend_from_slice(&self.body);
+        w.write_all(&wire)?;
         w.flush()
     }
 }

@@ -1,22 +1,29 @@
 //! The deterministic request journal: every scored response, replayable
 //! offline to byte-identical bits.
 //!
-//! Scoring workers send one [`JournalRecord`] per completed batch over a
-//! channel to a dedicated journal thread, which owns an
-//! [`atomic_io::AppendLog`] — the checkpoint crate's hash-framed append
-//! funnel — so no request-path thread ever touches the filesystem and no
-//! lock is held across a write (INC006, INC009). Each record carries the
-//! exact inputs (`texts`), the provenance (`generation`, `model_hash`,
-//! `run_dir`, `tenant`), and the produced score bits, which is everything
-//! `incite replay` needs to re-score the inputs offline and compare
-//! f32 bit patterns. A torn tail (crash mid-append) is detected by the
-//! per-record FNV-64 footer and never silently trusted: a restart on the
-//! same journal cuts it off before its first append, and [`read_journal`]
-//! refuses damage to any complete record.
+//! Scoring workers and inline scorers hand one [`JournalRecord`] per
+//! scored request to the server's one `Handoff`, whose channel feeds a
+//! dedicated journal thread. That thread owns an [`atomic_io::AppendLog`]
+//! — the checkpoint crate's hash-framed append funnel — so no
+//! request-path thread ever touches the filesystem and no lock is held
+//! across a write (INC006, INC009). An inline scorer hands its record
+//! over only after its response's write returned, so the journal
+//! thread's wake-up never lands between scoring and the reply. Each
+//! record carries the exact inputs (`texts`), the provenance
+//! (`generation`, `model_hash`, `run_dir`, `tenant`), and the produced
+//! score bits, which is everything `incite replay` needs to re-score the
+//! inputs offline and compare f32 bit patterns. A torn tail (crash
+//! mid-append) is detected by the per-record FNV-64 footer and never
+//! silently trusted: a restart on the same journal cuts it off before its
+//! first append, and [`read_journal`] refuses damage to any complete
+//! record.
 //!
-//! Shutdown is by channel disconnect: when every worker's sender drops,
-//! the journal thread drains the remaining buffered records in FIFO order
-//! and exits, so `ServerHandle::join` loses nothing.
+//! Shutdown is by channel disconnect: `ServerHandle::join` closes the
+//! handoff once the workers are joined, which drops the one sender; the
+//! journal thread drains the buffered records in FIFO order and exits,
+//! so `join` loses nothing. A record handed over after that (by a
+//! connection that outlived the drain window) is counted in
+//! [`JournalStats::errors`], never queued where nothing reads it.
 
 use crate::chaos::{self, ChaosRegistry};
 use incite_core::checkpoint::atomic_io::{self, AppendLog};
@@ -24,7 +31,7 @@ use incite_core::CheckpointError;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicU64;
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, RwLock};
 use std::thread;
 
 /// One journaled response: inputs, model provenance, and output bits.
@@ -51,20 +58,65 @@ pub struct JournalRecord {
 pub struct JournalStats {
     /// Records durably appended.
     pub records: AtomicU64,
-    /// Append or serialization failures (the record is dropped; scoring
-    /// is never failed retroactively for a journal error).
+    /// Append or serialization failures, and records handed over after
+    /// the journal closed (the record is dropped; scoring is never failed
+    /// retroactively for a journal error).
     pub errors: AtomicU64,
+}
+
+/// The server's one sender to the journal thread, shared by the workers
+/// and the connection threads.
+pub(crate) struct Handoff {
+    /// `None` once [`Handoff::close`] has run.
+    sender: RwLock<Option<mpsc::Sender<JournalRecord>>>,
+    stats: Arc<JournalStats>,
+}
+
+impl Handoff {
+    pub(crate) fn new(sender: mpsc::Sender<JournalRecord>, stats: Arc<JournalStats>) -> Self {
+        Handoff {
+            sender: RwLock::new(Some(sender)),
+            stats,
+        }
+    }
+
+    /// Hands `record` to the journal thread; an unbounded channel send,
+    /// which never blocks. After [`Handoff::close`] the record is counted
+    /// in [`JournalStats::errors`] instead.
+    pub(crate) fn send(&self, record: JournalRecord) {
+        let sender = match self.sender.read() {
+            Ok(guard) => guard,
+            Err(poisoned) => poisoned.into_inner(),
+        };
+        let sent = sender.as_ref().is_some_and(|tx| tx.send(record).is_ok());
+        drop(sender);
+        if !sent {
+            self.stats.errors.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Drops the sender: the journal thread drains what it holds and
+    /// exits. A send racing this one either lands before it, and is
+    /// drained, or after it, and is counted.
+    pub(crate) fn close(&self) {
+        let mut sender = match self.sender.write() {
+            Ok(guard) => guard,
+            Err(poisoned) => poisoned.into_inner(),
+        };
+        sender.take();
+    }
 }
 
 /// Opens the journal at `path` and spawns the writer thread.
 ///
-/// Returns the sender workers clone (dropping every clone shuts the
-/// thread down after a FIFO drain) and the join handle. Opening eagerly
-/// means an unwritable journal path fails server boot, not the first
-/// request — the [`chaos::JOURNAL_OPEN`] failpoint injects exactly that
-/// boot failure, which is what makes this open sweepable (INC014). A torn
-/// final record left by a crash is cut off first, so this server's records
-/// follow the last intact one; other damage at the end refuses the boot.
+/// Returns the sender, which the server wraps in its one [`Handoff`]
+/// (dropping it shuts the thread down after a FIFO drain), and the join
+/// handle. Opening eagerly means an unwritable journal path fails server
+/// boot, not the first request — the [`chaos::JOURNAL_OPEN`] failpoint
+/// injects exactly that boot failure, which is what makes this open
+/// sweepable (INC014). A torn final record left by a crash is cut off
+/// first, so this server's records follow the last intact one; other
+/// damage at the end refuses the boot.
 pub(crate) fn spawn(
     path: &Path,
     stats: Arc<JournalStats>,
@@ -180,6 +232,31 @@ mod tests {
         for (seq, got) in records.iter().enumerate() {
             assert_eq!(*got, record(seq as u64), "record {seq} roundtrips exactly");
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn close_ends_the_thread_while_the_handoff_lives_and_counts_later_records() {
+        let dir = test_dir("handoff");
+        let path = dir.join("handoff.jsonl");
+        let stats = Arc::new(JournalStats::default());
+        let (tx, handle) =
+            spawn(&path, Arc::clone(&stats), &ChaosRegistry::default()).expect("journal opens");
+        // The server state, which a stuck connection may keep alive, holds
+        // the handoff; closing it must still end the journal thread.
+        let handoff = Handoff::new(tx, Arc::clone(&stats));
+        handoff.send(record(0));
+        handoff.close();
+        handle.join().expect("journal thread exits");
+        handoff.send(record(1));
+        assert_eq!(stats.records.load(Ordering::Relaxed), 1);
+        assert_eq!(
+            stats.errors.load(Ordering::Relaxed),
+            1,
+            "the late record is counted"
+        );
+        let (records, damage) = read_journal(&path).expect("journal reads back");
+        assert_eq!((records, damage), (vec![record(0)], None));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -17,16 +17,21 @@
 //!   shutdown.
 //! * `GET /metrics` — text-format counters and latency quantiles.
 //!
-//! Architecture: connection handling is decoupled from inference. An
-//! acceptor thread hands each connection to a handler thread; handlers
-//! parse requests and push `ScoreJob`s into a **bounded** queue
-//! ([`queue::BoundedQueue`]); engine workers drain the queue in
-//! micro-batches and score them on [`incite_core::parallel`]'s panic-free
-//! executor. A full queue is explicit backpressure — the client gets
-//! `429` with `Retry-After` instead of an unbounded buffer. SIGTERM /
+//! Architecture: an acceptor thread hands each connection to a handler
+//! thread. Scoring is capped by `workers` permits, a counting semaphore:
+//! a single-doc request that finds a permit free is scored on its
+//! handler thread, which releases the permit before it writes the
+//! response and hands the journal record over after the write. Every
+//! other request is pushed as a `ScoreJob` into a **bounded** queue
+//! ([`queue::BoundedQueue`]); engine workers drain it in micro-batches,
+//! each holding a permit while it scores on [`incite_core::parallel`]'s
+//! panic-free executor. A full queue is explicit backpressure — the
+//! client gets `429` with `Retry-After` instead of an unbounded buffer.
+//! One sender in the server state feeds the journal thread. SIGTERM /
 //! ctrl-c ([`signal`]) flips `/healthz` to draining, stops the acceptor,
-//! lets in-flight requests finish, drains the queue, and joins the
-//! workers.
+//! lets in-flight requests finish, closes the permits to inline scoring
+//! and then the queue, drains the queue, and joins the workers and the
+//! journal thread.
 //!
 //! Determinism contract: scoring a text is a pure function of the loaded
 //! model, and the executor writes slot `i` from input `i` alone, so served
@@ -95,11 +100,15 @@ pub struct ServeConfig {
     pub addr: String,
     /// Intra-batch scoring parallelism (threads per `map_indexed` pass).
     pub threads: usize,
-    /// Bounded queue capacity; a full queue rejects with 429.
+    /// Bounded queue capacity; a full queue rejects with 429. Single-doc
+    /// requests that find a scoring permit free skip the queue.
     pub queue_depth: usize,
-    /// Maximum jobs drained into one micro-batch.
+    /// Maximum queued requests drained into one micro-batch (each brings
+    /// all of its documents).
     pub max_batch: usize,
-    /// Engine worker loops draining the queue.
+    /// Engine worker loops draining the queue, and the number of scoring
+    /// permits: inline single-doc scores and worker batches together
+    /// never run more than `workers` scoring passes at once.
     pub workers: usize,
     /// Per-request deadline: jobs older than this when a worker picks
     /// them up are expired with 504 instead of scored.

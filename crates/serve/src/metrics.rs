@@ -98,7 +98,7 @@ pub struct Gauges {
 pub struct Metrics {
     /// Requests answered, any endpoint and status.
     pub requests_total: AtomicU64,
-    /// `POST /v1/score` requests accepted into the queue.
+    /// `POST /v1/score` requests accepted for scoring.
     pub score_requests: AtomicU64,
     /// `POST /v1/redact` requests served.
     pub redact_requests: AtomicU64,
@@ -110,9 +110,10 @@ pub struct Metrics {
     pub worker_errors: AtomicU64,
     /// Batch requests shed in degraded mode (503 before the queue).
     pub shed_degraded: AtomicU64,
-    /// Documents scored by the engine workers.
+    /// Documents scored, inline and by the engine workers.
     pub documents_scored: AtomicU64,
-    /// Micro-batches executed.
+    /// Scoring passes executed: worker micro-batches, and inline scores
+    /// as batches of one.
     pub batches: AtomicU64,
     /// Largest micro-batch seen (documents).
     pub max_batch_docs: AtomicU64,

@@ -5,12 +5,23 @@
 //!
 //! ```text
 //! acceptor ──spawns──▶ connection handlers (one thread per connection)
-//!                         │  POST /v1/score → try_push ──▶ BoundedQueue
-//!                         │                    (full → 429 Retry-After)
+//!                         │  POST /v1/score, one doc, a permit free:
+//!                         │    score inline → write → journal record
+//!                         │  otherwise → try_push ──▶ BoundedQueue
+//!                         │              (full → 429 Retry-After)
 //!                         ▼                                  │ pop_batch
 //!                      reply rendezvous ◀── engine workers ◀─┘
-//!                                           (map_indexed, `threads` wide)
+//!                                           (a permit per batch,
+//!                                            map_indexed, `threads` wide)
 //! ```
+//!
+//! A single-doc request that finds one of the `workers` scoring permits
+//! free is scored on its connection thread, against one registry
+//! snapshot, by the pass the workers run; the permit is released before
+//! the socket write, and the journal record is handed over only after
+//! the write returned. Two thread wake-ups (the worker's and the
+//! handler's) and the queue's lock leave that request's path. Every
+//! other request takes the queue.
 //!
 //! Drain protocol on [`ServerHandle::join`] (the SIGTERM path reaches it
 //! through [`ServerHandle::run_until`]):
@@ -19,18 +30,21 @@
 //! 2. the acceptor stops accepting and exits;
 //! 3. connection handlers finish their in-flight request and close
 //!    (idle keep-alive connections close on their next poll tick);
-//! 4. the queue closes; workers drain what was already accepted and
-//!    exit — accepted work is never dropped;
-//! 5. [`ServerHandle::join`] collects every thread and reports totals.
+//! 4. the permits close to inline scoring, then the queue closes; from
+//!    here a single-doc request is refused with 503 like any push onto
+//!    the closed queue; workers drain what was already accepted and exit
+//!    — accepted work is never dropped;
+//! 5. the journal closes, its thread drains and exits, and
+//!    [`ServerHandle::join`] collects every thread and reports totals.
 
 use crate::admission::{AdmissionControl, Admit};
 use crate::chaos::{self, ChaosRegistry};
 use crate::http::{self, Received, RecvError, Request, Response};
-use crate::journal::{self, JournalStats};
+use crate::journal::{self, Handoff, JournalRecord, JournalStats};
 use crate::metrics::{Gauges, Metrics};
 use crate::queue::{BoundedQueue, PushError};
 use crate::registry::{ModelRegistry, SwapError};
-use crate::worker::{Reply, ScoreJob};
+use crate::worker::{self, Permit, Permits, Reply, ScoreJob};
 use crate::{ServeConfig, ServeError};
 use incite_core::load_latest_classifier_with_hash;
 use incite_ml::TextClassifier;
@@ -61,7 +75,8 @@ const CONNECTION_DRAIN_WINDOW: Duration = Duration::from_secs(15);
 
 /// Consecutive queue-full rejections before the server enters degraded
 /// mode (batch requests shed, single-doc scoring and health kept alive).
-/// One successful enqueue resets the strike counter and exits the mode.
+/// One successful enqueue or inline score resets the strike counter and
+/// exits the mode; an inline score never adds a strike.
 const DEGRADE_AFTER: u32 = 8;
 
 /// Shared server state; one `Arc` across all threads.
@@ -72,6 +87,11 @@ pub struct ServerState {
     pub(crate) journal_stats: Arc<JournalStats>,
     pub(crate) extractor: PiiExtractor,
     pub(crate) queue: BoundedQueue<ScoreJob>,
+    /// `workers` scoring permits, shared by the workers and the inline
+    /// single-doc path.
+    pub(crate) permits: Permits,
+    /// The one sender to the journal thread; `None` with journaling off.
+    pub(crate) journal: Option<Handoff>,
     pub(crate) metrics: Metrics,
     pub(crate) config: ServeConfig,
     draining: AtomicBool,
@@ -88,9 +108,20 @@ impl ServerState {
     }
 
     /// Degraded mode: the queue has been saturated for [`DEGRADE_AFTER`]
-    /// consecutive enqueue attempts.
+    /// consecutive enqueue attempts with no inline score between them.
     pub(crate) fn degraded(&self) -> bool {
         self.full_strikes.load(Ordering::Acquire) >= DEGRADE_AFTER
+    }
+
+    fn next_seq(&self) -> u64 {
+        self.seq.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
+    /// Closes scoring to new work: first the permits, so no inline score
+    /// starts once the queue is closed, then the queue.
+    fn close_scoring(&self) {
+        self.permits.close();
+        self.queue.close();
     }
 }
 
@@ -99,7 +130,7 @@ impl ServerState {
 pub struct DrainReport {
     /// Requests answered over the server's lifetime.
     pub requests_total: u64,
-    /// Documents scored by the engine workers.
+    /// Documents scored, inline and by the engine workers.
     pub documents_scored: u64,
     /// Requests refused with 429 (queue full).
     pub rejected_overload: u64,
@@ -167,12 +198,16 @@ impl Server {
         // Open the journal before spawning anything: an unwritable path
         // is a boot failure, not a silent runtime drop. The chaos registry
         // is built first so the journal-open failpoint covers this open.
-        let journal_writer = match &config.journal {
-            None => None,
-            Some(path) => Some(
-                journal::spawn(path, Arc::clone(&journal_stats), &chaos)
-                    .map_err(|e| ServeError::Config(format!("cannot open journal: {e}")))?,
-            ),
+        let (journal, journal_thread) = match &config.journal {
+            None => (None, None),
+            Some(path) => {
+                let (tx, handle) = journal::spawn(path, Arc::clone(&journal_stats), &chaos)
+                    .map_err(|e| ServeError::Config(format!("cannot open journal: {e}")))?;
+                (
+                    Some(Handoff::new(tx, Arc::clone(&journal_stats))),
+                    Some(handle),
+                )
+            }
         };
         let admission = AdmissionControl::new(config.tenants.clone(), Instant::now());
         let state = Arc::new(ServerState {
@@ -182,6 +217,8 @@ impl Server {
             journal_stats,
             extractor,
             queue: BoundedQueue::new(config.queue_depth),
+            permits: Permits::new(config.workers),
+            journal,
             metrics: Metrics::new(),
             config,
             draining: AtomicBool::new(false),
@@ -190,27 +227,18 @@ impl Server {
             full_strikes: AtomicU32::new(0),
         });
 
-        // Each worker carries its own journal-sender clone; the spawner's
-        // originals drop at the end of this scope, so the journal thread's
-        // channel disconnects exactly when the last worker exits.
-        let (journal_tx, journal_thread) = match journal_writer {
-            Some((tx, handle)) => (Some(tx), Some(handle)),
-            None => (None, None),
-        };
         let workers: Vec<JoinHandle<()>> = (0..state.config.workers)
             .map(|i| {
                 let state = Arc::clone(&state);
-                let journal_tx = journal_tx.clone();
                 std::thread::Builder::new()
                     .name(format!("incite-serve-worker-{i}"))
-                    .spawn(move || crate::worker::run(&state, journal_tx))
+                    .spawn(move || worker::run(&state))
             })
             .collect::<Result<_, _>>()
             .map_err(|source| ServeError::Bind {
                 addr: addr.to_string(),
                 source,
             })?;
-        drop(journal_tx);
 
         // Pre-warm both serving paths before accepting traffic, so the
         // first real request never pays one-time costs (allocator pools,
@@ -289,17 +317,21 @@ impl ServerHandle {
             std::thread::sleep(POLL);
         }
         report.stuck_connections = self.state.open_connections.load(Ordering::Acquire);
-        // Only now close the queue: every job a handler managed to push
+        // Only now close scoring: every job a handler managed to push
         // gets scored before the workers exit.
-        self.state.queue.close();
+        self.state.close_scoring();
         for worker in self.workers {
             if worker.join().is_err() {
                 report.panicked_threads += 1;
             }
         }
-        // Workers are gone, so every journal sender has dropped: the
-        // journal thread drains its buffered records FIFO and exits. Only
-        // then is the journal complete on disk.
+        // Workers are gone; closing the handoff drops the journal's one
+        // sender, so the journal thread drains its buffered records FIFO
+        // and exits. Only then is the journal complete on disk. A stuck
+        // connection holds no sender, so it cannot keep this join waiting.
+        if let Some(journal) = &self.state.journal {
+            journal.close();
+        }
         if let Some(journal) = self.journal_thread {
             if journal.join().is_err() {
                 report.panicked_threads += 1;
@@ -366,19 +398,21 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) {
         let received =
             http::read_request(&mut reader, &|| state.draining(), state.config.io_window);
         let started = Instant::now();
-        let (response, fatal) = match received {
+        let (response, record, fatal) = match received {
             Ok(Received::Request(req)) => {
-                let response = route(state, &req);
+                let (response, record) = route(state, &req);
                 let close = response.close || req.wants_close();
-                (response, close)
+                (response, record, close)
             }
             Ok(Received::Closed) => return,
             Err(RecvError::Malformed(what)) => (
                 Response::json(400, error_body(&format!("malformed request: {what}"))).closing(),
+                None,
                 true,
             ),
             Err(RecvError::TooLarge(what)) => (
                 Response::json(413, error_body(&format!("{what} too large"))).closing(),
+                None,
                 true,
             ),
             Err(RecvError::Io(_)) => return,
@@ -388,26 +422,36 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) {
             .metrics
             .latency
             .record(started.elapsed().as_micros().min(u64::MAX as u128) as u64);
-        // Chaos sites on the write path: a reset drops the connection
-        // with no response bytes; a short write emits a truncated prefix.
-        // Both hit exactly one response and the server keeps serving.
-        if state.chaos.trip(chaos::SOCKET_RESET) {
-            return;
+        let open = write_response(state, reader.get_mut(), &response);
+        // An inline score's record goes to the journal thread only now
+        // that the write returned, whether or not it succeeded: sent
+        // earlier, the journal thread's wake-up can land between scoring
+        // and the reply.
+        if let (Some(record), Some(journal)) = (record, &state.journal) {
+            journal.send(record);
         }
-        if state.chaos.trip(chaos::SHORT_WRITE) {
-            let mut buf = Vec::new();
-            if response.write_to(&mut buf).is_ok() {
-                let _ = reader.get_mut().write_all(&buf[..buf.len() / 2]);
-            }
-            return;
-        }
-        if response.write_to(reader.get_mut()).is_err() {
-            return;
-        }
-        if fatal {
+        if !open || fatal {
             return;
         }
     }
+}
+
+/// Writes `response`; `false` when the connection must close. Chaos
+/// sites on the write path: a reset drops the connection with no
+/// response bytes; a short write emits a truncated prefix. Both hit
+/// exactly one response and the server keeps serving.
+fn write_response(state: &ServerState, stream: &mut TcpStream, response: &Response) -> bool {
+    if state.chaos.trip(chaos::SOCKET_RESET) {
+        return false;
+    }
+    if state.chaos.trip(chaos::SHORT_WRITE) {
+        let mut buf = Vec::new();
+        if response.write_to(&mut buf).is_ok() {
+            let _ = stream.write_all(&buf[..buf.len() / 2]);
+        }
+        return false;
+    }
+    response.write_to(stream).is_ok()
 }
 
 /// The documents of a `/v1/score` or `/v1/redact` body: either
@@ -461,8 +505,10 @@ fn json_or_500<E: std::fmt::Display>(body: Result<String, E>) -> Response {
     }
 }
 
-fn route(state: &Arc<ServerState>, req: &Request) -> Response {
-    match (req.method.as_str(), req.target.as_str()) {
+/// Answers one request. The journal record of a request scored inline
+/// rides along, for the caller to hand over after the write.
+fn route(state: &Arc<ServerState>, req: &Request) -> (Response, Option<JournalRecord>) {
+    let response = match (req.method.as_str(), req.target.as_str()) {
         ("GET", "/healthz") => {
             if state.draining() {
                 Response::text(503, "draining\n").closing()
@@ -484,12 +530,16 @@ fn route(state: &Arc<ServerState>, req: &Request) -> Response {
             };
             Response::text(200, &state.metrics.render(&gauges))
         }
-        ("POST", "/v1/score") => score(state, req),
+        ("POST", "/v1/score") => match admit_score(state, req) {
+            Ok((texts, tenant)) => return score(state, texts, tenant),
+            Err(refusal) => refusal,
+        },
         ("POST", "/v1/redact") => redact_endpoint(state, req),
         ("POST", "/v1/admin/swap") => swap_endpoint(state, req),
         ("GET" | "POST", _) => Response::json(404, error_body("no such endpoint")),
         _ => Response::json(405, error_body("method not allowed")),
-    }
+    };
+    (response, None)
 }
 
 /// Parses the shared body shape and applies the per-request size cap.
@@ -532,9 +582,10 @@ fn parse_docs(req: &Request) -> Result<Vec<String>, Response> {
     Ok(texts)
 }
 
-fn score(state: &Arc<ServerState>, req: &Request) -> Response {
+/// The documents and tenant of a `/v1/score` request that may be scored.
+fn admit_score(state: &ServerState, req: &Request) -> Result<(Vec<String>, String), Response> {
     if state.draining() {
-        return Response::json(503, error_body("draining")).closing();
+        return Err(Response::json(503, error_body("draining")).closing());
     }
     // Admission first: an unauthenticated or over-quota tenant must not
     // cost a parse of a multi-megabyte body.
@@ -544,17 +595,63 @@ fn score(state: &Arc<ServerState>, req: &Request) -> Response {
     {
         Admit::Granted { tenant } => tenant,
         Admit::RetryAfter { seconds, .. } => {
-            return Response::json(429, error_body("tenant quota exhausted, retry later"))
-                .with_header("retry-after", seconds.to_string());
+            return Err(
+                Response::json(429, error_body("tenant quota exhausted, retry later"))
+                    .with_header("retry-after", seconds.to_string()),
+            );
         }
         Admit::UnknownKey => {
-            return Response::json(401, error_body("unknown or missing x-api-key"));
+            return Err(Response::json(
+                401,
+                error_body("unknown or missing x-api-key"),
+            ));
         }
     };
-    let texts = match parse_docs(req) {
-        Ok(texts) => texts,
-        Err(response) => return response,
+    Ok((parse_docs(req)?, tenant))
+}
+
+/// Scores inline when the request is one document and a permit is free;
+/// otherwise through the queue.
+fn score(
+    state: &ServerState,
+    texts: Vec<String>,
+    tenant: String,
+) -> (Response, Option<JournalRecord>) {
+    if texts.len() == 1 {
+        if let Some(permit) = state.permits.try_acquire() {
+            return score_inline(state, texts, tenant, permit);
+        }
+    }
+    (score_queued(state, texts, tenant), None)
+}
+
+/// Scores a single-doc request on the connection thread under `permit`.
+/// A free permit shows spare scoring capacity, so, like a successful
+/// enqueue, it clears the strike counter and ends degraded mode.
+fn score_inline(
+    state: &ServerState,
+    texts: Vec<String>,
+    tenant: String,
+    permit: Permit<'_>,
+) -> (Response, Option<JournalRecord>) {
+    state.full_strikes.store(0, Ordering::Release);
+    state.metrics.score_requests.fetch_add(1, Ordering::Relaxed);
+    let seq = state.next_seq();
+    let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
+    let reply = worker::score_pass(state, &refs, permit);
+    let record = match (&reply, &state.journal) {
+        (Reply::Scores { scores, model }, Some(_)) => {
+            Some(worker::journal_record(seq, tenant, texts, scores, model))
+        }
+        _ => None,
     };
+    let response = answer(reply);
+    let record = record.filter(|_| response.status == 200);
+    (response, record)
+}
+
+/// Enqueues a request for the workers and waits for their reply.
+fn score_queued(state: &ServerState, texts: Vec<String>, tenant: String) -> Response {
     // Degraded mode sheds batch work before it reaches the queue; the
     // cheap single-doc path (and /healthz) stay alive so probes and
     // latency-critical callers keep getting answers.
@@ -573,7 +670,7 @@ fn score(state: &Arc<ServerState>, req: &Request) -> Response {
         texts,
         enqueued: Instant::now(),
         deadline,
-        seq: state.seq.fetch_add(1, Ordering::Relaxed) + 1,
+        seq: state.next_seq(),
         tenant,
         reply: reply_tx,
     };
@@ -598,7 +695,21 @@ fn score(state: &Arc<ServerState>, req: &Request) -> Response {
     // The worker enforces the deadline; the extra grace covers a batch
     // already being scored when the deadline hits.
     match reply_rx.recv_timeout(deadline + Duration::from_secs(5)) {
-        Ok(Reply::Scores { scores, model }) => {
+        Ok(reply) => answer(reply),
+        Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => {
+            state
+                .metrics
+                .deadline_expired
+                .fetch_add(1, Ordering::Relaxed);
+            Response::json(504, error_body("deadline exceeded"))
+        }
+    }
+}
+
+/// The response to a scoring pass's outcome.
+fn answer(reply: Reply) -> Response {
+    match reply {
+        Reply::Scores { scores, model } => {
             let bits = scores.iter().map(|s| s.to_bits()).collect();
             let count = scores.len();
             json_or_500(serde_json::to_string(&ScoreResponse {
@@ -609,15 +720,8 @@ fn score(state: &Arc<ServerState>, req: &Request) -> Response {
                 model_hash: model.model_hash.clone(),
             }))
         }
-        Ok(Reply::Expired) => Response::json(504, error_body("deadline exceeded in queue")),
-        Ok(Reply::Failed(msg)) => Response::json(500, error_body(&msg)),
-        Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => {
-            state
-                .metrics
-                .deadline_expired
-                .fetch_add(1, Ordering::Relaxed);
-            Response::json(504, error_body("deadline exceeded"))
-        }
+        Reply::Expired => Response::json(504, error_body("deadline exceeded in queue")),
+        Reply::Failed(msg) => Response::json(500, error_body(&msg)),
     }
 }
 
@@ -680,6 +784,7 @@ fn redact_endpoint(state: &Arc<ServerState>, req: &Request) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue::PopBatch;
     use incite_ml::{FeaturizerConfig, TrainConfig};
 
     /// A server state with no worker threads attached — routing decisions
@@ -707,6 +812,8 @@ mod tests {
             journal_stats: Arc::new(JournalStats::default()),
             extractor,
             queue: BoundedQueue::new(config.queue_depth),
+            permits: Permits::new(config.workers),
+            journal: None,
             metrics: Metrics::new(),
             config,
             draining: AtomicBool::new(false),
@@ -714,6 +821,45 @@ mod tests {
             seq: AtomicU64::new(0),
             full_strikes: AtomicU32::new(0),
         })
+    }
+
+    /// The response [`route`] gives; these states journal nothing.
+    fn call(state: &Arc<ServerState>, req: &Request) -> Response {
+        route(state, req).0
+    }
+
+    /// Every scoring permit, as busy workers would hold them.
+    fn hold_every_permit(state: &ServerState) -> Vec<Permit<'_>> {
+        (0..state.config.workers)
+            .map(|_| state.permits.acquire())
+            .collect()
+    }
+
+    /// Routes `req` while this thread stands in for the workers: a job
+    /// that reaches the queue is answered `Expired` (504) unscored.
+    /// Returns the response and whether the request was queued.
+    fn call_as_worker(state: &Arc<ServerState>, req: &Request) -> (Response, bool) {
+        std::thread::scope(|scope| {
+            let handler = scope.spawn(|| call(state, req));
+            let mut queued = false;
+            while !handler.is_finished() {
+                if let PopBatch::Items(jobs) = state.queue.pop_batch(8, Duration::from_millis(1)) {
+                    for job in jobs {
+                        queued = true;
+                        let _ = job.reply.try_send(Reply::Expired);
+                    }
+                }
+            }
+            (handler.join().expect("handler thread"), queued)
+        })
+    }
+
+    /// The `bits` field of a score response.
+    fn bits_field(resp: &Response) -> String {
+        let body = String::from_utf8(resp.body.clone()).expect("utf8");
+        let start = body.find("\"bits\":[").expect("bits field") + 8;
+        let len = body[start..].find(']').expect("bits end");
+        body[start..start + len].to_string()
     }
 
     fn request(method: &str, target: &str, body: &str) -> Request {
@@ -728,11 +874,11 @@ mod tests {
     #[test]
     fn healthz_flips_to_503_while_draining() {
         let state = state(4);
-        let ok = route(&state, &request("GET", "/healthz", ""));
+        let ok = call(&state, &request("GET", "/healthz", ""));
         assert_eq!(ok.status, 200);
         assert_eq!(ok.body, b"ok\n");
         state.draining.store(true, Ordering::Release);
-        let draining = route(&state, &request("GET", "/healthz", ""));
+        let draining = call(&state, &request("GET", "/healthz", ""));
         assert_eq!(draining.status, 503);
         assert_eq!(draining.body, b"draining\n");
         assert!(draining.close, "draining health responses close the socket");
@@ -742,7 +888,7 @@ mod tests {
     fn score_while_draining_is_refused_not_queued() {
         let state = state(4);
         state.draining.store(true, Ordering::Release);
-        let resp = route(&state, &request("POST", "/v1/score", "{\"text\": \"x\"}"));
+        let resp = call(&state, &request("POST", "/v1/score", "{\"text\": \"x\"}"));
         assert_eq!(resp.status, 503);
         assert_eq!(state.queue.len(), 0);
     }
@@ -750,9 +896,11 @@ mod tests {
     #[test]
     fn full_queue_returns_429_with_retry_after() {
         // Zero capacity: every enqueue is a backpressure rejection, and no
-        // worker is needed to prove it.
+        // worker is needed to prove it. With every permit held, the
+        // single-doc request cannot be scored inline and reaches the queue.
         let state = state(0);
-        let resp = route(&state, &request("POST", "/v1/score", "{\"text\": \"x\"}"));
+        let _held = hold_every_permit(&state);
+        let resp = call(&state, &request("POST", "/v1/score", "{\"text\": \"x\"}"));
         assert_eq!(resp.status, 429);
         assert!(
             resp.extra_headers
@@ -762,7 +910,7 @@ mod tests {
             resp.extra_headers
         );
         assert_eq!(state.metrics.rejected_overload.load(Ordering::Relaxed), 1);
-        let metrics = route(&state, &request("GET", "/metrics", ""));
+        let metrics = call(&state, &request("GET", "/metrics", ""));
         let text = String::from_utf8(metrics.body).expect("utf8");
         assert!(
             text.contains("incite_serve_rejected_overload_total 1"),
@@ -779,21 +927,18 @@ mod tests {
             ("{\"text\": \"a\", \"texts\": [\"b\"]}", 400),
             ("{\"texts\": []}", 400),
         ] {
-            let resp = route(&state, &request("POST", "/v1/score", body));
+            let resp = call(&state, &request("POST", "/v1/score", body));
             assert_eq!(resp.status, expect, "body {body:?}");
         }
         let many: Vec<String> = (0..=MAX_DOCS_PER_REQUEST)
             .map(|i| format!("\"d{i}\""))
             .collect();
         let body = format!("{{\"texts\": [{}]}}", many.join(","));
-        let resp = route(&state, &request("POST", "/v1/score", &body));
+        let resp = call(&state, &request("POST", "/v1/score", &body));
         assert_eq!(resp.status, 413);
 
-        assert_eq!(route(&state, &request("GET", "/nope", "")).status, 404);
-        assert_eq!(
-            route(&state, &request("DELETE", "/healthz", "")).status,
-            405
-        );
+        assert_eq!(call(&state, &request("GET", "/nope", "")).status, 404);
+        assert_eq!(call(&state, &request("DELETE", "/healthz", "")).status, 405);
     }
 
     #[test]
@@ -801,12 +946,12 @@ mod tests {
         let state = state(4);
         // Body validation failures never reach the registry.
         for body in ["not json", "{}", "{\"run_dir\": \"\"}", "{\"run_dir\": 7}"] {
-            let resp = route(&state, &request("POST", "/v1/admin/swap", body));
+            let resp = call(&state, &request("POST", "/v1/admin/swap", body));
             assert_eq!(resp.status, 400, "body {body:?}");
         }
         // A missing run dir is a typed 422 whose body echoes nothing of
         // the requested path.
-        let resp = route(
+        let resp = call(
             &state,
             &request(
                 "POST",
@@ -820,7 +965,7 @@ mod tests {
         assert_eq!(state.registry.generation(), 1, "failed swap keeps gen 1");
         // Swapping while draining is refused outright.
         state.draining.store(true, Ordering::Release);
-        let resp = route(
+        let resp = call(
             &state,
             &request("POST", "/v1/admin/swap", "{\"run_dir\": \"/x\"}"),
         );
@@ -849,8 +994,8 @@ mod tests {
             req
         }
         // No key / wrong key → 401 before anything is queued.
-        assert_eq!(route(&state, &keyed(None)).status, 401);
-        assert_eq!(route(&state, &keyed(Some("wrong"))).status, 401);
+        assert_eq!(call(&state, &keyed(None)).status, 401);
+        assert_eq!(call(&state, &keyed(Some("wrong"))).status, 401);
         assert_eq!(state.queue.len(), 0);
         // Drain the capacity-1 bucket, then the routed request is a 429
         // with a numeric retry-after — before parse, before the queue.
@@ -858,7 +1003,7 @@ mod tests {
             state.admission.admit(Some("alpha-key"), Instant::now()),
             Admit::Granted { .. }
         ));
-        let rejected = route(&state, &keyed(Some("alpha-key")));
+        let rejected = call(&state, &keyed(Some("alpha-key")));
         assert_eq!(rejected.status, 429);
         assert!(
             rejected
@@ -877,15 +1022,17 @@ mod tests {
 
     #[test]
     fn degraded_mode_sheds_batches_keeps_single_doc() {
-        // Zero capacity: every push is Full, so strikes accumulate.
+        // Zero capacity: every push is Full, so strikes accumulate. Every
+        // permit is held, so single-doc requests reach the queue too.
         let state = state(0);
+        let held = hold_every_permit(&state);
         for _ in 0..DEGRADE_AFTER {
-            let resp = route(&state, &request("POST", "/v1/score", "{\"text\": \"x\"}"));
+            let resp = call(&state, &request("POST", "/v1/score", "{\"text\": \"x\"}"));
             assert_eq!(resp.status, 429);
         }
         assert!(state.degraded());
         // Batch requests are shed with 503 *before* the queue...
-        let resp = route(
+        let resp = call(
             &state,
             &request("POST", "/v1/score", "{\"texts\": [\"a\", \"b\"]}"),
         );
@@ -893,23 +1040,40 @@ mod tests {
         assert_eq!(state.metrics.shed_degraded.load(Ordering::Relaxed), 1);
         // ...single-doc scoring still reaches the queue (and 429s on the
         // zero-capacity queue rather than being shed)...
-        let resp = route(&state, &request("POST", "/v1/score", "{\"text\": \"x\"}"));
+        let resp = call(&state, &request("POST", "/v1/score", "{\"text\": \"x\"}"));
         assert_eq!(resp.status, 429);
         // ...and /healthz stays green.
-        assert_eq!(route(&state, &request("GET", "/healthz", "")).status, 200);
-        let metrics = route(&state, &request("GET", "/metrics", ""));
+        assert_eq!(call(&state, &request("GET", "/healthz", "")).status, 200);
+        let metrics = call(&state, &request("GET", "/metrics", ""));
         let text = String::from_utf8(metrics.body).expect("utf8");
         assert!(text.contains("incite_serve_degraded 1"), "{text}");
         assert!(
             text.contains("incite_serve_shed_degraded_total 1"),
             "{text}"
         );
+        // Once load falls, a single doc finds a permit free and is scored
+        // inline, which clears the strikes and ends degraded mode: the
+        // next batch reaches the queue again (429 at zero depth, no shed).
+        drop(held);
+        let resp = call(&state, &request("POST", "/v1/score", "{\"text\": \"x\"}"));
+        assert_eq!(resp.status, 200);
+        assert_eq!(state.full_strikes.load(Ordering::Acquire), 0);
+        assert!(!state.degraded());
+        let resp = call(
+            &state,
+            &request("POST", "/v1/score", "{\"texts\": [\"a\", \"b\"]}"),
+        );
+        assert_eq!(resp.status, 429);
+        assert_eq!(state.metrics.shed_degraded.load(Ordering::Relaxed), 1);
+        let metrics = call(&state, &request("GET", "/metrics", ""));
+        let text = String::from_utf8(metrics.body).expect("utf8");
+        assert!(text.contains("incite_serve_degraded 0"), "{text}");
     }
 
     #[test]
     fn metrics_expose_generation_and_admission_series() {
         let state = state(4);
-        let metrics = route(&state, &request("GET", "/metrics", ""));
+        let metrics = call(&state, &request("GET", "/metrics", ""));
         let text = String::from_utf8(metrics.body).expect("utf8");
         for series in [
             "incite_serve_model_generation 1",
@@ -925,7 +1089,7 @@ mod tests {
     #[test]
     fn redact_runs_inline_without_workers() {
         let state = state(4);
-        let resp = route(
+        let resp = call(
             &state,
             &request(
                 "POST",
@@ -938,5 +1102,132 @@ mod tests {
         assert!(body.contains("[PHONE]"), "{body}");
         assert!(!body.contains("555-0101"), "{body}");
         assert_eq!(state.metrics.redact_requests.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn no_inline_score_starts_once_scoring_is_closed() {
+        let state = state(4);
+        state.close_scoring();
+        let resp = call(&state, &request("POST", "/v1/score", "{\"text\": \"x\"}"));
+        assert_eq!(resp.status, 503);
+        assert!(resp.close);
+        assert_eq!(state.metrics.batches.load(Ordering::Relaxed), 0);
+        assert_eq!(state.metrics.score_requests.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn an_inline_score_returns_its_record_for_after_the_write() {
+        let mut state = state(4);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let stats = Arc::clone(&state.journal_stats);
+        Arc::get_mut(&mut state).expect("sole owner").journal = Some(Handoff::new(tx, stats));
+        let (resp, record) = route(
+            &state,
+            &request("POST", "/v1/score", "{\"text\": \"report him\"}"),
+        );
+        assert_eq!(resp.status, 200);
+        assert!(
+            rx.try_recv().is_err(),
+            "nothing is journaled before the write"
+        );
+        let record = record.expect("an inline 200 carries its record");
+        assert_eq!((record.seq, record.generation), (1, 1));
+        assert_eq!(record.texts, vec!["report him".to_string()]);
+        assert_eq!(record.bits.len(), 1);
+        assert_eq!(bits_field(&resp), record.bits[0].to_string());
+        // Failures and other endpoints carry no record.
+        let (resp, none) = route(&state, &request("POST", "/v1/score", "not json"));
+        assert_eq!((resp.status, none), (400, None));
+    }
+
+    /// A seeded reference model of the scoring permits against routing.
+    /// Busy workers take and release permits between requests. A single-doc
+    /// request must go inline exactly when a permit is free, and otherwise
+    /// enqueue or get a 429; a 2-doc request never goes inline, and is
+    /// shed in degraded mode. An inline score, like an enqueue, clears the
+    /// strikes, and it hands its permit back.
+    #[test]
+    fn single_doc_routing_follows_a_reference_model_of_the_permits() {
+        for seed in 0..12u64 {
+            let workers = 1 + (seed % 3) as usize;
+            let queue_depth = (seed / 3 % 2) as usize;
+            let state = state_with_config(ServeConfig {
+                workers,
+                queue_depth,
+                ..ServeConfig::default()
+            });
+            let model = state.registry.current();
+            let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+            let mut held: Vec<Permit<'_>> = Vec::new();
+            let (mut strikes, mut inline, mut accepted, mut rejected) = (0u32, 0u64, 0u64, 0u64);
+            for step in 0..60 {
+                rng = rng
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let roll = (rng >> 33) % 8;
+                let what = format!("seed {seed} step {step}");
+                match roll {
+                    0 | 1 if held.len() < workers => held.push(state.permits.acquire()),
+                    2 | 3 if !held.is_empty() => {
+                        held.swap_remove((rng >> 40) as usize % held.len());
+                    }
+                    0..=3 => {}
+                    _ => {
+                        let single = roll < 6;
+                        let body = if single {
+                            "{\"text\": \"report him\"}"
+                        } else {
+                            "{\"texts\": [\"report him\", \"nice\"]}"
+                        };
+                        let free = held.len() < workers;
+                        let degraded = strikes >= DEGRADE_AFTER;
+                        let (resp, queued) =
+                            call_as_worker(&state, &request("POST", "/v1/score", body));
+                        if single && free {
+                            assert_eq!((resp.status, queued), (200, false), "{what}");
+                            let want = model.classifier.score("report him").to_bits();
+                            assert_eq!(bits_field(&resp), want.to_string(), "{what}");
+                            let back = state.permits.try_acquire();
+                            assert!(back.is_some(), "{what}: the permit came back");
+                            (inline, accepted, strikes) = (inline + 1, accepted + 1, 0);
+                        } else if !single && degraded {
+                            assert_eq!((resp.status, queued), (503, false), "{what}");
+                        } else if queue_depth > 0 {
+                            assert_eq!((resp.status, queued), (504, true), "{what}");
+                            (accepted, strikes) = (accepted + 1, 0);
+                        } else {
+                            assert_eq!((resp.status, queued), (429, false), "{what}");
+                            (rejected, strikes) = (rejected + 1, strikes + 1);
+                        }
+                    }
+                }
+                assert!(held.len() <= workers, "{what}");
+                assert_eq!(
+                    state.full_strikes.load(Ordering::Acquire),
+                    strikes,
+                    "{what}"
+                );
+                assert_eq!(
+                    state.metrics.batches.load(Ordering::Relaxed),
+                    inline,
+                    "{what}: only inline passes score here"
+                );
+                let metrics = &state.metrics;
+                assert_eq!(
+                    metrics.score_requests.load(Ordering::Relaxed),
+                    accepted,
+                    "{what}"
+                );
+                assert_eq!(
+                    metrics.rejected_overload.load(Ordering::Relaxed),
+                    rejected,
+                    "{what}"
+                );
+            }
+            drop(held);
+            let all = hold_every_permit(&state);
+            assert!(state.permits.try_acquire().is_none(), "seed {seed}");
+            drop(all);
+        }
     }
 }

@@ -57,17 +57,27 @@ fn server_with_armed_site(site: &str, seed: u64) -> (ServerHandle, Vec<String>, 
     (handle, texts, expected)
 }
 
-fn single_body(text: &str) -> String {
-    let escaped: String = text
-        .chars()
+fn escaped(text: &str) -> String {
+    text.chars()
         .flat_map(|c| match c {
             '"' => vec!['\\', '"'],
             '\\' => vec!['\\', '\\'],
             '\n' => vec!['\\', 'n'],
             c => vec![c],
         })
+        .collect()
+}
+
+fn single_body(text: &str) -> String {
+    format!("{{\"text\": \"{}\"}}", escaped(text))
+}
+
+fn batch_body(texts: &[String]) -> String {
+    let items: Vec<String> = texts
+        .iter()
+        .map(|t| format!("\"{}\"", escaped(t)))
         .collect();
-    format!("{{\"text\": \"{escaped}\"}}")
+    format!("{{\"texts\": [{}]}}", items.join(", "))
 }
 
 fn bits_of(body: &str) -> Vec<u32> {
@@ -139,8 +149,9 @@ fn worker_fault_fails_one_batch_typed_then_serves_identically() {
     let (handle, texts, expected) = server_with_armed_site(chaos::WORKER_FAULT, 83);
     let addr = handle.local_addr();
     let mut client = HttpClient::connect(addr).expect("connect");
-    // The injected engine fault is a typed 500 on the same connection —
-    // the worker loop survives it.
+    // The injected engine fault is a typed 500 on the same connection.
+    // A single doc with a permit free is scored inline, so the fault fires
+    // on the connection thread, which survives it.
     let resp = client
         .post_json("/v1/score", &single_body(&texts[0]))
         .expect("faulted request still gets a response");
@@ -149,6 +160,34 @@ fn worker_fault_fails_one_batch_typed_then_serves_identically() {
     assert_recovered(addr, &texts, &expected);
     let report = handle.join();
     // The one injected fault is the only worker error.
+    assert_eq!(report.panicked_threads, 0);
+}
+
+#[test]
+fn worker_fault_fails_one_queued_batch_typed_then_serves_identically() {
+    let (handle, texts, expected) = server_with_armed_site(chaos::WORKER_FAULT, 85);
+    let addr = handle.local_addr();
+    let mut client = HttpClient::connect(addr).expect("connect");
+    // A 2-doc request always takes the queue, so this fault fires on the
+    // worker, not on the inline single-doc path.
+    let body = batch_body(&texts[..2]);
+    let resp = client
+        .post_json("/v1/score", &body)
+        .expect("faulted request still gets a response");
+    assert_eq!(resp.status, 500, "{}", resp.body);
+    assert!(resp.body.contains("injected worker fault"), "{}", resp.body);
+    // The worker loop survived: the same batch now scores identically.
+    let resp = client.post_json("/v1/score", &body).expect("retried batch");
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    assert_eq!(bits_of(&resp.body), expected[..2].to_vec());
+    assert_recovered(addr, &texts, &expected);
+    let metrics = client.get("/metrics").expect("metrics");
+    assert!(
+        metrics.body.contains("incite_serve_worker_errors_total 1"),
+        "{}",
+        metrics.body
+    );
+    let report = handle.join();
     assert_eq!(report.panicked_threads, 0);
 }
 

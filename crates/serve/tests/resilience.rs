@@ -380,17 +380,35 @@ fn journal_replays_offline_to_byte_identical_bits() {
         .documents
         .iter()
         .skip(700)
-        .take(9)
+        .take(12)
         .map(|d| d.text.clone())
         .collect();
-    let mut served: Vec<Scored> = Vec::new();
-    for chunk in texts.chunks(3) {
-        let refs: Vec<&str> = chunk.iter().map(String::as_str).collect();
-        let resp = client
-            .post_json("/v1/score", &score_body(&refs))
-            .expect("request");
-        assert_eq!(resp.status, 200, "{}", resp.body);
-        served.push(parse_scored(&resp.body));
+    // One client alternates 3-doc requests, which take the queue, with
+    // single-doc ones, which are scored inline on its connection thread.
+    // Each request's texts are its own, so they name its record.
+    let mut served: BTreeMap<Vec<String>, Scored> = BTreeMap::new();
+    for chunk in texts.chunks(4) {
+        for request in [&chunk[..3], &chunk[3..]] {
+            let refs: Vec<&str> = request.iter().map(String::as_str).collect();
+            let resp = client
+                .post_json("/v1/score", &score_body(&refs))
+                .expect("request");
+            assert_eq!(resp.status, 200, "{}", resp.body);
+            served.insert(request.to_vec(), parse_scored(&resp.body));
+        }
+    }
+    assert_eq!(served.len(), 6, "every request's texts are distinct");
+    // Each request was one scoring pass: 3 batches of 3, 3 of 1.
+    let metrics = client.get("/metrics").expect("metrics");
+    for line in [
+        "incite_serve_batches_total 6",
+        "incite_serve_documents_scored_total 12",
+    ] {
+        assert!(
+            metrics.body.lines().any(|l| l == line),
+            "missing {line:?} in:\n{}",
+            metrics.body
+        );
     }
     // Joining drains the journal thread; only then is the file complete.
     let report = handle.join();
@@ -398,6 +416,7 @@ fn journal_replays_offline_to_byte_identical_bits() {
 
     let (records, damage) = read_journal(&journal_path).expect("journal reads back");
     assert_eq!(damage, None, "clean shutdown leaves no torn tail");
+    // One record per 200, whichever path scored it.
     assert_eq!(records.len(), served.len());
 
     // Offline replay: re-score every journaled input against the model
@@ -405,7 +424,10 @@ fn journal_replays_offline_to_byte_identical_bits() {
     // reproducible from the journal alone.
     let (classifier, hash) = load_latest_classifier_with_hash(&run_dir).expect("load model");
     let mut seqs = BTreeSet::new();
-    for (record, scored) in records.iter().zip(&served) {
+    for record in &records {
+        let scored = served
+            .remove(&record.texts)
+            .expect("each record is one served request, journaled once");
         assert!(seqs.insert(record.seq), "duplicate seq {}", record.seq);
         assert_eq!(record.model_hash, hash);
         assert_eq!(record.model_hash, scored.model_hash);

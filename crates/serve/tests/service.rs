@@ -156,8 +156,10 @@ fn overload_returns_429_with_retry_after_on_the_wire() {
     let handle = Server::start(classifier, config).expect("server starts");
     let mut client = HttpClient::connect(handle.local_addr()).expect("connect");
 
+    // A 2-doc body always takes the queue (a single doc with a scoring
+    // permit free would be scored inline).
     let resp = client
-        .post_json("/v1/score", &score_body(&[&texts[0]]))
+        .post_json("/v1/score", &score_body(&[&texts[0], &texts[1]]))
         .expect("request");
     assert_eq!(resp.status, 429);
     assert_eq!(resp.header("retry-after"), Some("1"));
@@ -178,6 +180,50 @@ fn overload_returns_429_with_retry_after_on_the_wire() {
 
     let report = handle.join();
     assert_eq!(report.rejected_overload, 1);
+    assert_eq!(report.panicked_threads, 0);
+}
+
+#[test]
+fn a_single_doc_with_a_free_permit_is_served_past_a_zero_depth_queue() {
+    let (classifier, texts) = trained_classifier(74);
+    let want = classifier.score(&texts[0]).to_bits();
+    let config = ServeConfig {
+        queue_depth: 0,
+        ..config_on_free_port()
+    };
+    let handle = Server::start(classifier, config).expect("server starts");
+    let mut client = HttpClient::connect(handle.local_addr()).expect("connect");
+
+    // Scored on the connection thread: the zero-depth queue never sees it.
+    let resp = client
+        .post_json("/v1/score", &score_body(&[&texts[0]]))
+        .expect("request");
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    assert_eq!(
+        bits_of(&resp.body),
+        vec![want],
+        "inline bits are the offline bits"
+    );
+
+    // /metrics counts it as a scored request and as one batch of one doc.
+    let metrics = client.get("/metrics").expect("metrics");
+    for line in [
+        "incite_serve_score_requests_total 1",
+        "incite_serve_batches_total 1",
+        "incite_serve_documents_scored_total 1",
+        "incite_serve_batch_docs_max 1",
+        "incite_serve_rejected_overload_total 0",
+    ] {
+        assert!(
+            metrics.body.lines().any(|l| l == line),
+            "missing {line:?} in:\n{}",
+            metrics.body
+        );
+    }
+
+    let report = handle.join();
+    assert_eq!(report.rejected_overload, 0);
+    assert_eq!(report.documents_scored, 1);
     assert_eq!(report.panicked_threads, 0);
 }
 
