@@ -1,29 +1,30 @@
-//! Deterministic fault injection for crash-recovery testing.
+//! Deterministic fault injection for crash-recovery and chaos testing.
 //!
 //! The checkpoint subsystem's central claim — kill the pipeline at *any*
 //! step boundary and resume to a byte-identical outcome — is only credible
 //! if every boundary is actually exercised. A [`FailpointRegistry`] is
-//! threaded through [`PipelineConfig`]; the pipeline
-//! calls [`FailpointRegistry::check`] at each named site, and an armed site
-//! aborts the run with a typed [`InjectedFault`] exactly where a crash
-//! would. The kill-point sweep in `tests/crash_recovery.rs` iterates
-//! [`pipeline_sites`], crashes at each one, resumes, and asserts outcome
-//! equality against an uninterrupted run.
+//! threaded through `PipelineConfig`, `WatchConfig` and `ServeConfig`; the
+//! code calls [`FailpointRegistry::check`] at each named site, and an armed
+//! site fails with a typed [`InjectedFault`] exactly where a crash would.
+//!
+//! A registry also logs every distinct site it is asked about, in the order
+//! of first visit. The kill sweeps read that log from an uninterrupted
+//! reference run ([`FailpointRegistry::visited`]), then arm and crash at
+//! each site it names: a site added to the control flow is swept with no
+//! list to edit.
 //!
 //! Everything here is std-only and fully deterministic: sites are static
 //! names, arming is explicit, and there is no probability or clock
-//! involved — the same armed registry fails at the same site every time.
+//! involved. Each arming fires once: the check that fires consumes it, so a
+//! server can show the fault and then its recovery, and a pipeline or watch
+//! run, which the first fault ends, sees no difference.
 //!
 //! **Release builds carry no cost.** Without the `failpoints` cargo
 //! feature the registry is a zero-sized struct and [`check`] is an empty
-//! inlined `Ok(())` the optimizer deletes; the fault-injection sweep runs
-//! under `cargo test -p incite-core --features failpoints`.
+//! inlined `Ok(())` the optimizer deletes; the sweeps run under
+//! `--features failpoints`.
 //!
 //! [`check`]: FailpointRegistry::check
-
-use crate::pipeline::PipelineConfig;
-use crate::task::Task;
-use incite_taxonomy::Platform;
 
 /// A failure injected at a named failpoint site.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,15 +41,34 @@ impl std::fmt::Display for InjectedFault {
 
 impl std::error::Error for InjectedFault {}
 
-/// Deterministic registry of armed failpoint sites.
+/// Deterministic registry of armed failpoint sites and of the sites
+/// checked so far.
 ///
-/// Cloning is cheap and preserves the armed set, so a config can be built
-/// once and re-armed per sweep iteration. Without the `failpoints`
-/// feature this struct is zero-sized and all methods are no-ops.
-#[derive(Debug, Clone, Default)]
+/// `Clone` copies both, so arming a clone never arms the original.
+/// Without the `failpoints` feature this struct is zero-sized and all
+/// methods are no-ops.
+#[derive(Debug, Default)]
 pub struct FailpointRegistry {
+    /// Behind one lock, so `check` takes `&self` on a shared registry.
     #[cfg(feature = "failpoints")]
+    sites: std::sync::Mutex<Sites>,
+}
+
+#[cfg(feature = "failpoints")]
+#[derive(Debug, Clone, Default)]
+struct Sites {
     armed: std::collections::BTreeSet<String>,
+    /// Each distinct site checked, in the order of its first check.
+    visited: Vec<String>,
+}
+
+impl Clone for FailpointRegistry {
+    fn clone(&self) -> Self {
+        FailpointRegistry {
+            #[cfg(feature = "failpoints")]
+            sites: std::sync::Mutex::new(self.sites().clone()),
+        }
+    }
 }
 
 impl FailpointRegistry {
@@ -58,69 +78,57 @@ impl FailpointRegistry {
     }
 
     /// Arms `site`: the next [`check`](Self::check) against it fails.
-    /// No-op without the `failpoints` feature.
+    /// Arming an armed site changes nothing. No-op without the
+    /// `failpoints` feature.
     pub fn arm(&mut self, site: &str) {
         #[cfg(feature = "failpoints")]
-        self.armed.insert(site.to_string());
+        self.sites().armed.insert(site.to_string());
         #[cfg(not(feature = "failpoints"))]
         let _ = site;
     }
 
-    /// Disarms `site`. No-op without the `failpoints` feature.
-    pub fn disarm(&mut self, site: &str) {
-        #[cfg(feature = "failpoints")]
-        self.armed.remove(site);
-        #[cfg(not(feature = "failpoints"))]
-        let _ = site;
-    }
-
-    /// Fails with [`InjectedFault`] when `site` is armed; the release-mode
-    /// hot path compiles to nothing.
+    /// Logs `site` and fails with [`InjectedFault`] when it is armed,
+    /// disarming it; the release-mode hot path compiles to nothing. The
+    /// lock covers two in-memory set updates and nothing else.
     #[inline]
     pub fn check(&self, site: &str) -> Result<(), InjectedFault> {
         #[cfg(feature = "failpoints")]
-        if self.armed.contains(site) {
-            return Err(InjectedFault {
-                site: site.to_string(),
-            });
+        {
+            let mut sites = self.sites();
+            if !sites.visited.iter().any(|seen| seen == site) {
+                sites.visited.push(site.to_string());
+            }
+            if sites.armed.remove(site) {
+                return Err(InjectedFault {
+                    site: site.to_string(),
+                });
+            }
         }
         let _ = site;
         Ok(())
     }
-}
 
-/// Every failpoint site `run_pipeline` hits for this config and task, in
-/// execution order. The kill-point sweep iterates exactly this list.
-///
-/// Boundary sites (`after-*`) fire immediately after the step's checkpoint
-/// is written — resume skips the completed step. Mid-step sites
-/// (`mid-annotation-batch`, `mid-threshold-sweep`) fire inside a step,
-/// before its checkpoint — resume replays the whole step from the previous
-/// boundary, proving partial work is discarded cleanly.
-pub fn pipeline_sites(config: &PipelineConfig, task: Task) -> Vec<String> {
-    let mut sites = vec!["after-bootstrap".to_string(), "after-featurize".to_string()];
-    if config.al_rounds > 0 {
-        sites.push("mid-annotation-batch".to_string());
-    }
-    for round in 0..config.al_rounds {
-        sites.push(format!("after-round-{round}"));
-    }
-    sites.push("after-eval".to_string());
-    sites.push("after-score".to_string());
-    let platforms: Vec<Platform> = Platform::ALL
-        .into_iter()
-        .filter(|p| task.applies_to(*p))
-        .collect();
-    for (i, platform) in platforms.into_iter().enumerate() {
-        // The mid-sweep site fires inside the *second* platform's step —
-        // after the first platform's boundary checkpoint, before the
-        // second's work — proving a partially completed sweep resumes.
-        if i == 1 {
-            sites.push("mid-threshold-sweep".to_string());
+    /// Every distinct site checked so far, in the order of first check.
+    /// Always empty without the `failpoints` feature.
+    pub fn visited(&self) -> Vec<String> {
+        #[cfg(feature = "failpoints")]
+        {
+            self.sites().visited.clone()
         }
-        sites.push(format!("after-threshold-{}", platform.slug()));
+        #[cfg(not(feature = "failpoints"))]
+        {
+            Vec::new()
+        }
     }
-    sites
+
+    /// The armed set and the log. Each update under the lock is one
+    /// insert, push or remove, so a poisoned lock still holds both whole.
+    #[cfg(feature = "failpoints")]
+    fn sites(&self) -> std::sync::MutexGuard<'_, Sites> {
+        self.sites
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 }
 
 #[cfg(test)]
@@ -133,100 +141,63 @@ mod tests {
         assert_eq!(fp.check("after-bootstrap"), Ok(()));
     }
 
-    #[test]
-    fn site_list_covers_rounds_and_platforms() {
-        let config = PipelineConfig::quick(1);
-        let sites = pipeline_sites(&config, Task::Dox);
-        assert!(sites.contains(&"after-bootstrap".to_string()));
-        assert!(sites.contains(&"after-featurize".to_string()));
-        assert!(sites.contains(&"mid-annotation-batch".to_string()));
-        assert!(sites.contains(&"after-round-0".to_string()));
-        assert!(sites.contains(&"mid-threshold-sweep".to_string()));
-        // Dox skips blogs; every other platform gets a threshold site.
-        assert!(!sites.contains(&"after-threshold-blogs".to_string()));
-        assert!(sites.contains(&"after-threshold-pastes".to_string()));
-        // Execution order: bootstrap first, last threshold site last.
-        assert_eq!(sites.first().map(String::as_str), Some("after-bootstrap"));
-        assert!(sites
-            .last()
-            .is_some_and(|s| s.starts_with("after-threshold-")));
-    }
-
-    #[test]
-    fn zero_round_config_has_no_round_sites() {
-        let config = PipelineConfig {
-            al_rounds: 0,
-            ..PipelineConfig::quick(1)
-        };
-        let sites = pipeline_sites(&config, Task::Cth);
-        assert!(!sites.iter().any(|s| s.starts_with("after-round")));
-        assert!(!sites.contains(&"mid-annotation-batch".to_string()));
-    }
-
-    #[test]
-    fn disarm_of_never_armed_site_is_a_noop() {
-        // Valid with or without the feature: disarming a site that was
-        // never armed changes nothing and panics nowhere.
-        let mut fp = FailpointRegistry::new();
-        fp.disarm("never-armed");
-        assert_eq!(fp.check("never-armed"), Ok(()));
-    }
-
     #[cfg(not(feature = "failpoints"))]
     #[test]
     fn registry_compiles_out_without_the_feature() {
-        // The release-mode contract: zero size, and arm is a no-op so
-        // check can never fail.
+        // The release-mode contract: zero size, arm is a no-op so check
+        // can never fail, and nothing is logged.
         assert_eq!(std::mem::size_of::<FailpointRegistry>(), 0);
         let mut fp = FailpointRegistry::new();
         fp.arm("after-eval");
         assert_eq!(fp.check("after-eval"), Ok(()));
+        assert!(fp.visited().is_empty());
     }
 
     #[cfg(feature = "failpoints")]
     #[test]
-    fn double_arm_is_idempotent() {
-        // Arming the same site twice is one armed site: a single disarm
-        // fully clears it (set semantics, not a counter).
+    fn an_armed_site_fires_once_per_arming() {
         let mut fp = FailpointRegistry::new();
         fp.arm("after-eval");
-        fp.arm("after-eval");
-        assert!(fp.check("after-eval").is_err());
-        fp.disarm("after-eval");
-        assert_eq!(fp.check("after-eval"), Ok(()));
-    }
-
-    #[cfg(feature = "failpoints")]
-    #[test]
-    fn check_ordering_is_deterministic() {
-        // With several sites armed, the first failure is decided by the
-        // caller's check order alone — run the same site sequence twice
-        // and the same site fails first both times.
-        let mut fp = FailpointRegistry::new();
-        fp.arm("after-score");
-        fp.arm("after-eval");
-        let sequence = ["after-bootstrap", "after-eval", "after-score"];
-        let first_failure = |fp: &FailpointRegistry| -> Option<String> {
-            sequence
-                .iter()
-                .find_map(|site| fp.check(site).err().map(|f| f.site))
-        };
-        let a = first_failure(&fp);
-        let b = first_failure(&fp);
-        assert_eq!(a.as_deref(), Some("after-eval"));
-        assert_eq!(a, b);
-    }
-
-    #[cfg(feature = "failpoints")]
-    #[test]
-    fn armed_site_fails_until_disarmed() {
-        let mut fp = FailpointRegistry::new();
         fp.arm("after-eval");
         let err = fp.check("after-eval").unwrap_err();
         assert_eq!(err.site, "after-eval");
         assert!(err.to_string().contains("after-eval"));
+        assert_eq!(fp.check("after-eval"), Ok(()), "the fault consumed it");
         assert_eq!(fp.check("after-score"), Ok(()));
-        fp.disarm("after-eval");
-        assert_eq!(fp.check("after-eval"), Ok(()));
+        fp.arm("after-eval");
+        assert!(fp.check("after-eval").is_err(), "re-armed");
+    }
+
+    #[cfg(feature = "failpoints")]
+    #[test]
+    fn visited_lists_each_site_once_in_first_visit_order() {
+        let mut fp = FailpointRegistry::new();
+        fp.arm("after-eval");
+        for site in ["after-bootstrap", "mid-round", "after-eval", "mid-round"] {
+            let _ = fp.check(site);
+        }
+        let _ = fp.check("after-bootstrap");
+        assert_eq!(fp.visited(), ["after-bootstrap", "mid-round", "after-eval"]);
+    }
+
+    #[cfg(feature = "failpoints")]
+    #[test]
+    fn a_clone_is_armed_and_logged_apart_from_its_original() {
+        let original = FailpointRegistry::new();
+        let _ = original.check("after-bootstrap");
+        let mut clone = original.clone();
+        clone.arm("after-eval");
+        assert_eq!(
+            original.check("after-eval"),
+            Ok(()),
+            "the original is unarmed"
+        );
+        assert!(clone.check("after-eval").is_err());
+        let _ = clone.check("after-score");
+        assert_eq!(original.visited(), ["after-bootstrap", "after-eval"]);
+        assert_eq!(
+            clone.visited(),
+            ["after-bootstrap", "after-eval", "after-score"]
+        );
     }
 }

@@ -57,7 +57,7 @@ pub use checkpoint::{
     clear_run_dir, load_latest_classifier, load_latest_classifier_with_hash, CheckpointError,
 };
 pub use engine::{score_corpus, EngineStats, ScoringEngine, FEATURIZE_CHUNK};
-pub use failpoint::{pipeline_sites, FailpointRegistry, InjectedFault};
+pub use failpoint::{FailpointRegistry, InjectedFault};
 pub use parallel::ScoreError;
 pub use pipeline::{
     run_pipeline, run_pipeline_resumable, ConfigError, PipelineConfig, PipelineError,

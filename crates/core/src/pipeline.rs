@@ -135,7 +135,7 @@ impl PipelineConfig {
     /// Stable fingerprint of every parameter that shapes the deterministic
     /// outcome. `threads` is excluded (scoring is byte-identical across
     /// thread counts) and so is the failpoint registry (an armed run and
-    /// its disarmed resume share one run directory). A resumed run whose
+    /// its unarmed resume share one run directory). A resumed run whose
     /// fingerprint differs from the checkpointed one is refused as
     /// [`CheckpointError::Incompatible`].
     pub fn fingerprint(&self) -> String {

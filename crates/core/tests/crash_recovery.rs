@@ -2,12 +2,14 @@
 //! demand a byte-identical outcome.
 //!
 //! This is the tentpole guarantee of the checkpoint subsystem (DESIGN.md
-//! §12). For every site [`pipeline_sites`] registers — each step boundary
-//! plus the two mid-step positions — the sweep arms the site, runs
-//! [`run_pipeline_resumable`] until the injected fault aborts it exactly
-//! where a crash would, then resumes disarmed in the same run directory
-//! and asserts the recovered [`PipelineOutcome`] equals (`PartialEq` and
-//! digest) an uninterrupted reference run.
+//! §12). An uninterrupted reference run logs every site it passes (each
+//! step boundary plus the two mid-step positions) in its registry's
+//! `FailpointRegistry::visited` list. For each of those sites the sweep
+//! arms it, runs [`run_pipeline_resumable`] until the injected fault
+//! aborts it exactly where a crash would, then resumes unarmed in the
+//! same run directory and asserts the recovered `PipelineOutcome`
+//! equals (`PartialEq` and digest) the reference. A site added to the
+//! pipeline is swept with no list to edit.
 //!
 //! Requires `--features failpoints`; without it the registry compiles to
 //! no-ops and arming does nothing, so the whole suite is gated.
@@ -15,9 +17,7 @@
 
 use incite_core::checkpoint::MANIFEST_FILE;
 use incite_core::pipeline::PipelineError;
-use incite_core::{
-    clear_run_dir, pipeline_sites, run_pipeline, run_pipeline_resumable, PipelineConfig, Task,
-};
+use incite_core::{clear_run_dir, run_pipeline, run_pipeline_resumable, PipelineConfig, Task};
 use incite_corpus::{generate, Corpus, CorpusConfig};
 use std::path::PathBuf;
 
@@ -34,7 +34,8 @@ fn sweep(task: Task, seed: u64) {
     let config = PipelineConfig::quick(seed);
     let reference = run_pipeline(&corpus, task, &config).expect("reference run");
 
-    let sites = pipeline_sites(&config, task);
+    // Every site the reference run passed, in the order it passed them.
+    let sites = config.failpoints.visited();
     assert!(
         sites.len() >= 6,
         "sweep must cover every boundary, got {sites:?}"
@@ -52,7 +53,7 @@ fn sweep(task: Task, seed: u64) {
             other => panic!("site {site}: expected injected fault, got {other:?}"),
         }
 
-        // Resume: same directory, disarmed config, identical outcome.
+        // Resume: same directory, unarmed config, identical outcome.
         let recovered = run_pipeline_resumable(&corpus, task, &config, &dir)
             .unwrap_or_else(|e| panic!("site {site}: resume failed: {e}"));
         assert_eq!(

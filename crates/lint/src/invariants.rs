@@ -7,8 +7,8 @@
 //! * **INC014 checkpoint-unswept** — every `atomic_io` write/append
 //!   acquisition outside tests (in `core`, `serve`, `stream`) must be
 //!   reachable, through resolved call edges, from a function that
-//!   consults a failpoint registry (`.check(…)` / `.trip(…)`). A write
-//!   no sweep can reach is crash-recovery coverage that silently shrank.
+//!   consults a failpoint registry (`.check(…)`). A write no sweep can
+//!   reach is crash-recovery coverage that silently shrank.
 //! * **INC016 unchecked-wire-arithmetic** — interval-lite dataflow over
 //!   the three wire decoders (`corpus/src/jsonl.rs`, `stream/src/event.rs`,
 //!   and `core/src/checkpoint/codec.rs` with `stream/src/state.rs`):
@@ -77,13 +77,7 @@ fn funnel_callee(call: &CallEvent) -> Option<String> {
 /// Whether this function body consults a failpoint registry directly.
 fn is_checker(node: &crate::graph::FnNode) -> bool {
     node.events.iter().any(|ev| match ev {
-        Event::Call(call) => {
-            call.dotted
-                && matches!(
-                    call.segs.last().map(String::as_str),
-                    Some("check") | Some("trip")
-                )
-        }
+        Event::Call(call) => call.dotted && call.segs.last().is_some_and(|seg| seg == "check"),
         _ => false,
     })
 }
@@ -136,7 +130,7 @@ fn inc014(ws: &Workspace, findings: &mut Vec<Finding>, fuel: &mut u64) {
                 line,
                 message: format!(
                     "unswept checkpoint write: `{callee}` in `{}` is not reachable from any \
-                     failpoint `check`/`trip` site, so the kill sweep cannot cover it",
+                     failpoint `check` site, so the kill sweep cannot cover it",
                     qualified(ws, i)
                 ),
                 trace: Vec::new(),

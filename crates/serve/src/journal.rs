@@ -25,9 +25,9 @@
 //! connection that outlived the drain window) is counted in
 //! [`JournalStats::errors`], never queued where nothing reads it.
 
-use crate::chaos::{self, ChaosRegistry};
+use crate::chaos;
 use incite_core::checkpoint::atomic_io::{self, AppendLog};
-use incite_core::CheckpointError;
+use incite_core::{CheckpointError, FailpointRegistry};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicU64;
 use std::sync::atomic::Ordering;
@@ -120,9 +120,9 @@ impl Handoff {
 pub(crate) fn spawn(
     path: &Path,
     stats: Arc<JournalStats>,
-    chaos: &ChaosRegistry,
+    failpoints: &FailpointRegistry,
 ) -> Result<(mpsc::Sender<JournalRecord>, thread::JoinHandle<()>), CheckpointError> {
-    if chaos.trip(chaos::JOURNAL_OPEN) {
+    if failpoints.check(chaos::JOURNAL_OPEN).is_err() {
         return Err(CheckpointError::Io {
             path: path.to_path_buf(),
             source: std::io::Error::other("injected journal-open fault"),
@@ -217,8 +217,8 @@ mod tests {
         let dir = test_dir("roundtrip");
         let path = dir.join("roundtrip.jsonl");
         let stats = Arc::new(JournalStats::default());
-        let chaos = ChaosRegistry::default();
-        let (tx, handle) = spawn(&path, Arc::clone(&stats), &chaos).expect("journal opens");
+        let (tx, handle) =
+            spawn(&path, Arc::clone(&stats), &FailpointRegistry::new()).expect("journal opens");
         for seq in 0..5 {
             tx.send(record(seq)).expect("send");
         }
@@ -241,7 +241,7 @@ mod tests {
         let path = dir.join("handoff.jsonl");
         let stats = Arc::new(JournalStats::default());
         let (tx, handle) =
-            spawn(&path, Arc::clone(&stats), &ChaosRegistry::default()).expect("journal opens");
+            spawn(&path, Arc::clone(&stats), &FailpointRegistry::new()).expect("journal opens");
         // The server state, which a stuck connection may keep alive, holds
         // the handoff; closing it must still end the journal thread.
         let handoff = Handoff::new(tx, Arc::clone(&stats));
@@ -263,7 +263,7 @@ mod tests {
     fn write_records(path: &Path, seqs: std::ops::Range<u64>) {
         let stats = Arc::new(JournalStats::default());
         let (tx, handle) =
-            spawn(path, Arc::clone(&stats), &ChaosRegistry::default()).expect("journal opens");
+            spawn(path, Arc::clone(&stats), &FailpointRegistry::new()).expect("journal opens");
         for seq in seqs {
             tx.send(record(seq)).expect("send");
         }

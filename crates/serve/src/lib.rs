@@ -108,7 +108,10 @@ pub struct ServeConfig {
     pub max_batch: usize,
     /// Engine worker loops draining the queue, and the number of scoring
     /// permits: inline single-doc scores and worker batches together
-    /// never run more than `workers` scoring passes at once.
+    /// never run more than `workers` scoring passes at once. `incite
+    /// serve` has no flag for it and keeps the default of 1, so a server
+    /// the CLI boots runs one scoring pass at a time, inline or queued;
+    /// `threads` only splits a pass.
     pub workers: usize,
     /// Per-request deadline: jobs older than this when a worker picks
     /// them up are expired with 504 instead of scored.

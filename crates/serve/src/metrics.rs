@@ -117,7 +117,10 @@ pub struct Metrics {
     pub batches: AtomicU64,
     /// Largest micro-batch seen (documents).
     pub max_batch_docs: AtomicU64,
-    /// End-to-end request latency (parse start → response written).
+    /// Server-side request latency, from the parsed request to the built
+    /// response: routing, admission, scoring (a queued request's wait
+    /// included) and serialization, without the parse or the socket
+    /// write.
     pub(crate) latency: LatencyHistogram,
 }
 

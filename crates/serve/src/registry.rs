@@ -16,8 +16,8 @@
 //! an injected `serve-mid-swap` fault between load and flip — leaves the
 //! old generation serving untouched.
 
-use crate::chaos::{self, ChaosRegistry};
-use incite_core::{load_latest_classifier_with_hash, CheckpointError};
+use crate::chaos;
+use incite_core::{load_latest_classifier_with_hash, CheckpointError, FailpointRegistry};
 use incite_ml::TextClassifier;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -123,7 +123,7 @@ impl ModelRegistry {
     pub fn swap_from_run_dir(
         &self,
         run_dir: &Path,
-        chaos: &ChaosRegistry,
+        failpoints: &FailpointRegistry,
     ) -> Result<u64, SwapError> {
         if self
             .swap_in_flight
@@ -132,7 +132,7 @@ impl ModelRegistry {
         {
             return Err(SwapError::InProgress);
         }
-        let result = self.load_and_flip(run_dir, chaos);
+        let result = self.load_and_flip(run_dir, failpoints);
         match result {
             Ok(_) => {
                 self.swaps_total.fetch_add(1, Ordering::Relaxed);
@@ -145,7 +145,11 @@ impl ModelRegistry {
         result
     }
 
-    fn load_and_flip(&self, run_dir: &Path, chaos: &ChaosRegistry) -> Result<u64, SwapError> {
+    fn load_and_flip(
+        &self,
+        run_dir: &Path,
+        failpoints: &FailpointRegistry,
+    ) -> Result<u64, SwapError> {
         // Load + verify outside the lock: the old generation keeps
         // serving at full speed while the new one reads from disk.
         let (classifier, model_hash) = load_latest_classifier_with_hash(run_dir)
@@ -154,7 +158,7 @@ impl ModelRegistry {
         // of the new generation pays no one-time cost. Scoring is pure;
         // the result is discarded.
         let _ = classifier.score("warmup: report him and make him pay");
-        if chaos.trip(chaos::MID_SWAP) {
+        if failpoints.check(chaos::MID_SWAP).is_err() {
             return Err(SwapError::Injected);
         }
         let run_dir = run_dir.display().to_string();
@@ -195,9 +199,8 @@ mod tests {
     #[test]
     fn swap_from_bad_dir_is_typed_and_keeps_the_old_generation() {
         let registry = ModelRegistry::new(classifier("report him"), String::new(), String::new());
-        let chaos = ChaosRegistry::default();
         let err = registry
-            .swap_from_run_dir(Path::new("/nonexistent-run-dir"), &chaos)
+            .swap_from_run_dir(Path::new("/nonexistent-run-dir"), &FailpointRegistry::new())
             .expect_err("swap from a missing dir must fail");
         assert_eq!(err, SwapError::Load("path is not a servable run directory"));
         assert_eq!(registry.generation(), 1);

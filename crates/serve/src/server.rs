@@ -38,7 +38,7 @@
 //!    [`ServerHandle::join`] collects every thread and reports totals.
 
 use crate::admission::{AdmissionControl, Admit};
-use crate::chaos::{self, ChaosRegistry};
+use crate::chaos;
 use crate::http::{self, Received, RecvError, Request, Response};
 use crate::journal::{self, Handoff, JournalRecord, JournalStats};
 use crate::metrics::{Gauges, Metrics};
@@ -83,7 +83,6 @@ const DEGRADE_AFTER: u32 = 8;
 pub struct ServerState {
     pub(crate) registry: ModelRegistry,
     pub(crate) admission: AdmissionControl,
-    pub(crate) chaos: ChaosRegistry,
     pub(crate) journal_stats: Arc<JournalStats>,
     pub(crate) extractor: PiiExtractor,
     pub(crate) queue: BoundedQueue<ScoreJob>,
@@ -194,15 +193,14 @@ impl Server {
             source,
         })?;
         let journal_stats = Arc::new(JournalStats::default());
-        let chaos = ChaosRegistry::from_registry(config.failpoints.clone());
         // Open the journal before spawning anything: an unwritable path
-        // is a boot failure, not a silent runtime drop. The chaos registry
-        // is built first so the journal-open failpoint covers this open.
+        // is a boot failure, not a silent runtime drop.
         let (journal, journal_thread) = match &config.journal {
             None => (None, None),
             Some(path) => {
-                let (tx, handle) = journal::spawn(path, Arc::clone(&journal_stats), &chaos)
-                    .map_err(|e| ServeError::Config(format!("cannot open journal: {e}")))?;
+                let (tx, handle) =
+                    journal::spawn(path, Arc::clone(&journal_stats), &config.failpoints)
+                        .map_err(|e| ServeError::Config(format!("cannot open journal: {e}")))?;
                 (
                     Some(Handoff::new(tx, Arc::clone(&journal_stats))),
                     Some(handle),
@@ -213,7 +211,6 @@ impl Server {
         let state = Arc::new(ServerState {
             registry,
             admission,
-            chaos,
             journal_stats,
             extractor,
             queue: BoundedQueue::new(config.queue_depth),
@@ -441,10 +438,10 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) {
 /// response bytes; a short write emits a truncated prefix. Both hit
 /// exactly one response and the server keeps serving.
 fn write_response(state: &ServerState, stream: &mut TcpStream, response: &Response) -> bool {
-    if state.chaos.trip(chaos::SOCKET_RESET) {
+    if state.config.failpoints.check(chaos::SOCKET_RESET).is_err() {
         return false;
     }
-    if state.chaos.trip(chaos::SHORT_WRITE) {
+    if state.config.failpoints.check(chaos::SHORT_WRITE).is_err() {
         let mut buf = Vec::new();
         if response.write_to(&mut buf).is_ok() {
             let _ = stream.write_all(&buf[..buf.len() / 2]);
@@ -747,7 +744,7 @@ fn swap_endpoint(state: &Arc<ServerState>, req: &Request) -> Response {
     };
     match state
         .registry
-        .swap_from_run_dir(Path::new(&run_dir), &state.chaos)
+        .swap_from_run_dir(Path::new(&run_dir), &state.config.failpoints)
     {
         Ok(generation) => Response::json(200, format!("{{\"generation\":{generation}}}")),
         Err(e @ SwapError::InProgress) => Response::json(409, error_body(e.describe())),
@@ -808,7 +805,6 @@ mod tests {
         Arc::new(ServerState {
             registry: ModelRegistry::new(classifier, String::new(), String::new()),
             admission: AdmissionControl::new(config.tenants.clone(), Instant::now()),
-            chaos: ChaosRegistry::from_registry(config.failpoints.clone()),
             journal_stats: Arc::new(JournalStats::default()),
             extractor,
             queue: BoundedQueue::new(config.queue_depth),

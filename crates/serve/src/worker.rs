@@ -173,7 +173,7 @@ impl Permits {
 /// single-doc path come here. The texts score against one registry
 /// snapshot, which [`Reply::Scores`] carries with the scores.
 pub(crate) fn score_pass(state: &ServerState, texts: &[&str], permit: Permit<'_>) -> Reply {
-    if state.chaos.trip(chaos::WORKER_FAULT) {
+    if state.config.failpoints.check(chaos::WORKER_FAULT).is_err() {
         // The injected equivalent of an engine panic: the pass fails
         // typed (500), nothing is scored or journaled, and the caller
         // survives to serve the next request.

@@ -179,6 +179,8 @@ mod damage {
         stream: EventStream,
         /// Rankings and final snapshot of an uninterrupted checkpointed run.
         reference: (String, Vec<u8>),
+        /// The failpoint sites that run passed, in order.
+        sites: Vec<String>,
         /// Every test plants its states under one dir, removed at the end:
         /// deleting a snapshot the filesystem is still writing back stalls.
         scratch: PathBuf,
@@ -192,9 +194,15 @@ mod damage {
                 fx,
                 stream,
                 reference: (String::new(), Vec::new()),
+                sites: Vec::new(),
                 scratch: state_dir(&format!("short-{tag}")),
             };
-            short.reference = short.uninterrupted();
+            let dir = short.dir("uninterrupted");
+            let config = short.config(&dir);
+            let outcome = short.run(&config).expect("uninterrupted run");
+            let snapshot = std::fs::read(dir.join(STATE_FILE)).expect("snapshot");
+            short.reference = (outcome.rankings, snapshot);
+            short.sites = config.failpoints.visited();
             short
         }
 
@@ -224,24 +232,13 @@ mod damage {
             dir
         }
 
-        /// Rankings and final snapshot of a checkpointed run from scratch.
-        fn uninterrupted(&self) -> (String, Vec<u8>) {
-            let dir = self.dir("uninterrupted");
-            let outcome = self.run(&self.config(&dir)).expect("uninterrupted run");
-            let snapshot = std::fs::read(dir.join(STATE_FILE)).expect("snapshot");
-            (outcome.rankings, snapshot)
-        }
-
-        /// Runs the watch in `dir` with every site in `armed` armed;
-        /// returns the site that fired.
-        fn crash(&self, dir: &Path, armed: &[String]) -> String {
+        /// Runs the watch in `dir` with `site` armed until it fires.
+        fn crash(&self, dir: &Path, site: &str) {
             let mut config = self.config(dir);
-            for site in armed {
-                config.failpoints.arm(site);
-            }
+            config.failpoints.arm(site);
             match self.run(&config) {
-                Err(StreamError::Fault(fault)) => fault.site,
-                other => panic!("expected a fault at one of {armed:?}, got {other:?}"),
+                Err(StreamError::Fault(fault)) => assert_eq!(fault.site, site),
+                other => panic!("expected a fault at {site}, got {other:?}"),
             }
         }
 
@@ -249,8 +246,7 @@ mod damage {
         /// checkpoint leaves: (snapshot, log).
         fn killed_after(&self, epoch: u64) -> (Vec<u8>, Vec<u8>) {
             let dir = self.dir(&format!("killed-{epoch}"));
-            let site = format!("stream-after-epoch-{epoch}");
-            assert_eq!(self.crash(&dir, std::slice::from_ref(&site)), site);
+            self.crash(&dir, &format!("stream-after-epoch-{epoch}"));
             (
                 std::fs::read(dir.join(STATE_FILE)).expect("snapshot"),
                 std::fs::read(dir.join(LOG_FILE)).expect("log"),
@@ -495,8 +491,7 @@ mod damage {
 
         // The next save compacts onto `STREAM.ckpt` and drops the aside,
         // though its epoch is not the last.
-        let next = format!("stream-after-epoch-{}", short.epochs() - 1);
-        assert_eq!(short.crash(&dir, std::slice::from_ref(&next)), next);
+        short.crash(&dir, &format!("stream-after-epoch-{}", short.epochs() - 1));
         assert_eq!(listing(&dir), [STATE_FILE, LOG_FILE]);
         assert_eq!(std::fs::metadata(dir.join(LOG_FILE)).expect("log").len(), 0);
         short.assert_finishes("aside", &dir, &short.reference);
@@ -567,18 +562,24 @@ mod damage {
         let dir = short.dir("inode");
         let inode = |name: &str| std::fs::metadata(dir.join(name)).expect(name).ino();
 
-        // The first save always compacts.
-        let reset = "stream-compact-reset-1".to_string();
-        assert_eq!(short.crash(&dir, std::slice::from_ref(&reset)), reset);
+        // The uninterrupted run's first two compactions (the first save
+        // always compacts): a resume from the first keeps its schedule.
+        let steps = |step: &str| -> Vec<&String> {
+            let prefix = format!("stream-compact-{step}-");
+            short
+                .sites
+                .iter()
+                .filter(|s| s.starts_with(&prefix))
+                .collect()
+        };
+        let (reset, aside) = (steps("reset")[0], steps("aside")[1]);
+        short.crash(&dir, reset);
         let (snapshot, log) = (inode(STATE_FILE), inode(LOG_FILE));
 
-        let armed: Vec<String> = (2..=short.epochs())
-            .map(|epoch| format!("stream-compact-aside-{epoch}"))
-            .collect();
-        let fired = short.crash(&dir, &armed);
-        assert!(!dir.join(STATE_FILE).exists(), "{fired}: STREAM.ckpt left");
-        assert_eq!(inode(ASIDE_FILE), snapshot, "{fired}");
-        assert_eq!(inode(LOG_FILE), log, "{fired}");
+        short.crash(&dir, aside);
+        assert!(!dir.join(STATE_FILE).exists(), "{aside}: STREAM.ckpt left");
+        assert_eq!(inode(ASIDE_FILE), snapshot, "{aside}");
+        assert_eq!(inode(LOG_FILE), log, "{aside}");
         short.assert_finishes("inode", &dir, &short.reference);
     }
 }

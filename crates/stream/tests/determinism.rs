@@ -4,16 +4,21 @@
 //! 2. a split run (checkpoint after a few epochs, resume in a fresh
 //!    invocation) reproduces the uninterrupted run byte for byte;
 //! 3. with `--features failpoints`, a kill-point sweep crashes the watch
-//!    loop on both sides of every early checkpoint boundary
-//!    (`stream-mid-epoch-N` before the save, `stream-after-epoch-N`
-//!    after it), resumes disarmed, and demands byte-identical rankings —
-//!    the same discipline as the core pipeline's crash-recovery sweep;
+//!    loop at every failpoint site of the first three epochs, among them
+//!    both sides of each checkpoint boundary (`stream-mid-epoch-N` before
+//!    the save, `stream-after-epoch-N` after it), resumes unarmed, and
+//!    demands byte-identical rankings — the same discipline as the core
+//!    pipeline's crash-recovery sweep;
 //! 4. at the CLI default epoch length the sweep also crashes inside
 //!    every log compaction, the exit compaction included:
 //!    `stream-compact-aside-N` with the old snapshot moved aside and no
 //!    new one written, `stream-compact-renamed-N` between the snapshot
 //!    rename and the log truncation, and `stream-compact-reset-N` after
 //!    it.
+//!
+//! Both sweeps take their sites from the registry's visit log of an
+//! uninterrupted checkpointed run, so a site added to the watch loop is
+//! swept with no list to edit.
 
 mod common;
 
@@ -74,37 +79,63 @@ fn split_run_resume_is_byte_identical() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Runs a checkpointed watch at `epoch_len` with every site in `armed`
-/// armed. When one fires, resumes disarmed from the same state directory
-/// and requires the uninterrupted run's rankings byte for byte. Returns
-/// the site that fired, if any did.
+/// The failpoint sites an uninterrupted checkpointed run at `epoch_len`
+/// passes, in order, and an uncheckpointed run's outcome, whose rankings
+/// the checkpointed run must match.
 #[cfg(feature = "failpoints")]
-fn crash_and_resume(
-    fx: &Fixture,
-    epoch_len: usize,
-    armed: &[String],
-    reference: &str,
-) -> Option<String> {
+fn reference_run(fx: &Fixture, epoch_len: usize) -> (Vec<String>, incite_stream::WatchOutcome) {
+    let doc_texts = fx.doc_texts();
+    let plain = run_watch(
+        &fx.stream,
+        &doc_texts,
+        &fx.classifier,
+        &fx.config(2, epoch_len),
+    )
+    .expect("uninterrupted run");
+    let dir = state_dir(&format!("reference-{epoch_len}"));
+    let mut config = fx.config(2, epoch_len);
+    config.state_dir = Some(dir.clone());
+    let checkpointed = run_watch(&fx.stream, &doc_texts, &fx.classifier, &config)
+        .expect("uninterrupted checkpointed run");
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(checkpointed.rankings, plain.rankings);
+    (config.failpoints.visited(), plain)
+}
+
+/// The epoch a `stream-*-N` site names.
+#[cfg(feature = "failpoints")]
+fn epoch_of(site: &str) -> u64 {
+    site.rsplit('-')
+        .next()
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("site {site} names no epoch"))
+}
+
+/// Every site of the first three epochs: both sides of each save, and
+/// the steps of a compaction when the save compacts.
+#[cfg(feature = "failpoints")]
+fn is_early(site: &str) -> bool {
+    epoch_of(site) <= 3
+}
+
+/// Runs a checkpointed watch at `epoch_len` with `site` armed until it
+/// fires, then resumes unarmed from the same state directory and requires
+/// the uninterrupted run's rankings byte for byte.
+#[cfg(feature = "failpoints")]
+fn crash_and_resume(fx: &Fixture, epoch_len: usize, site: &str, reference: &str) {
     use incite_stream::StreamError;
 
     let doc_texts = fx.doc_texts();
     let dir = state_dir(&format!("kill-{epoch_len}"));
     let mut config = fx.config(2, epoch_len);
     config.state_dir = Some(dir.clone());
-    for site in armed {
-        config.failpoints.arm(site);
+    config.failpoints.arm(site);
+    match run_watch(&fx.stream, &doc_texts, &fx.classifier, &config) {
+        Err(StreamError::Fault(fault)) => assert_eq!(fault.site, site),
+        other => panic!("site {site}: expected an injected fault, got {other:?}"),
     }
-    let site = match run_watch(&fx.stream, &doc_texts, &fx.classifier, &config) {
-        Err(StreamError::Fault(fault)) => fault.site,
-        Ok(_) => {
-            std::fs::remove_dir_all(&dir).ok();
-            return None;
-        }
-        Err(other) => panic!("armed {armed:?}: expected an injected fault, got {other}"),
-    };
-    assert!(armed.contains(&site), "unarmed site {site} fired");
 
-    config.failpoints = Default::default();
+    // The fault consumed the arming, so the same config resumes unarmed.
     let recovered = run_watch(&fx.stream, &doc_texts, &fx.classifier, &config)
         .unwrap_or_else(|e| panic!("site {site}: resume failed: {e}"));
     // mid-epoch-1 dies before the first save, and compact-aside-1 before
@@ -120,23 +151,9 @@ fn crash_and_resume(
         "site {site}: recovered rankings diverged from the uninterrupted run"
     );
     std::fs::remove_dir_all(&dir).ok();
-    Some(site)
 }
 
-/// Both sides of the first three checkpoint boundaries.
-#[cfg(feature = "failpoints")]
-fn early_sites() -> Vec<String> {
-    (1..=3)
-        .flat_map(|epoch| {
-            [
-                format!("stream-mid-epoch-{epoch}"),
-                format!("stream-after-epoch-{epoch}"),
-            ]
-        })
-        .collect()
-}
-
-/// Crash on both sides of each early checkpoint boundary and resume.
+/// Crash at every site of the first three epochs and resume.
 /// `stream-mid-epoch-N` fires with epoch N computed but unsaved (resume
 /// replays it); `stream-after-epoch-N` fires with epoch N durable
 /// (resume skips it). Either way the final rankings must match the
@@ -145,74 +162,44 @@ fn early_sites() -> Vec<String> {
 #[test]
 fn kill_resume_sweep_is_byte_identical() {
     let fx = Fixture::new();
-    let reference = run_watch(
-        &fx.stream,
-        &fx.doc_texts(),
-        &fx.classifier,
-        &fx.config(2, 2048),
-    )
-    .expect("uninterrupted run");
-    for site in early_sites() {
-        let fired = crash_and_resume(&fx, 2048, std::slice::from_ref(&site), &reference.rankings);
-        assert_eq!(fired, Some(site));
+    let (sites, reference) = reference_run(&fx, 2048);
+    let reference = reference.rankings;
+    let early: Vec<&String> = sites.iter().filter(|site| is_early(site)).collect();
+    assert!(
+        early.len() >= 6,
+        "sweep must cover both sides of three saves, got {early:?}"
+    );
+    for site in early {
+        crash_and_resume(&fx, 2048, site, &reference);
     }
 }
 
 /// The sweep at the CLI default epoch length, where most epochs append a
-/// log record and a few compact. Besides the early boundary sites (all
-/// appends here), it crashes at each of the three sites of every
-/// compaction of the run. Compactions are found by arming the aside site
-/// of every later epoch at once, so each crash names the next compaction;
-/// its rename and reset sites are then armed one at a time.
+/// log record and a few compact. Besides the sites of the first three
+/// epochs (all appends here but the first), it crashes at each of the
+/// three sites of every compaction of the run.
 #[cfg(feature = "failpoints")]
 #[test]
 fn kill_resume_sweep_covers_appends_and_every_compaction() {
     const EPOCH_LEN: usize = 256;
     let fx = Fixture::new();
-    let reference = run_watch(
-        &fx.stream,
-        &fx.doc_texts(),
-        &fx.classifier,
-        &fx.config(2, EPOCH_LEN),
-    )
-    .expect("uninterrupted run");
+    let (sites, reference) = reference_run(&fx, EPOCH_LEN);
     let epochs = reference.epochs;
-    for site in early_sites() {
-        let fired = crash_and_resume(
-            &fx,
-            EPOCH_LEN,
-            std::slice::from_ref(&site),
-            &reference.rankings,
-        );
-        assert_eq!(fired, Some(site));
+    let swept: Vec<&String> = sites
+        .iter()
+        .filter(|site| is_early(site) || site.starts_with("stream-compact-"))
+        .collect();
+    for site in &swept {
+        crash_and_resume(&fx, EPOCH_LEN, site, &reference.rankings);
     }
 
-    let mut compactions: Vec<u64> = Vec::new();
-    while compactions.last() != Some(&epochs) {
-        let after = compactions.last().copied().unwrap_or(0);
-        let armed: Vec<String> = (after + 1..=epochs)
-            .map(|epoch| format!("stream-compact-aside-{epoch}"))
-            .collect();
-        let fired = crash_and_resume(&fx, EPOCH_LEN, &armed, &reference.rankings)
-            .expect("the last epoch always compacts");
-        let epoch: u64 = fired
-            .rsplit('-')
-            .next()
-            .and_then(|n| n.parse().ok())
-            .expect("site names its epoch");
-        compactions.push(epoch);
-        for step in ["renamed", "reset"] {
-            let site = format!("stream-compact-{step}-{epoch}");
-            let fired = crash_and_resume(
-                &fx,
-                EPOCH_LEN,
-                std::slice::from_ref(&site),
-                &reference.rankings,
-            );
-            assert_eq!(fired, Some(site));
-        }
-    }
+    let compactions: Vec<u64> = swept
+        .iter()
+        .filter(|site| site.starts_with("stream-compact-aside-"))
+        .map(|site| epoch_of(site))
+        .collect();
     assert_eq!(compactions[0], 1, "the first save writes the snapshot");
+    assert_eq!(compactions.last(), Some(&epochs), "the last epoch compacts");
     let in_run = compactions
         .iter()
         .filter(|&&epoch| epoch > 1 && epoch < epochs)
